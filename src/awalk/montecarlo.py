@@ -1,15 +1,22 @@
 """Deterministic parallel path simulation for sign walks.
 
-Every path is addressed by (seed, stream): stream p always draws from a
-Philox generator keyed by seed*2^64 + p, so the signs of path p do not depend
-on how paths are partitioned over workers, on chunk sizes, or on which other
-paths run.  Experiment reports are therefore byte-identical for a fixed seed
-no matter how many workers run (AWALK_THREADS caps the pool).
+Every path is addressed by (seed, stream): path p reads the uint64 words of
+a Philox generator keyed by seed*2^64 + p, and bit j of their little-endian
+unpacking is the sign bit of step j.  The signs of path p therefore do not
+depend on how paths are partitioned over workers, on chunk or refill sizes,
+or on which other paths run, and experiment reports are byte-identical for a
+fixed seed no matter how many workers run (AWALK_THREADS caps the pool).
+Philox is counter-based, so each process re-keys one generator per path and
+draws only the words the path reads.
 
-Paths stream through fixed-size chunks in O(chunk) memory.  Integer-weight
-walks accumulate in int64 (exact); real-weight walks accumulate in extended
-precision with the carry propagated across chunks, which keeps the drift of a
-million-step sum far below the 1e-9 zero-detection tolerance.
+Every experiment streams its paths through one loop, `_PathKernel.run`, in
+O(2^16) memory.  A reducer per experiment reads the partial sums: the path
+statistics (`_PathTally`, for `simulate`, `recurrence` and `signs`), the
+growth window test (`_GrowthTest`) or, with no reducer, only S(n)
+(`tomaszewski_check`).  Integer-weight walks accumulate in int64 (exact);
+real-weight walks accumulate in extended precision with the carry propagated
+across segments, which keeps the drift of a million-step sum far below the
+1e-9 zero-detection tolerance.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ REPORT_SCHEMA = "awalk-report/1"
 
 _CHUNK = 1 << 16
 _BLOCK = 64          # paths per work unit; fixed so partitioning never varies
-_WORDS = 1 << 10     # uint64 words per RNG refill
+_WORDS = 1 << 10     # most uint64 words per RNG refill
 _BOOTSTRAP_SALT = 0xB00575A9
 
 # Attached to every experiment report: simulation evidence is finite-horizon
@@ -62,7 +69,11 @@ def worker_count(requested: int | None = None) -> int:
         n = int(requested)
     else:
         env = os.environ.get("AWALK_THREADS", "")
-        n = int(env) if env.strip() else (os.cpu_count() or 1)
+        try:
+            n = int(env) if env.strip() else (os.cpu_count() or 1)
+        except ValueError:
+            raise PreconditionError(
+                f"AWALK_THREADS must be an integer >= 1, got {env!r}") from None
     if n < 1:
         raise PreconditionError(f"worker count must be >= 1, got {n}")
     return min(n, 64)
@@ -86,31 +97,59 @@ class RngSpec:
 
 
 class _BitStream:
-    """Uniform sign bits drawn in fixed 64-Kibit refills.
+    """Sign bits of one path at a time, from one re-keyed Philox generator.
 
-    Chunk boundaries of the consumer never influence which words are drawn,
-    so any prefix of a path is identical across horizons and chunkings.
+    Path (seed, stream) reads the words ``RngSpec(seed, stream).generator()
+    .integers(0, 2**64, dtype=np.uint64)`` returns, in refills of at most
+    1024 words.  Re-keying through the ``state`` setter costs a fraction of
+    building a new generator.  When the path's length is known, its last
+    refill draws only the words the path reads; refill sizes never change
+    which bit a step reads.
     """
 
-    __slots__ = ("_gen", "_buf", "_pos")
+    __slots__ = ("_philox", "_state", "_bits", "_pos", "_left")
 
-    def __init__(self, rng: RngSpec):
-        self._gen = rng.generator()
-        self._buf = np.empty(0, dtype=np.uint8)
+    def __init__(self, rng: RngSpec | None = None, nbits: int = 0):
+        self._philox = np.random.Philox(0)
+        self._state = self._philox.state  # counter 0, empty buffer; key set per path
+        self._bits = np.empty(0, dtype=np.uint8)
+        self._pos = 0
+        self._left = 0
+        if rng is not None:
+            self.start(rng.seed, rng.stream, nbits)
+
+    def start(self, seed: int, stream: int, nbits: int = 0) -> None:
+        """Re-key for path (seed, stream), which reads `nbits` bits (0: unknown)."""
+        self._state["state"]["key"] = np.array([stream, seed], dtype=np.uint64)
+        self._philox.state = self._state
+        self._bits = self._bits[:0]
+        self._pos = 0
+        self._left = -(-nbits // 64)  # words still to draw; 0 draws full refills
+
+    def _refill(self) -> None:
+        words = min(_WORDS, self._left) if self._left else _WORDS
+        self._left = max(0, self._left - words)
+        raw = self._philox.random_raw(words)
+        self._bits = np.unpackbits(raw.view(np.uint8), bitorder="little")
         self._pos = 0
 
     def take(self, n: int) -> np.ndarray:
+        """The next n sign bits, 0 or 1, as uint8 (a view while within a refill)."""
+        if self._pos == self._bits.size:
+            self._refill()
+        pos = self._pos
+        if pos + n <= self._bits.size:
+            self._pos = pos + n
+            return self._bits[pos:pos + n]
         out = np.empty(n, dtype=np.uint8)
         filled = 0
         while filled < n:
-            if self._pos >= self._buf.size:
-                words = self._gen.integers(0, 1 << 64, size=_WORDS, dtype=np.uint64)
-                self._buf = np.unpackbits(words.view(np.uint8), bitorder="little")
-                self._pos = 0
-            take = min(n - filled, self._buf.size - self._pos)
-            out[filled:filled + take] = self._buf[self._pos:self._pos + take]
-            self._pos += take
-            filled += take
+            if self._pos == self._bits.size:
+                self._refill()
+            k = min(n - filled, self._bits.size - self._pos)
+            out[filled:filled + k] = self._bits[self._pos:self._pos + k]
+            self._pos += k
+            filled += k
         return out
 
 
@@ -140,11 +179,180 @@ class PathStats:
 
 def _weights_for(spec: SequenceSpec, n: int) -> np.ndarray:
     w = spec.terms(n)
-    if w.dtype == np.int64:
-        total = int(np.sum(w, dtype=object)) if w.size else 0
+    if w.dtype == np.int64 and w.size and int(w.max()) * w.size >= 1 << 62:
+        total = int(np.sum(w, dtype=object))  # the bound failed: sum exactly
         if total >= 1 << 62:
             raise DomainError(f"integer walk range {total} overflows int64 accumulation")
     return w
+
+
+class _PathKernel:
+    """The one chunk loop: a path's partial sums S, segment by segment.
+
+    Segments end at every multiple of 2^16 steps, at each checkpoint and at
+    the horizon.  Integer weights accumulate exactly in int64.  Real weights
+    take a long-double cumsum per segment and then add the carry, so the cut
+    positions fix the rounding: keep them where they are, or reports move.
+    """
+
+    def __init__(self, weights: np.ndarray, checkpoint_steps: Sequence[int] = ()):
+        self.weights = weights
+        self.steps = int(weights.size)
+        self.integer = weights.dtype == np.int64
+        self.checkpoints = frozenset(checkpoint_steps)
+        ends = sorted(set(range(_CHUNK, self.steps, _CHUNK)) | self.checkpoints
+                      | ({self.steps} if self.steps else set()))
+        self.segments = list(zip([0] + ends[:-1], ends))
+        size = min(_CHUNK, self.steps)
+        self._signs = np.empty(size, dtype=np.uint8)
+        self._sums = np.empty(size, dtype=np.int64 if self.integer else np.longdouble)
+
+    def run(self, take: Callable[[int], np.ndarray], reducer=None):
+        """Feed each segment to reducer.update(pos, s, at_checkpoint) until it
+        returns True; return the last partial sum formed.  Without a reducer
+        an integer walk only folds each segment into the carry."""
+        w = self.weights
+        carry = 0 if self.integer else np.longdouble(0.0)
+        for pos, end in self.segments:
+            m = end - pos
+            bits = take(m)
+            signs = np.add(bits, bits, out=self._signs[:m])
+            signs -= 1  # 0/1 -> 255/1, which is -1/+1 as int8
+            signs = signs.view(np.int8)
+            if self.integer:
+                s = self._sums[:m]
+                np.copyto(s, signs)
+                if reducer is None:
+                    carry += int(np.dot(w[pos:end], s))
+                    continue
+                s *= w[pos:end]
+                s[0] += carry  # exact in int64
+                np.add.accumulate(s, out=s)
+                carry = int(s[-1])
+            else:
+                s_ld = np.multiply(w[pos:end], signs, out=self._sums[:m])
+                np.add.accumulate(s_ld, out=s_ld)  # the cumsum
+                s_ld += carry
+                carry = s_ld[-1]
+                if reducer is None:
+                    continue
+                s = s_ld.astype(np.float64)
+            if reducer.update(pos, s, end in self.checkpoints):
+                break
+        return carry
+
+
+def _last_true(mask: np.ndarray) -> int:
+    return int(mask.nonzero()[0][-1])
+
+
+class _PathTally:
+    """Reducer for the path statistics of `PathStats`.
+
+    With ``full=False`` it keeps only the counts (zero hits, sign changes,
+    band hits and their checkpoint snapshots) and skips the last-hit
+    positions, max |S| and S(n).
+    """
+
+    def __init__(self, first: int, integer: bool, bands: Sequence[float], zero_tol: float,
+                 full: bool = True):
+        self.first = first
+        self.integer = integer
+        self.bands = [float(c) if not float(c).is_integer() else int(c) for c in bands]
+        self.zero_tol = zero_tol
+        self.full = full
+        # an integer walk needs |S| only for nonzero bands; band 0 is the zero mask
+        self.need_abs = not integer or any(c != 0 for c in self.bands)
+        self.zero_hits = 0
+        self.sign_changes = 0
+        self.last_zero = None
+        self.max_abs = 0.0
+        self.final = 0.0
+        self.band_hits = {c: 0 for c in self.bands}
+        self.last_band: dict[float, int | None] = {c: None for c in self.bands}
+        self.last_sign = 0
+        self.snapshots: list[CheckpointSnapshot] = []
+
+    def update(self, pos: int, s: np.ndarray, at_checkpoint: bool) -> bool:
+        abs_s = np.abs(s) if self.need_abs else None
+        zmask = s == 0 if self.integer else abs_s <= self.zero_tol
+        zeros = int(np.count_nonzero(zmask))
+        last_zero = None
+        if zeros:
+            self.zero_hits += zeros
+            if self.full:
+                last_zero = self.last_zero = self.first + pos + _last_true(zmask)
+        for c in self.bands:
+            if self.integer and c == 0:
+                hits, last = zeros, last_zero
+            else:
+                bmask = abs_s <= c
+                hits = int(np.count_nonzero(bmask))
+                last = self.first + pos + _last_true(bmask) if hits and self.full else None
+            if hits:
+                self.band_hits[c] += hits
+                self.last_band[c] = last
+        # sign changes among the nonzero S; a zero never counts as a sign
+        if self.integer or self.zero_tol >= 0:
+            live = s[~zmask] if zeros else s
+        else:
+            live = s[s != 0]
+        if live.size:
+            up = live > 0
+            if self.last_sign and (1 if up[0] else -1) != self.last_sign:
+                self.sign_changes += 1
+            self.sign_changes += int(np.count_nonzero(up[1:] != up[:-1]))
+            self.last_sign = 1 if up[-1] else -1
+        if self.full:
+            top = abs_s.max() if abs_s is not None else max(s.max(), -s.min())
+            self.max_abs = max(self.max_abs, float(top))
+            self.final = float(s[-1])
+        if at_checkpoint:
+            self.snapshots.append(CheckpointSnapshot(
+                at=self.first + pos + s.size - 1, zero_hits=self.zero_hits,
+                sign_changes=self.sign_changes, band_hits=dict(self.band_hits)))
+        return False
+
+    def stats(self, horizon: int, steps: int) -> PathStats:
+        return PathStats(horizon=horizon, steps=steps, zero_hits=self.zero_hits,
+                         sign_changes=self.sign_changes, last_zero_hit=self.last_zero,
+                         max_abs=self.max_abs, final_value=self.final,
+                         band_hits=self.band_hits, last_band_hit=self.last_band,
+                         checkpoints=self.snapshots)
+
+    def row(self) -> list[float]:
+        """Flat layout read by the experiment aggregators."""
+        row = [self.zero_hits, self.sign_changes,
+               -1 if self.last_zero is None else self.last_zero,
+               self.max_abs, self.final]
+        for c in self.bands:
+            row.append(self.band_hits[c])
+            lb = self.last_band[c]
+            row.append(-1 if lb is None else lb)
+        for snap in self.snapshots:
+            row.append(snap.zero_hits)
+            row.append(snap.sign_changes)
+            row.extend(snap.band_hits.values())
+        return row
+
+
+class _GrowthTest:
+    """Reducer: does |S(m)| exceed threshold[m] at every step of the window?"""
+
+    def __init__(self, window_start: int, thresholds: np.ndarray):
+        self.window_start = window_start
+        self.thresholds = thresholds
+        self.ok = True
+
+    def update(self, pos: int, s: np.ndarray, at_checkpoint: bool) -> bool:
+        end = pos + s.size
+        if end <= self.window_start:
+            return False
+        a = max(self.window_start, pos)
+        if np.any(np.abs(s[a - pos:]) <= self.thresholds[a:end]):
+            self.ok = False
+            return True  # the rest of the path cannot change the verdict
+        return False
 
 
 def _simulate_signs(spec: SequenceSpec, signs: np.ndarray, bands: Sequence[float] = (),
@@ -154,9 +362,15 @@ def _simulate_signs(spec: SequenceSpec, signs: np.ndarray, bands: Sequence[float
     if not len(signs):
         raise PreconditionError("need at least one sign")
     n = spec.first_index + len(signs) - 1
-    return _run_path(spec, _weights_for(spec, n),
-                     iter([np.asarray(signs, dtype=np.int8)]),
-                     bands, zero_tol, checkpoints, n)
+    bits = (np.asarray(signs) > 0).view(np.uint8)
+    pos = 0
+
+    def take(m):
+        nonlocal pos
+        pos += m
+        return bits[pos - m:pos]
+
+    return _path_stats(spec, _weights_for(spec, n), n, take, bands, zero_tol, checkpoints)
 
 
 def simulate(spec: SequenceSpec, n: int, rng: RngSpec, bands: Sequence[float] = (),
@@ -164,100 +378,18 @@ def simulate(spec: SequenceSpec, n: int, rng: RngSpec, bands: Sequence[float] = 
     """Stream one path to horizon n, reproducibly for the given RngSpec."""
     if n < 1:
         raise DomainError(f"horizon must be >= 1, got {n}")
-    return _simulate_weights(spec, _weights_for(spec, n), n, rng, bands,
-                             zero_tol, checkpoints)
+    weights = _weights_for(spec, n)
+    return _path_stats(spec, weights, n, _BitStream(rng, weights.size).take, bands,
+                       zero_tol, checkpoints)
 
 
-def _simulate_weights(spec, weights, n, rng, bands, zero_tol, checkpoints) -> PathStats:
-    stream = _BitStream(rng)
-
-    def sign_chunks():
-        remaining = weights.size
-        while remaining > 0:
-            take = min(_CHUNK, remaining)
-            yield stream.take(take).astype(np.int8) * 2 - 1
-            remaining -= take
-
-    return _run_path(spec, weights, sign_chunks(), bands, zero_tol, checkpoints, n)
-
-
-def _run_path(spec, weights, sign_chunks, bands, zero_tol, checkpoints, horizon) -> PathStats:
-    bands = [float(c) if not float(c).is_integer() else int(c) for c in bands]
-    integer = weights.dtype == np.int64
+def _path_stats(spec, weights, horizon, take, bands, zero_tol, checkpoints) -> PathStats:
     first = spec.first_index
-    cps = sorted({int(c) for c in checkpoints if first <= c <= horizon})
-    cp_offsets = [c - first + 1 for c in cps]  # step counts at checkpoints
-
-    zero_hits = 0
-    sign_changes = 0
-    last_zero = None
-    max_abs = 0.0
-    band_hits = {c: 0 for c in bands}
-    last_band: dict[float, int | None] = {c: None for c in bands}
-    last_sign = 0
-    carry_i = 0
-    carry_f = np.longdouble(0.0)
-    final = 0.0
-    snapshots: list[CheckpointSnapshot] = []
-
-    pos = 0
-    pending = list(cp_offsets)
-    chunks = iter(sign_chunks)
-    buf = None
-    while pos < weights.size:
-        if buf is None or buf.size == 0:
-            buf = next(chunks)
-        # cut the chunk at the next checkpoint so snapshots land exactly
-        limit = pending[0] - pos if pending else buf.size
-        seg = buf[:limit]
-        buf = buf[limit:]
-        w = weights[pos:pos + seg.size]
-        if integer:
-            s = np.cumsum(w * seg.astype(np.int64))
-            s += carry_i
-            carry_i = int(s[-1])
-            abs_s = np.abs(s)
-            zmask = s == 0
-        else:
-            s_ld = np.cumsum((w * seg).astype(np.longdouble))
-            s_ld += carry_f
-            carry_f = s_ld[-1]
-            s = s_ld.astype(np.float64)
-            abs_s = np.abs(s)
-            zmask = abs_s <= zero_tol
-
-        if zmask.any():
-            idx = np.flatnonzero(zmask)
-            zero_hits += int(idx.size)
-            last_zero = first + pos + int(idx[-1])
-        for c in bands:
-            bmask = abs_s <= c
-            if bmask.any():
-                idx = np.flatnonzero(bmask)
-                band_hits[c] += int(idx.size)
-                last_band[c] = first + pos + int(idx[-1])
-        sg = np.sign(s).astype(np.int8)
-        if not integer:
-            sg[zmask] = 0
-        nz = sg[sg != 0]
-        if nz.size:
-            if last_sign != 0 and nz[0] != last_sign:
-                sign_changes += 1
-            sign_changes += int(np.count_nonzero(np.diff(nz)))
-            last_sign = int(nz[-1])
-        max_abs = max(max_abs, float(abs_s.max()))
-        final = float(s[-1])
-        pos += seg.size
-        if pending and pos == pending[0]:
-            pending.pop(0)
-            snapshots.append(CheckpointSnapshot(
-                at=first + pos - 1, zero_hits=zero_hits, sign_changes=sign_changes,
-                band_hits=dict(band_hits)))
-
-    return PathStats(horizon=horizon, steps=int(weights.size), zero_hits=zero_hits,
-                     sign_changes=sign_changes, last_zero_hit=last_zero,
-                     max_abs=max_abs, final_value=final, band_hits=band_hits,
-                     last_band_hit=last_band, checkpoints=snapshots)
+    cps = {int(c) for c in checkpoints if first <= c <= horizon}
+    kernel = _PathKernel(weights, [c - first + 1 for c in cps])
+    tally = _PathTally(first, kernel.integer, bands, zero_tol)
+    kernel.run(take, tally)
+    return tally.stats(horizon, kernel.steps)
 
 
 # --- experiment plumbing -------------------------------------------------------
@@ -266,83 +398,52 @@ _CTX: dict = {}
 
 
 def _init_worker(kind, spec_text, horizon, seed, bands, zero_tol, checkpoints, extra):
+    """Per-process state: the kernel, one bit stream and the row reducer of `kind`."""
     _CTX.clear()
     spec = parse_spec(spec_text)
-    _CTX.update(kind=kind, spec=spec, horizon=horizon, seed=seed, bands=bands,
-                zero_tol=zero_tol, checkpoints=checkpoints, extra=extra,
-                weights=_weights_for(spec, horizon))
+    first = spec.first_index
+    kernel = _PathKernel(_weights_for(spec, horizon), [c - first + 1 for c in checkpoints])
+    stream = _BitStream()
+    if kind in ("stats", "counts"):
+        def row():
+            tally = _PathTally(first, kernel.integer, bands, zero_tol, full=kind == "stats")
+            kernel.run(stream.take, tally)
+            return tally.row()
+    elif kind == "growth":
+        window_start, exponent = extra
+        thresholds = np.arange(first, horizon + 1, dtype=np.float64) ** exponent
+
+        def row():
+            test = _GrowthTest(window_start, thresholds)
+            kernel.run(stream.take, test)
+            return [1.0 if test.ok else 0.0]
+    else:  # "final": the value S(n) alone
+        def row():
+            return [float(kernel.run(stream.take))]
+    _CTX.update(seed=seed, steps=kernel.steps, stream=stream, row=row)
 
 
-def _stats_block(block: tuple[int, int]):
+def _path_block(block: tuple[int, int]) -> np.ndarray:
     lo, hi = block
-    spec = _CTX["spec"]
+    seed, steps, stream, row = _CTX["seed"], _CTX["steps"], _CTX["stream"], _CTX["row"]
     out = []
     for p in range(lo, hi):
-        st = _simulate_weights(spec, _CTX["weights"], _CTX["horizon"],
-                               RngSpec(_CTX["seed"], p), _CTX["bands"],
-                               _CTX["zero_tol"], _CTX["checkpoints"])
-        out.append(_pack_stats(st, _CTX["bands"], _CTX["checkpoints"]))
+        stream.start(seed, p, steps)
+        out.append(row())
     return np.asarray(out, dtype=np.float64)
-
-
-def _pack_stats(st: PathStats, bands, checkpoints) -> list[float]:
-    row = [st.zero_hits, st.sign_changes,
-           -1 if st.last_zero_hit is None else st.last_zero_hit,
-           st.max_abs, st.final_value]
-    for c in st.band_hits:
-        row.append(st.band_hits[c])
-        lb = st.last_band_hit[c]
-        row.append(-1 if lb is None else lb)
-    for snap in st.checkpoints:
-        row.append(snap.zero_hits)
-        row.append(snap.sign_changes)
-        row.extend(snap.band_hits.values())
-    return row
-
-
-def _growth_block(block: tuple[int, int]):
-    lo, hi = block
-    spec = _CTX["spec"]
-    weights = _CTX["weights"]
-    horizon = _CTX["horizon"]
-    win_lo_step, exponent = _CTX["extra"]
-    first = spec.first_index
-    idx = np.arange(first, horizon + 1, dtype=np.float64)
-    thresholds = idx ** exponent
-    integer = weights.dtype == np.int64
-    flags = np.zeros(hi - lo, dtype=np.float64)
-    for p in range(lo, hi):
-        stream = _BitStream(RngSpec(_CTX["seed"], p))
-        carry_i, carry_f = 0, np.longdouble(0.0)
-        ok = True
-        pos = 0
-        while pos < weights.size:
-            take = min(_CHUNK, weights.size - pos)
-            seg = stream.take(take).astype(np.int8) * 2 - 1
-            w = weights[pos:pos + take]
-            if integer:
-                s = np.cumsum(w * seg.astype(np.int64))
-                s += carry_i
-                carry_i = int(s[-1])
-            else:
-                s_ld = np.cumsum((w * seg).astype(np.longdouble))
-                s_ld += carry_f
-                carry_f = s_ld[-1]
-                s = s_ld.astype(np.float64)
-            if ok and pos + take > win_lo_step:
-                a = max(win_lo_step, pos)
-                if np.any(np.abs(s[a - pos:]) <= thresholds[a:pos + take]):
-                    ok = False
-            pos += take
-        flags[p - lo] = 1.0 if ok else 0.0
-    return flags.reshape(-1, 1)
 
 
 def _run_blocks(kind: str, spec: SequenceSpec, horizon: int, paths: int, seed: int,
                 bands, zero_tol, checkpoints, extra, threads: int | None) -> np.ndarray:
-    """Run the per-path kernel over fixed path blocks; row order is path order."""
+    """Run the per-path kernel over fixed path blocks; row order is path order.
+
+    `kind` picks the reducer: "stats" (`_PathTally.row`), "counts" (the same
+    row with only its counts filled in), "growth" (one 0/1 flag per path) or
+    "final" (S(n) per path).
+    """
     if paths < 1:
         raise PreconditionError(f"paths must be >= 1, got {paths}")
+    RngSpec(seed)  # validates the seed before any worker starts
     try:  # workers rebuild the spec from its canonical text
         parse_spec(spec.canonical())
     except PreconditionError as exc:
@@ -352,15 +453,14 @@ def _run_blocks(kind: str, spec: SequenceSpec, horizon: int, paths: int, seed: i
     blocks = [(lo, min(lo + _BLOCK, paths)) for lo in range(0, paths, _BLOCK)]
     args = (kind, spec.canonical(), horizon, seed, tuple(bands), zero_tol,
             tuple(checkpoints), extra)
-    fn = _stats_block if kind == "stats" else _growth_block
     workers = min(worker_count(threads), len(blocks))
     if workers <= 1:
         _init_worker(*args)
-        parts = [fn(b) for b in blocks]
+        parts = [_path_block(b) for b in blocks]
     else:
         ctx = get_context("fork")
         with ctx.Pool(processes=workers, initializer=_init_worker, initargs=args) as pool:
-            parts = pool.map(fn, blocks, chunksize=1)
+            parts = pool.map(_path_block, blocks, chunksize=1)
     return np.concatenate(parts, axis=0)
 
 
@@ -414,6 +514,21 @@ def default_checkpoints(n: int, first: int) -> list[int]:
     return cps
 
 
+def _experiment_checkpoints(spec: SequenceSpec, n: int,
+                            checkpoints: Sequence[int] | None) -> list[int]:
+    """The experiment's checkpoints: sorted, distinct and within [first, n]."""
+    first = spec.first_index
+    if n < first:
+        raise DomainError(f"horizon must be >= {first} for {spec.canonical()}, got {n}")
+    if checkpoints is None:
+        return default_checkpoints(n, first)
+    cps = sorted({int(c) for c in checkpoints})
+    outside = [c for c in cps if not first <= c <= n]
+    if outside:
+        raise PreconditionError(f"checkpoints must lie in [{first}, {n}], got {outside}")
+    return cps
+
+
 def recurrence_experiment(spec: SequenceSpec, n: int, bands: Sequence[float],
                           paths: int, seed: int, *, checkpoints: Sequence[int] | None = None,
                           zero_tol: float = 1e-9,
@@ -427,8 +542,9 @@ def recurrence_experiment(spec: SequenceSpec, n: int, bands: Sequence[float],
     """
     if n < 1:
         raise DomainError(f"horizon must be >= 1, got {n}")
-    cps = default_checkpoints(n, spec.first_index) if checkpoints is None \
-        else sorted({int(c) for c in checkpoints})
+    cps = _experiment_checkpoints(spec, n, checkpoints)
+    if not cps:
+        raise PreconditionError("recurrence experiment needs at least one checkpoint")
     bands = [float(c) for c in bands]
     rows = _run_blocks("stats", spec, n, paths, seed, bands, zero_tol, cps, None, threads)
     nb = len(bands)
@@ -479,9 +595,8 @@ def sign_change_experiment(spec: SequenceSpec, n: int, paths: int, seed: int, *,
     if not spec.is_non_decreasing:
         raise PreconditionError(
             f"sign-change experiment requires non-decreasing weights, got {spec.canonical()}")
-    cps = default_checkpoints(n, spec.first_index) if checkpoints is None \
-        else sorted({int(c) for c in checkpoints})
-    rows = _run_blocks("stats", spec, n, paths, seed, (), zero_tol, cps, None, threads)
+    cps = _experiment_checkpoints(spec, n, checkpoints)
+    rows = _run_blocks("counts", spec, n, paths, seed, (), zero_tol, cps, None, threads)
     per_cp = 2
     aggregates: dict = {"fraction_at_least": {}, "mean_sign_changes": float(rows[:, 1].mean()),
                         "sign_change_quantiles": _quantiles(rows[:, 1])}
@@ -539,7 +654,9 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
     """P(|S(n)| <= sqrt(a_1^2 + ... + a_n^2)) with pass iff >= 1/2.
 
     Exact mode compares S^2 <= sum(a^2) in integer arithmetic for integer
-    weights (n up to 24 otherwise, by enumeration in float arithmetic).
+    weights (n up to 24 otherwise, by enumeration in float arithmetic).  MC
+    mode counts the paths (seed, 0..paths-1) whose S(n) lies within the root,
+    streamed through the experiments' worker pool.
     """
     if mode == "exact":
         if spec.is_integer_valued:
@@ -561,12 +678,11 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
         return TomaszewskiReport(spec=spec.canonical(), horizon=n, mode="exact",
                                  probability=prob, passed=prob >= Fraction(1, 2))
     if mode == "mc":
+        if n < 1:
+            raise DomainError(f"horizon must be >= 1, got {n}")
         root = math.sqrt(float(np.sum(spec.terms(n).astype(np.float64) ** 2)))
-        inside = 0
-        for p in range(paths):
-            st = simulate(spec, n, RngSpec(seed, p))
-            inside += abs(st.final_value) <= root
-        freq = inside / paths
+        finals = _run_blocks("final", spec, n, paths, seed, (), 0.0, (), None, None)
+        freq = int(np.count_nonzero(np.abs(finals[:, 0]) <= root)) / paths
         se = math.sqrt(max(freq * (1 - freq), 1e-12) / paths)
         return TomaszewskiReport(spec=spec.canonical(), horizon=n, mode="mc",
                                  probability=freq, passed=freq >= 0.5 - 3 * se,

@@ -181,6 +181,33 @@ def test_tomaszewski_cli(tmp_path):
     assert payload["probability"]["fraction"] == "1/2"
 
 
+def test_tomaszewski_mc_rejects_non_positive_paths(tmp_path, capsys):
+    for paths in ("0", "-5"):
+        assert run(["tomaszewski", "--spec", "linear", "--n", "20", "--mode", "mc",
+                    "--paths", paths, "--out", "tz.json"], tmp_path) == 2
+        assert "paths must be >= 1" in capsys.readouterr().err
+
+
+def test_experiment_rejects_bad_checkpoints(tmp_path, capsys):
+    for command in ("recurrence", "signs"):
+        for cps in ("0,50", "50,200"):
+            assert run([command, "--spec", "linear", "--n", "100", "--paths", "4",
+                        "--seed", "1", "--checkpoints", cps, "--out", "x.json"],
+                       tmp_path) == 2
+            assert "checkpoints must lie in [1, 100]" in capsys.readouterr().err
+    assert run(["recurrence", "--spec", "linear", "--n", "100", "--paths", "4", "--seed", "1",
+                "--checkpoints", ",", "--out", "x.json"], tmp_path) == 2
+    assert "at least one checkpoint" in capsys.readouterr().err
+    assert run(["recurrence", "--spec", "logceil:2", "--n", "1", "--paths", "4", "--seed", "1",
+                "--out", "x.json"], tmp_path) == 2
+    assert "horizon must be >= 2" in capsys.readouterr().err
+    # a single path keeps dropping the snapshots it cannot take
+    assert run(["simulate", "--spec", "linear", "--n", "100", "--seed", "1",
+                "--checkpoints", "0,50,200", "--out", "sim.json"], tmp_path) == 0
+    path = json.loads((tmp_path / "sim.json").read_text())["path"]
+    assert [c["at"] for c in path["checkpoints"]] == [50]
+
+
 def test_verify_cli_pass_and_written_report(tmp_path):
     assert run(["verify", "--suite", "bc", "--out", "bc.json"], tmp_path) == 0
     payload = json.loads((tmp_path / "bc.json").read_text())

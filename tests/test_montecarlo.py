@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from awalk import exact, montecarlo as mc
 from awalk.errors import DomainError, PreconditionError
@@ -82,6 +83,85 @@ def test_logcont_walk_uses_compensated_accumulation():
     assert st.final_value == pytest.approx(want, abs=1e-9)
 
 
+def _step_loop_stats(spec, signs, bands, checkpoints):
+    """The statistics of `PathStats`, one step at a time in Python integers."""
+    first = spec.first_index
+    weights = [int(w) for w in spec.terms(first + len(signs) - 1)]
+    s = zero_hits = changes = last_sign = max_abs = 0
+    last_zero = None
+    hits = {c: 0 for c in bands}
+    last = {c: None for c in bands}
+    snaps = []
+    for k, (w, x) in enumerate(zip(weights, signs), start=first):
+        s += w * int(x)
+        if s == 0:
+            zero_hits, last_zero = zero_hits + 1, k
+        else:
+            sign = 1 if s > 0 else -1
+            changes += last_sign != 0 and sign != last_sign
+            last_sign = sign
+        for c in bands:
+            if abs(s) <= c:
+                hits[c], last[c] = hits[c] + 1, k
+        max_abs = max(max_abs, abs(s))
+        if k in checkpoints:
+            snaps.append((k, zero_hits, changes, dict(hits)))
+    return zero_hits, changes, last_zero, float(max_abs), float(s), hits, last, snaps
+
+
+_INTEGER_SPECS = ["linear", "constant:1", "constant:3", "powfloor:0.5", "logceil:2",
+                  "explicit:" + ",".join(str(1 + k % 4) for k in range(300))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.sampled_from(_INTEGER_SPECS),
+       strategies.lists(strategies.sampled_from([-1, 1]), min_size=1, max_size=300),
+       strategies.lists(strategies.sampled_from([0, 1, 2, 2.5, 7]), max_size=3, unique=True),
+       strategies.lists(strategies.integers(0, 299), max_size=6))
+def test_integer_kernel_matches_step_loop(text, signs, bands, offsets):
+    spec = parse_spec(text)
+    first = spec.first_index
+    checkpoints = {first + o for o in offsets if o < len(signs)}
+    got = mc._simulate_signs(spec, np.array(signs, dtype=np.int8), bands=bands,
+                             checkpoints=sorted(checkpoints))
+    want = _step_loop_stats(spec, signs, bands, checkpoints)
+    assert (got.zero_hits, got.sign_changes, got.last_zero_hit, got.max_abs,
+            got.final_value, got.band_hits, got.last_band_hit) == want[:7]
+    assert [(c.at, c.zero_hits, c.sign_changes, c.band_hits)
+            for c in got.checkpoints] == want[7]
+
+
+def test_truncated_refill_reads_the_same_bits():
+    rng = mc.RngSpec(21, 5)
+    words = rng.generator().integers(0, 1 << 64, size=3200, dtype=np.uint64)
+    want = np.unpackbits(words.view(np.uint8), bitorder="little")
+    for nbits in (1, 200, 64 * 1024 + 70, 3 * 64 * 1024):
+        full = mc._BitStream(rng).take(nbits)
+        stream = mc._BitStream(rng, nbits)  # last refill cut to the words read
+        assert np.array_equal(stream.take(nbits), full)
+        assert np.array_equal(full, want[:nbits])
+        # reading past the announced length continues the same stream
+        assert np.array_equal(stream.take(500), want[nbits:nbits + 500])
+    # re-keying one stream gives each path its own bits
+    stream = mc._BitStream()
+    for p in (3, 0, 3):
+        stream.start(21, p, 100)
+        assert np.array_equal(stream.take(100), mc._BitStream(mc.RngSpec(21, p)).take(100))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("text", ["linear", "logcont:1.4426950408889634"])
+def test_tomaszewski_mc_counts_simulated_final_values(text, threads, monkeypatch):
+    monkeypatch.setenv("AWALK_THREADS", threads)
+    spec = parse_spec(text)
+    n, paths, seed = 300, 150, 13
+    root = math.sqrt(float(np.sum(spec.terms(n).astype(np.float64) ** 2)))
+    inside = sum(abs(mc.simulate(spec, n, mc.RngSpec(seed, p)).final_value) <= root
+                 for p in range(paths))
+    rep = mc.tomaszewski_check(spec, n, "mc", paths=paths, seed=seed)
+    assert rep.probability == inside / paths
+
+
 def test_consistency_with_exact_visits():
     # all-visit counting on both sides
     spec = Linear()
@@ -110,6 +190,9 @@ def test_env_thread_cap(monkeypatch):
     monkeypatch.setenv("AWALK_THREADS", "3")
     assert mc.worker_count() == 3
     assert mc.worker_count(2) == 2  # explicit argument wins
+    monkeypatch.setenv("AWALK_THREADS", "abc")
+    with pytest.raises(PreconditionError, match="AWALK_THREADS"):
+        mc.worker_count()
     monkeypatch.delenv("AWALK_THREADS")
 
 
