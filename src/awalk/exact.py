@@ -5,6 +5,14 @@ lattice distribution: 2^steps outcomes spread over integers of fixed parity.
 Everything here is enumeration-grade: counts are big integers, probabilities
 are exact rationals, and the inequality checkers compare integers, never
 floats, so a pass is a proof for the swept range.
+
+One band DP, `_band_masses`, computes every lattice quantity: the pmf
+(`distribution`), first-hit and visit series (`zero_hit_probability`,
+`expected_visits`) and integer Azuma tails.  It runs one in-place shift-add
+per weight over a numpy object buffer whose element type is the arithmetic:
+big-int counts, or 256-bit mpmath floats for mode "float256".  The buffer
+holds unnormalised masses; step i's band mass is scaled by 2^-(i+1) once,
+which is exact in both arithmetics.
 """
 
 from __future__ import annotations
@@ -86,11 +94,8 @@ class LatticeDist:
 
     def band_count(self, c: int | float) -> int:
         """Total count with |z| <= c."""
-        out = 0
-        for z, cnt in zip(self.support(), self.counts):
-            if abs(z) <= c:
-                out += cnt
-        return out
+        jlo, jhi = _band_slice(self.offset, len(self.counts), c)
+        return sum(self.counts[jlo:jhi])
 
     def to_bytes(self) -> bytes:
         parts = [_MAGIC, struct.pack("<BqqB", _FORMAT_VERSION, self.n, self.offset, self.stride),
@@ -138,30 +143,53 @@ def distribution(spec: SequenceSpec, n: int, *, max_cells: int = DEFAULT_MAX_CEL
 
     Time and memory are O(steps * A) with A = sum of the weights.
     """
-    weights = _integer_weights(spec, n)
-    total_span = sum(weights) + 1
-    if total_span > max_cells:
-        raise ResourceError(
-            f"distribution needs {total_span} lattice cells (budget {max_cells})",
-            required=total_span, budget=max_cells)
-    counts = [1]
+    return _lattice(_integer_weights(spec, n), max_cells)
+
+
+def _lattice(weights: list[int], max_cells: int = DEFAULT_MAX_CELLS) -> LatticeDist:
+    """Exact pmf of sum w_i x_i for a list of integer weights (zeros allowed)."""
+    _, counts = _band_masses(weights, None, False, 1, max_cells)
+    return LatticeDist(n=len(weights), offset=-sum(weights), counts=counts.tolist())
+
+
+def _band_masses(weights: list[int], band: int | float | None, absorb: bool, one,
+                 max_cells: int = DEFAULT_MAX_CELLS) -> tuple[list, np.ndarray]:
+    """The band DP: (per-step masses with |S| <= band, final lattice buffer).
+
+    Cell j of the buffer holds the mass at S = offset + 2j, offset being
+    minus the weights summed so far; ``one`` is the starting mass and sets
+    the arithmetic (int 1 for counts, mpmath.mpf(1) for float256, which
+    must run under workprec(256)).  Masses are never halved, so the mass
+    recorded after k weights is 2^k times its probability.  ``band`` None
+    records no masses; ``absorb`` removes each step's band mass from the walk.
+    """
+    span = sum(weights) + 1
+    if span > max_cells:
+        raise ResourceError(f"band DP needs {span} lattice cells (budget {max_cells})",
+                            required=span, budget=max_cells)
+    zero = one - one
+    buf = np.full(span, zero, dtype=object)
+    buf[0] = one
+    masses = []
+    length = 1
+    offset = 0
     for a in weights:
-        counts = _shift_add(counts, a)
-    return LatticeDist(n=len(weights), offset=-sum(weights), counts=counts)
+        # numpy buffers overlapping operands: new[j] = old[j] + old[j - a]
+        buf[a:length + a] += buf[:length]
+        length += a
+        offset -= a
+        if band is not None:
+            jlo, jhi = _band_slice(offset, length, band)
+            masses.append(sum(buf[jlo:jhi], zero))
+            if absorb:
+                buf[jlo:jhi] = zero
+    return masses, buf
 
 
-def _shift_add(counts: list[int], a: int) -> list[int]:
-    new = counts + [0] * a
-    for i, c in enumerate(counts):
-        new[i + a] += c
-    return new
-
-
-def _band_slice(offset: int, length: int, band: float) -> tuple[int, int]:
+def _band_slice(offset: int, length: int, band: int | float) -> tuple[int, int]:
     """Index range [jlo, jhi) of lattice cells offset+2j with |offset+2j| <= band."""
-    jlo = math.ceil((-band - offset) / 2)
-    jhi = math.floor((band - offset) / 2)
-    return max(0, jlo), min(length, jhi + 1)
+    b = math.floor(band)  # the cells are integers
+    return max(0, -((b + offset) // 2)), min(length, (b - offset) // 2 + 1)
 
 
 def signed_count(spec: SequenceSpec, n: int, target: int,
@@ -192,6 +220,27 @@ def _pick_mode(spec: SequenceSpec, n: int, mode: str, digit_budget: int) -> str:
     return "exact-rational" if digits <= digit_budget else "float256"
 
 
+def _band_series(spec: SequenceSpec, n: int, band: int | float, absorb: bool,
+                 mode: str, digit_budget: int, max_cells: int):
+    """(report with the per-step band probabilities, their sum) in the chosen mode."""
+    if band < 0:
+        raise DomainError(f"band must be >= 0, got {band}")
+    weights = _integer_weights(spec, n)
+    chosen = _pick_mode(spec, n, mode, digit_budget)
+    report = HitReport(spec=spec.canonical(), horizon=n, band=band, mode=chosen)
+    steps = range(spec.first_index, spec.first_index + len(weights))
+    if chosen == "exact-rational":
+        masses, _ = _band_masses(weights, band, absorb, 1, max_cells)
+        probs = [Fraction(m, 1 << (i + 1)) for i, m in enumerate(masses)]
+        report.per_n = list(zip(steps, probs))
+        return report, sum(probs, Fraction(0))
+    with mpmath.workprec(256):
+        masses, _ = _band_masses(weights, band, absorb, mpmath.mpf(1), max_cells)
+        probs = [mpmath.ldexp(m, -(i + 1)) for i, m in enumerate(masses)]
+        report.per_n = [(k, float(p)) for k, p in zip(steps, probs)]
+        return report, sum(probs, mpmath.mpf(0))  # 256-bit value, not downcast
+
+
 def zero_hit_probability(spec: SequenceSpec, n: int, band: int | float = 0,
                          *, mode: str = "auto", digit_budget: int = DEFAULT_DIGIT_BUDGET,
                          max_cells: int = DEFAULT_MAX_CELLS) -> HitReport:
@@ -201,52 +250,8 @@ def zero_hit_probability(spec: SequenceSpec, n: int, band: int | float = 0,
     Non-decreasing in both n and band.  The per_n series holds the first-hit
     mass at each step; its sum is the hit probability.
     """
-    if band < 0:
-        raise DomainError(f"band must be >= 0, got {band}")
-    weights = _integer_weights(spec, n)
-    chosen = _pick_mode(spec, n, mode, digit_budget)
-    report = HitReport(spec=spec.canonical(), horizon=n, band=band, mode=chosen)
-    if not weights:
-        report.hit_probability = Fraction(0) if chosen == "exact-rational" else 0.0
-        return report
-
-    span = sum(weights) + 1
-    if span > max_cells:
-        raise ResourceError(f"absorbing DP needs {span} cells (budget {max_cells})",
-                            required=span, budget=max_cells)
-
-    exact = chosen == "exact-rational"
-    steps = len(weights)
-    first = spec.first_index
-    if exact:
-        alive = [1]
-        hit_scaled = 0  # absorbed counts scaled to the common denominator 2^steps
-        offset = 0
-        for i, a in enumerate(weights):
-            alive = _shift_add(alive, a)
-            offset -= a
-            jlo, jhi = _band_slice(offset, len(alive), band)
-            absorbed = sum(alive[jlo:jhi])
-            alive[jlo:jhi] = [0] * max(0, jhi - jlo)
-            hit_scaled += absorbed << (steps - (i + 1))
-            report.per_n.append((first + i, Fraction(absorbed, 1 << (i + 1))))
-        report.hit_probability = Fraction(hit_scaled, 1 << steps)
-        return report
-    with mpmath.workprec(256):
-        alive_f = [mpmath.mpf(1)]
-        hit_f = mpmath.mpf(0)
-        half = mpmath.mpf("0.5")
-        offset = 0
-        zero = mpmath.mpf(0)
-        for i, a in enumerate(weights):
-            alive_f = [x * half for x in _shift_add(alive_f, a)]
-            offset -= a
-            jlo, jhi = _band_slice(offset, len(alive_f), band)
-            absorbed = sum(alive_f[jlo:jhi], zero)
-            alive_f[jlo:jhi] = [zero] * max(0, jhi - jlo)
-            hit_f += absorbed
-            report.per_n.append((first + i, float(absorbed)))
-        report.hit_probability = hit_f  # 256-bit value, not downcast
+    report, total = _band_series(spec, n, band, True, mode, digit_budget, max_cells)
+    report.hit_probability = total
     return report
 
 
@@ -254,40 +259,8 @@ def expected_visits(spec: SequenceSpec, n: int, band: int | float = 0,
                     *, mode: str = "auto", digit_budget: int = DEFAULT_DIGIT_BUDGET,
                     max_cells: int = DEFAULT_MAX_CELLS) -> HitReport:
     """Sum over m <= n of P(|S(m)| <= band), with the full per-m series."""
-    if band < 0:
-        raise DomainError(f"band must be >= 0, got {band}")
-    weights = _integer_weights(spec, n)
-    chosen = _pick_mode(spec, n, mode, digit_budget)
-    report = HitReport(spec=spec.canonical(), horizon=n, band=band, mode=chosen)
-    exact = chosen == "exact-rational"
-    first = spec.first_index
-    if exact:
-        counts: list = [1]
-        offset = 0
-        total = Fraction(0)
-        for i, a in enumerate(weights):
-            counts = _shift_add(counts, a)
-            offset -= a
-            jlo, jhi = _band_slice(offset, len(counts), band)
-            p = Fraction(sum(counts[jlo:jhi]), 1 << (i + 1))
-            report.per_n.append((first + i, p))
-            total += p
-        report.expected_visits = total
-        return report
-    with mpmath.workprec(256):
-        counts_f = [mpmath.mpf(1)]
-        half = mpmath.mpf("0.5")
-        offset = 0
-        total_f = mpmath.mpf(0)
-        zero = mpmath.mpf(0)
-        for i, a in enumerate(weights):
-            counts_f = [x * half for x in _shift_add(counts_f, a)]
-            offset -= a
-            jlo, jhi = _band_slice(offset, len(counts_f), band)
-            mass = sum(counts_f[jlo:jhi], zero)
-            report.per_n.append((first + i, float(mass)))
-            total_f += mass
-        report.expected_visits = total_f  # 256-bit value, not downcast
+    report, total = _band_series(spec, n, band, False, mode, digit_budget, max_cells)
+    report.expected_visits = total
     return report
 
 
@@ -448,16 +421,12 @@ def _nonneg_weight(w):
 
 def _exact_tail(ws: list, threshold: float) -> Fraction:
     """P(|sum w_i y_i| >= threshold) over all sign vectors, exact."""
-    if all(isinstance(w, int) for w in ws):
-        counts = {0: 1}
-        for w in ws:
-            nxt: dict[int, int] = {}
-            for s, c in counts.items():
-                nxt[s + w] = nxt.get(s + w, 0) + c
-                nxt[s - w] = nxt.get(s - w, 0) + c
-            counts = nxt
-        hit = sum(c for s, c in counts.items() if abs(s) >= threshold)
-        return Fraction(hit, 1 << len(ws))
+    # integer weights use the lattice when it fits the cell budget; the
+    # enumeration below is exact for them while |S| < 2^53
+    if all(isinstance(w, int) for w in ws) and sum(ws) < DEFAULT_MAX_CELLS:
+        dist = _lattice(ws)
+        hit = sum(c for z, c in zip(dist.support(), dist.counts) if abs(z) >= threshold)
+        return Fraction(hit, dist.total)
     sums = np.zeros(1, dtype=np.float64)
     for w in ws:
         sums = np.concatenate([sums - w, sums + w])

@@ -490,17 +490,25 @@ class ExperimentReport:
         }
 
 
-def _bootstrap_lcb(values: np.ndarray, seed: int, resamples: int = 2000) -> float:
-    """2.5th percentile of resampled means (95% lower confidence bound)."""
+def _bootstrap_lcbs(values: np.ndarray, seed: int, resamples: int = 2000) -> list[float]:
+    """Per row of ``values``: the 2.5th percentile of resampled means (95% lower
+    confidence bound).  Every row is resampled with the same index draws.
+
+    The draws do not depend on the chunk size (a Philox Generator yields the
+    same integers in one call or in several), so chunks stay small, about
+    2^16 indices: chunks of tens of MB leave freed heap pages resident, and
+    every pool worker forked afterwards inherits them.
+    """
     gen = np.random.Generator(np.random.Philox(key=(seed << 64) | _BOOTSTRAP_SALT))
-    n = values.size
-    means = np.empty(resamples)
-    step = max(1, (1 << 22) // max(1, n))
+    n = values.shape[1]
+    means = np.empty((len(values), resamples))
+    step = max(1, (1 << 16) // max(1, n))
     for lo in range(0, resamples, step):
         hi = min(lo + step, resamples)
         idx = gen.integers(0, n, size=(hi - lo, n))
-        means[lo:hi] = values[idx].mean(axis=1)
-    return float(np.percentile(means, 2.5))
+        for row, out in zip(values, means):
+            out[lo:hi] = row[idx].mean(axis=1)
+    return [float(np.percentile(m, 2.5)) for m in means]
 
 
 def _quantiles(values: np.ndarray) -> dict:
@@ -551,23 +559,19 @@ def recurrence_experiment(spec: SequenceSpec, n: int, bands: Sequence[float],
     cols_fixed = 5 + 2 * nb
     per_cp = 2 + nb
 
-    def cp_col(ci, stat):  # stat: 0 zero_hits, 1 sign_changes, 2+ band b
-        return cols_fixed + ci * per_cp + stat
+    def cp_col(ci, b):  # hits at checkpoint ci: b None for zeros, else band b
+        return cols_fixed + ci * per_cp + (0 if b is None else 2 + b)
 
     decade_lo = max(spec.first_index, n // 10)
     aggregates: dict = {"per_band": {}}
     targets = [("zero", None)] + [(f"band<={bands[b]:g}", b) for b in range(nb)]
-    for label, b in targets:
+    growths = np.array([rows[:, cp_col(len(cps) - 1, b)] - rows[:, cp_col(0, b)]
+                        for _, b in targets])
+    lcbs = _bootstrap_lcbs(growths, seed)
+    for (label, b), growth, lcb in zip(targets, growths, lcbs):
         hits = rows[:, 0] if b is None else rows[:, 5 + 2 * b]
         last = rows[:, 2] if b is None else rows[:, 6 + 2 * b]
-        cp_means = {}
-        for ci, cp in enumerate(cps):
-            col = cp_col(ci, 0 if b is None else 2 + b)
-            cp_means[str(cp)] = float(rows[:, col].mean())
-        first_col = cp_col(0, 0 if b is None else 2 + b)
-        last_col = cp_col(len(cps) - 1, 0 if b is None else 2 + b)
-        growth = rows[:, last_col] - rows[:, first_col]
-        lcb = _bootstrap_lcb(growth, seed)
+        cp_means = {str(cp): float(rows[:, cp_col(ci, b)].mean()) for ci, cp in enumerate(cps)}
         aggregates["per_band"][label] = {
             "mean_hits": float(hits.mean()),
             "hit_quantiles": _quantiles(hits),
@@ -662,8 +666,7 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
         if spec.is_integer_valued:
             from .exact import distribution
             dist = distribution(spec, n)
-            ssq = sum_squares_exact(spec, n)
-            good = sum(c for z, c in zip(dist.support(), dist.counts) if z * z <= ssq)
+            good = dist.band_count(math.isqrt(sum_squares_exact(spec, n)))
             prob: Fraction | float = Fraction(good, dist.total)
         else:
             steps = spec.steps(n)

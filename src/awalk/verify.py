@@ -84,28 +84,12 @@ def azuma_sweep(max_len: int = 12, values: tuple[int, ...] = (1, 2, 3)) -> Check
     for h in range(1, max_len + 1):
         for ws in itertools.combinations_with_replacement(values, h):
             lists += 1
-            total = sum(ws)
-            counts = [0] * (total + 1)  # counts[j]: sign sum = -total + 2j
-            counts[0] = 1
-            length = 1
-            for w in ws:
-                new = counts[:]
-                for j in range(length):
-                    new[j + w] += counts[j]
-                counts = new
-                length += w
-            # suffix[j] = count of outcomes with index >= j
-            suffix = [0] * (total + 2)
-            for j in range(total, -1, -1):
-                suffix[j] = suffix[j + 1] + counts[j]
+            dist = exact._lattice(list(ws))
             ssq = sum(w * w for w in ws)
-            denom = 1 << h
-            for a in range(1, total + 1):
+            for a in range(1, sum(ws) + 1):
                 checks += 1
-                # |z| >= a  <=>  j <= (total-a)/2 or j >= (total+a)/2
-                hi = suffix[-(-(total + a) // 2)]
-                lo = denom - suffix[(total - a) // 2 + 1]
-                tail = (hi + lo) / denom
+                # |z| >= a  <=>  not |z| <= a - 1, on the integer lattice
+                tail = (dist.total - dist.band_count(a - 1)) / dist.total
                 bound = 2.0 * math.exp(-a * a / (2.0 * ssq))
                 if tail > bound:
                     failures.append({"weights": list(ws), "A": a,
@@ -262,8 +246,7 @@ def tomaszewski_sweep(n_max: int = 20) -> CheckResult:
         for n in range(spec.first_index, top + 1):
             cases += 1
             dist = exact.distribution(spec, n)
-            ssq = sum_squares_exact(spec, n)
-            good = sum(c for z, c in zip(dist.support(), dist.counts) if z * z <= ssq)
+            good = dist.band_count(math.isqrt(sum_squares_exact(spec, n)))
             if Fraction(good, dist.total) < Fraction(1, 2):
                 failures.append({"spec": text, "n": n,
                                  "probability": f"{good}/{dist.total}"})

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,15 @@ def test_resource_exit_code(tmp_path):
     # huge horizon trips the cell budget
     assert run(["dist", "--spec", "linear", "--n", "50000", "--out", "big.csv"],
                tmp_path) == 3
+
+
+def test_oversized_visits_exit_before_running(tmp_path):
+    # linear n=20000 needs about 2e8 lattice cells, over the 5e7 budget
+    for argv in (["visits", "--spec", "linear", "--n", "20000", "--out", "v.csv"],
+                 ["qn", "--max-n", "20000", "--out", "q.csv"]):
+        start = time.perf_counter()
+        assert run(argv, tmp_path) == 3
+        assert time.perf_counter() - start < 1.0
 
 
 def test_tolerance_exit_code(tmp_path):

@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from awalk import exact
@@ -58,6 +59,12 @@ def test_distribution_rejects_real_weights():
 def test_distribution_resource_budget():
     with pytest.raises(ResourceError) as exc:
         exact.distribution(Linear(), 100, max_cells=1000)
+    assert exc.value.required > exc.value.budget
+
+
+def test_expected_visits_resource_budget():
+    with pytest.raises(ResourceError) as exc:
+        exact.expected_visits(Linear(), 100, max_cells=1000)
     assert exc.value.required > exc.value.budget
 
 
@@ -267,3 +274,42 @@ def test_zero_hit_random_explicit(ws, band):
 def test_serialization_roundtrip_random(ws):
     d = exact.distribution(Explicit(ws), len(ws))
     assert exact.LatticeDist.from_bytes(d.to_bytes()) == d
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=56, max_size=80), st.integers(0, 4))
+def test_float256_agrees_with_exact(ws, band):
+    # over 53 steps, so counts and sums need more than float64's 53 bits
+    spec = Explicit(ws)
+    n = len(ws)
+    for fn, field in ((exact.zero_hit_probability, "hit_probability"),
+                      (exact.expected_visits, "expected_visits")):
+        ex = fn(spec, n, band, mode="exact")
+        fl = fn(spec, n, band, mode="float256")
+        assert (ex.mode, fl.mode) == ("exact-rational", "float256")
+        assert isinstance(getattr(fl, field), mpmath.mpf)
+        with mpmath.workprec(256):
+            want = getattr(ex, field)
+            gap = abs(getattr(fl, field) - mpmath.mpf(want.numerator) / want.denominator)
+            assert gap <= mpmath.mpf(2) ** -200
+        # float256 per_n entries are downcast to float64; so is the exact series
+        assert [k for k, _ in fl.per_n] == [k for k, _ in ex.per_n]
+        assert [p for _, p in fl.per_n] == [float(p) for _, p in ex.per_n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=10), st.integers(1, 40))
+@example([0, 2, 0, 3], 1)
+@example([0], 1)
+def test_azuma_integer_tail_matches_enumeration(ws, threshold):
+    sums = enumerate_int_sums(ws)
+    want = Fraction(int(np.count_nonzero(np.abs(sums) >= threshold)), sums.size)
+    assert exact.azuma_check(ws, threshold).tail == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       st.one_of(st.integers(0, 30), st.floats(0, 30)))
+def test_band_count_matches_support_scan(ws, c):
+    d = exact.distribution(Explicit(ws), len(ws))
+    assert d.band_count(c) == sum(k for z, k in zip(d.support(), d.counts) if abs(z) <= c)

@@ -351,3 +351,16 @@ def test_rngspec_validation():
         mc.RngSpec(1 << 64, 0)
     with pytest.raises(DomainError):
         mc.RngSpec(0, -2)
+
+
+@pytest.mark.parametrize("paths", [1, 7, 6144, 70_000])
+def test_bootstrap_matches_one_draw_per_row(paths):
+    # reference: each row resampled on its own, from one (resamples, paths) draw
+    values = np.random.default_rng(paths).random((3, paths)) * 100
+    seed, resamples = 5, 50
+    want = []
+    for row in values:
+        gen = np.random.Generator(np.random.Philox(key=(seed << 64) | mc._BOOTSTRAP_SALT))
+        idx = gen.integers(0, paths, size=(resamples, paths))
+        want.append(float(np.percentile(row[idx].mean(axis=1), 2.5)))
+    assert mc._bootstrap_lcbs(values, seed, resamples) == want
