@@ -369,12 +369,9 @@ def _cmd_verify(args, outputs):
 
 
 def _cmd_pattern(args, outputs):
-    rows = []
-    prev = None
-    for kappa in range(1, args.kappa_max + 1):
-        count = exact.avoid_pattern_count(kappa)
-        rows.append((kappa, count, "" if prev is None else count / prev))
-        prev = count
+    counts = exact.pattern_free_counts(args.kappa_max)
+    rows = [(kappa, count, "" if kappa == 1 else count / counts[kappa - 2])
+            for kappa, count in enumerate(counts, start=1)]
     write_csv(args.out, ["kappa", "count", "ratio"], rows, force=args.force)
     outputs.append(args.out)
     return {"kappa_max": args.kappa_max}

@@ -45,6 +45,7 @@ __all__ = [
     "dominance_check",
     "azuma_check",
     "avoid_pattern_count",
+    "pattern_free_counts",
 ]
 
 DEFAULT_MAX_CELLS = 50_000_000
@@ -223,8 +224,8 @@ def _pick_mode(spec: SequenceSpec, n: int, mode: str, digit_budget: int) -> str:
 def _band_series(spec: SequenceSpec, n: int, band: int | float, absorb: bool,
                  mode: str, digit_budget: int, max_cells: int):
     """(report with the per-step band probabilities, their sum) in the chosen mode."""
-    if band < 0:
-        raise DomainError(f"band must be >= 0, got {band}")
+    if not band >= 0 or band == math.inf:  # also rejects nan
+        raise DomainError(f"band must be finite and >= 0, got {band}")
     weights = _integer_weights(spec, n)
     chosen = _pick_mode(spec, n, mode, digit_budget)
     report = HitReport(spec=spec.canonical(), horizon=n, band=band, mode=chosen)
@@ -280,11 +281,9 @@ def srw_mod(m: int, k: int, u: int) -> Fraction:
     if k < 1:
         raise DomainError(f"modulus must be >= 1, got {k}")
     u = u % k
-    total = Fraction(0)
-    for z in range(-m, m + 1, 2):  # T_m = m (mod 2)
-        if z % k == u:
-            total += Fraction(math.comb(m, (m + z) // 2), 1 << m)
-    return total
+    count = sum(math.comb(m, (m + z) // 2)
+                for z in range(-m, m + 1, 2) if z % k == u)  # T_m = m (mod 2)
+    return Fraction(count, 1 << m)
 
 
 def two_scale_point(k: int, n: int, j: int) -> Fraction:
@@ -436,16 +435,21 @@ def _exact_tail(ws: list, threshold: float) -> Fraction:
 def avoid_pattern_count(kappa: int) -> int:
     """Number of +-1 strings of length kappa with no consecutive (-1,+1,-1).
 
-    Linear DP over the last two symbols; grows like (2*0.8774...)^kappa,
-    the dominant root of x^3 - 2x^2 + x - 1 (OEIS A005251 shifted).
+    Grows like (2*0.8774...)^kappa, the dominant root of x^3 - 2x^2 + x - 1
+    (OEIS A005251 shifted).
     """
-    if kappa < 1:
-        raise DomainError(f"kappa must be >= 1, got {kappa}")
-    if kappa == 1:
-        return 2
+    return pattern_free_counts(kappa)[-1]
+
+
+def pattern_free_counts(kappa_max: int) -> list[int]:
+    """[avoid_pattern_count(kappa) for kappa = 1..kappa_max], from one pass of
+    a linear DP over the last two symbols."""
+    if kappa_max < 1:
+        raise DomainError(f"kappa must be >= 1, got {kappa_max}")
+    counts = [2, 4]
     # state = (second-to-last, last), symbols coded -1/+1
     states = {(a, b): 1 for a in (-1, 1) for b in (-1, 1)}
-    for _ in range(kappa - 2):
+    for _ in range(kappa_max - 2):
         nxt = {(a, b): 0 for a in (-1, 1) for b in (-1, 1)}
         for (a, b), c in states.items():
             for s in (-1, 1):
@@ -453,4 +457,5 @@ def avoid_pattern_count(kappa: int) -> int:
                     continue
                 nxt[(b, s)] += c
         states = nxt
-    return sum(states.values())
+        counts.append(sum(states.values()))
+    return counts[:kappa_max]

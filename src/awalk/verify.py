@@ -1,10 +1,14 @@
-"""Exhaustive and exact verification sweeps.
+"""Exact verification sweeps and oracle suites.
 
-Each suite checks one family of inequalities or identities over its stated
+Each inequality sweep checks one family of inequalities over its stated
 range using integer arithmetic only, so a pass is a finite proof for that
-range.  Sweeps that locate a validity threshold (the smallest m or k from
-which a bound holds through the top of the range) report the discovered
-value so regressions are visible.
+range.  Most sweeps compare every case; the two simple-random-walk sweeps
+compare only the case that a monotonicity lemma, stated in their
+docstrings, shows to be the smallest, which proves the same statement.
+The oracle suites compare independent computations of the same quantity.
+Sweeps that locate a validity threshold (the smallest m or k from which a
+bound holds through the top of the range) report the discovered value so
+regressions are visible.
 """
 
 from __future__ import annotations
@@ -101,76 +105,82 @@ def azuma_sweep(max_len: int = 12, values: tuple[int, ...] = (1, 2, 3)) -> Check
 
 # --- simple-random-walk point bound ----------------------------------------------
 
+# Integer forms of the two bounds: P(T_m = z) >= c1/sqrt(m) with c1 = 0.1 is
+# _POINT_SCALE * C(m, w)^2 * m >= 4^m, and P(T_m = u mod k) >= (c1/2)/k is
+# _RESIDUE_SCALE * k * count >= 2^m.
+_POINT_SCALE = 100
+_RESIDUE_SCALE = 20
+
+
+def _largest_admissible_z(m: int) -> int:
+    """The largest z with z <= 2*sqrt(m) and m + z even."""
+    top = math.isqrt(4 * m)
+    return top - (top - m) % 2
+
+
 def lemld_sweep(m_max: int = 2000, c1: float = 0.1) -> CheckResult:
     """P(T_m = z) >= c1/sqrt(m) for all |z| <= 2*sqrt(m) with m+z even.
 
-    Exact integer comparison (for c1 = 0.1): 100 * C(m,w)^2 * m >= 4^m.
+    Exact integer comparison (for c1 = 0.1): 100 * C(m,w)^2 * m >= 4^m with
+    w = (m+z)/2.  Lemma: C(m, w) does not increase in w for w >= m/2, so
+    P(T_m = z) does not increase in |z|, and the bound holds for every
+    admissible z once it holds for the largest one,
+    z_m = isqrt(4m) - ((isqrt(4m) - m) mod 2).  That is the one case
+    checked per m.  z_{m+1} = z_m +- 1, so C(m, w_m) is carried from m - 1
+    by one multiplication and one exact division.
     Reports the smallest m0 such that every m in [m0, m_max] passes.
     """
     if c1 != 0.1:
         raise PreconditionError("the exact integer comparison is built for c1 = 0.1")
-    ok = np.zeros(m_max + 1, dtype=bool)
+    failures = []
+    comb, w = 1, 0  # C(0, 0)
     for m in range(1, m_max + 1):
-        zmax = math.isqrt(4 * m)
-        z0 = 0 if m % 2 == 0 else 1
-        four_m = 1 << (2 * m)
-        good = True
-        z = z0
-        comb = math.comb(m, (m + z0) // 2)
-        while z <= zmax:
-            if 100 * comb * comb * m < four_m:
-                good = False
-                break
-            w = (m + z) // 2
-            # step z -> z+2 means w -> w+1
-            comb = comb * (m - w) // (w + 1)
-            z += 2
-        ok[m] = good
-    m0 = None
-    for m in range(m_max, 0, -1):
-        if not ok[m]:
-            break
-        m0 = m
-    failures = [int(m) for m in range(1, m_max + 1) if not ok[m]][:10]
+        w_next = (m + _largest_admissible_z(m)) // 2
+        # C(m, w+1) = C(m-1, w) m / (w+1);  C(m, w) = C(m-1, w) m / (m-w)
+        comb = comb * m // (w + 1 if w_next > w else m - w)
+        w = w_next
+        if _POINT_SCALE * comb * comb * m < 1 << (2 * m):
+            failures.append(m)
+    last_bad = failures[-1] if failures else 0
+    m0 = last_bad + 1 if last_bad < m_max else None
     return CheckResult("srw-point-lower-bound", m0 is not None,
                        {"c1": c1, "m_max": m_max, "m0": m0,
-                        "first_failures": failures})
+                        "first_failures": failures[:10]})
 
 
 def cordiv_sweep(k_max: int = 40, m_max: int = 4000, half_c1: float = 0.05) -> CheckResult:
     """P(T_m = u mod k) >= half_c1/k for k in [k1, k_max], m in [k^2, m_max],
     u any residue with the parity hypotheses (k odd, or k and m-u both even).
 
-    Exact: 20 * k * count(T_m = u mod k) >= 2^m, via a residue-class DP.
-    Reports the smallest k1 from which every larger k passes.
+    Exact: 20 * k * count(T_m = u mod k) >= 2^m.  Lemma: count_{m+1}(u) =
+    count_m(u-1) + count_m(u+1), and u +- 1 is admissible at m whenever u
+    is admissible at m+1, so the smallest admissible count at m+1 is at
+    least twice the one at m, while 2^{m+1} = 2 * 2^m.  A k that passes at
+    m = k^2 therefore passes at every larger m, and only m = k^2 is
+    counted, by summing C(k^2, w) into residue classes; k with k^2 > m_max
+    has nothing to check.  A failing k reports m = k^2 and its first
+    failing u.  Reports the smallest k1 from which every larger k passes.
     """
     if half_c1 != 0.05:
         raise PreconditionError("the exact integer comparison is built for c1/2 = 0.05")
-    ok = np.zeros(k_max + 1, dtype=bool)
     worst = {}
     for k in range(1, k_max + 1):
+        m = k * k
+        if m > m_max:
+            continue
         counts = [0] * k
-        counts[0] = 1
-        pow2 = 1
-        good = True
-        for m in range(1, m_max + 1):
-            counts = [counts[(r - 1) % k] + counts[(r + 1) % k] for r in range(k)]
-            pow2 <<= 1
-            if m < k * k or not good:
+        comb = 1  # C(m, w)
+        for w in range(m + 1):
+            counts[(2 * w - m) % k] += comb
+            comb = comb * (m - w) // (w + 1)
+        for u in range(k):
+            if k % 2 == 0 and (m - u) % 2 != 0:
                 continue
-            for u in range(k):
-                if k % 2 == 0 and (m - u) % 2 != 0:
-                    continue
-                if 20 * k * counts[u] < pow2:
-                    good = False
-                    worst[k] = {"m": m, "u": u}
-                    break
-        ok[k] = good
-    k1 = None
-    for k in range(k_max, 0, -1):
-        if not ok[k]:
-            break
-        k1 = k
+            if _RESIDUE_SCALE * k * counts[u] < 1 << m:
+                worst[k] = {"m": m, "u": u}
+                break
+    last_bad = max(worst, default=0)
+    k1 = last_bad + 1 if last_bad < k_max else None
     return CheckResult("srw-residue-lower-bound", k1 is not None,
                        {"half_c1": half_c1, "k_max": k_max, "m_max": m_max,
                         "k1": k1, "first_failures": {str(k): worst[k] for k in sorted(worst)[:5]}})

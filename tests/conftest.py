@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from awalk.sequences import parse_spec
+from awalk.verify import CheckResult
 
 BATTERY_TEXTS = ("constant:1", "linear", "powfloor:0.5", "powfloor:0.8",
                  "explicit:1,2,3,5,8")
@@ -190,3 +191,76 @@ def killed_walk_survival(weights, window: tuple[int, int], band: int) -> float:
         if window[0] <= k <= window[1]:
             dist[span - band:span + band + 1] = 0.0
     return float(dist.sum())
+
+
+# --- exhaustive references for the simple-random-walk sweeps --------------------
+
+def lemld_reference(m_max: int, scale: int = 100) -> CheckResult:
+    """`verify.lemld_sweep` checked at every admissible z of every m.
+
+    `scale` * C(m, w)^2 * m >= 4^m is the integer form of the point bound
+    (100 for c1 = 0.1).
+    """
+    ok = np.zeros(m_max + 1, dtype=bool)
+    for m in range(1, m_max + 1):
+        zmax = math.isqrt(4 * m)
+        z0 = 0 if m % 2 == 0 else 1
+        four_m = 1 << (2 * m)
+        good = True
+        z = z0
+        comb = math.comb(m, (m + z0) // 2)
+        while z <= zmax:
+            if scale * comb * comb * m < four_m:
+                good = False
+                break
+            w = (m + z) // 2
+            # step z -> z+2 means w -> w+1
+            comb = comb * (m - w) // (w + 1)
+            z += 2
+        ok[m] = good
+    m0 = None
+    for m in range(m_max, 0, -1):
+        if not ok[m]:
+            break
+        m0 = m
+    failures = [int(m) for m in range(1, m_max + 1) if not ok[m]][:10]
+    return CheckResult("srw-point-lower-bound", m0 is not None,
+                       {"c1": 0.1, "m_max": m_max, "m0": m0,
+                        "first_failures": failures})
+
+
+def cordiv_reference(k_max: int, m_max: int, scale: int = 20) -> CheckResult:
+    """`verify.cordiv_sweep` checked at every m in [k^2, m_max] by a
+    residue-class DP.
+
+    `scale` * k * count >= 2^m is the integer form of the residue bound
+    (20 for c1/2 = 0.05).
+    """
+    ok = np.zeros(k_max + 1, dtype=bool)
+    worst = {}
+    for k in range(1, k_max + 1):
+        counts = [0] * k
+        counts[0] = 1
+        pow2 = 1
+        good = True
+        for m in range(1, m_max + 1):
+            counts = [counts[(r - 1) % k] + counts[(r + 1) % k] for r in range(k)]
+            pow2 <<= 1
+            if m < k * k or not good:
+                continue
+            for u in range(k):
+                if k % 2 == 0 and (m - u) % 2 != 0:
+                    continue
+                if scale * k * counts[u] < pow2:
+                    good = False
+                    worst[k] = {"m": m, "u": u}
+                    break
+        ok[k] = good
+    k1 = None
+    for k in range(k_max, 0, -1):
+        if not ok[k]:
+            break
+        k1 = k
+    return CheckResult("srw-residue-lower-bound", k1 is not None,
+                       {"half_c1": 0.05, "k_max": k_max, "m_max": m_max,
+                        "k1": k1, "first_failures": {str(k): worst[k] for k in sorted(worst)[:5]}})

@@ -198,6 +198,24 @@ def test_tomaszewski_mc_rejects_non_positive_paths(tmp_path, capsys):
         assert "paths must be >= 1" in capsys.readouterr().err
 
 
+def test_band_commands_reject_non_finite_band(tmp_path, capsys):
+    for command, out in (("hit", "h.json"), ("visits", "v.csv")):
+        for band in ("inf", "nan", "-1"):
+            assert run([command, "--spec", "linear", "--n", "10", "--band", band,
+                        "--out", out], tmp_path) == 2
+            assert f"band must be finite and >= 0, got {float(band)}" in capsys.readouterr().err
+            assert not (tmp_path / out).exists()
+
+
+def test_pattern_rejects_non_positive_kappa_max(tmp_path, capsys):
+    for kappa_max in ("0", "-3"):
+        assert run(["pattern", "--kappa-max", kappa_max, "--out", "p.csv"], tmp_path) == 2
+        assert f"kappa must be >= 1, got {kappa_max}" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+    assert run(["pattern", "--kappa-max", "1", "--out", "p.csv"], tmp_path) == 0
+    assert (tmp_path / "p.csv").read_text().splitlines() == ["kappa,count,ratio", "1,2,"]
+
+
 def test_experiment_rejects_bad_checkpoints(tmp_path, capsys):
     for command in ("recurrence", "signs"):
         for cps in ("0,50", "50,200"):
