@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: precondition/domain problems exit 2,
 resource-budget problems exit 3, unmet tolerances exit 4.
 """
 
+import math
+
 
 class AwalkError(Exception):
     """Base class for package-specific errors."""
@@ -42,3 +44,9 @@ class ToleranceError(AwalkError, RuntimeError):
         self.best_value = best_value
         self.achieved_estimate = achieved_estimate
         self.nodes = nodes
+
+
+def require_finite_nonnegative(name: str, value: float) -> None:
+    """Raise DomainError unless value is a finite number >= 0 (nan fails too)."""
+    if not (value >= 0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be finite and >= 0, got {value}")

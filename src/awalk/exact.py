@@ -27,7 +27,7 @@ import mpmath
 import numpy as np
 
 from .errors import (DomainError, PreconditionError, ResourceError,
-                     UnsupportedVariantError)
+                     UnsupportedVariantError, require_finite_nonnegative)
 from .sequences import SequenceSpec
 
 __all__ = [
@@ -224,8 +224,7 @@ def _pick_mode(spec: SequenceSpec, n: int, mode: str, digit_budget: int) -> str:
 def _band_series(spec: SequenceSpec, n: int, band: int | float, absorb: bool,
                  mode: str, digit_budget: int, max_cells: int):
     """(report with the per-step band probabilities, their sum) in the chosen mode."""
-    if not band >= 0 or band == math.inf:  # also rejects nan
-        raise DomainError(f"band must be finite and >= 0, got {band}")
+    require_finite_nonnegative("band", band)
     weights = _integer_weights(spec, n)
     chosen = _pick_mode(spec, n, mode, digit_budget)
     report = HitReport(spec=spec.canonical(), horizon=n, band=band, mode=chosen)

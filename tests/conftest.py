@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from awalk import montecarlo as mc
 from awalk.sequences import parse_spec
 from awalk.verify import CheckResult
 
@@ -66,6 +67,42 @@ def visit_expectation(weights, band) -> Fraction:
             if abs(s) <= band:
                 total += 1
     return Fraction(total, 2 ** m)
+
+
+# --- driving the Monte Carlo path kernel with given signs ----------------------
+
+class SignSource:
+    """`take` and `take_bytes` of `montecarlo._BitStream`, over given +-1 signs."""
+
+    def __init__(self, signs):
+        self.bits = (np.asarray(signs) > 0).astype(np.uint8)
+        self.packed = np.packbits(self.bits, bitorder="little")
+        self.pos = 0
+
+    def take(self, m):
+        self.pos += m
+        return self.bits[self.pos - m:self.pos]
+
+    def take_bytes(self, m):
+        assert self.pos % 8 == 0, "sign bytes start at a multiple of 8 steps"
+        at = self.pos // 8
+        self.pos += 8 * m
+        return self.packed[at:at + m]
+
+
+def simulate_signs(spec, signs, bands=(), zero_tol=1e-9, checkpoints=(),
+                   bytewise=False) -> mc.PathStats:
+    """Statistics of the walk driven by an explicit +-1 array, through the
+    kernel's step path or, with ``bytewise``, its byte path at any length."""
+    first = spec.first_index
+    n = first + len(signs) - 1
+    cps = {int(c) for c in checkpoints if first <= c <= n}
+    kernel = mc._PathKernel(mc._weights_for(spec, n), [c - first + 1 for c in cps],
+                            bytewise=bytewise)
+    assert kernel.bytewise == bytewise
+    tally = mc._PathTally(first, kernel.integer, bands, zero_tol)
+    kernel.run(SignSource(signs), tally)
+    return tally.stats(n, kernel.steps)
 
 
 # --- references for the Monte Carlo statistics of criterion 8 ------------------

@@ -236,6 +236,29 @@ def test_experiment_rejects_bad_checkpoints(tmp_path, capsys):
     assert [c["at"] for c in path["checkpoints"]] == [50]
 
 
+_PATH_COMMANDS = (["simulate"], ["recurrence", "--paths", "4"])
+
+
+def test_path_commands_reject_duplicate_bands(tmp_path, capsys):
+    for bands, twice in (("0,0", "0"), ("2,2", "2"), ("1,1.0", "1"), ("0,2.5,2.5", "2.5")):
+        for command in _PATH_COMMANDS:
+            assert run([*command, "--spec", "linear", "--n", "100", "--seed", "1",
+                        "--bands", bands, "--out", "x.json"], tmp_path) == 2
+            assert f"band {twice} is given twice" in capsys.readouterr().err
+            assert not (tmp_path / "x.json").exists()
+
+
+def test_path_commands_reject_bad_bands_and_zero_tol(tmp_path, capsys):
+    for command in _PATH_COMMANDS:
+        for value in ("inf", "nan", "-1"):
+            for flag, name in (("--bands=0,", "band"), ("--zero-tol=", "zero_tol")):
+                assert run([*command, "--spec", "linear", "--n", "100", "--seed", "1",
+                            flag + value, "--out", "x.json"], tmp_path) == 2
+                err = capsys.readouterr().err
+                assert f"{name} must be finite and >= 0, got {float(value)}" in err
+                assert not (tmp_path / "x.json").exists()
+
+
 def test_verify_cli_pass_and_written_report(tmp_path):
     assert run(["verify", "--suite", "bc", "--out", "bc.json"], tmp_path) == 0
     payload = json.loads((tmp_path / "bc.json").read_text())

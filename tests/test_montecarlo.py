@@ -10,31 +10,32 @@ from hypothesis import given, settings, strategies
 from awalk import exact, montecarlo as mc
 from awalk.errors import DomainError, PreconditionError
 from awalk.sequences import Constant, Explicit, Linear, PowerFloor, parse_spec
-from conftest import (band_avoidance_block_estimate, bridge_touch,
+from conftest import (SignSource, band_avoidance_block_estimate, bridge_touch,
                       enumerate_sign_change_counts, first_hit_probability,
-                      floor_sqrt_runs, killed_walk_survival, strict_sign_change_law)
+                      floor_sqrt_runs, killed_walk_survival, simulate_signs,
+                      strict_sign_change_law)
 
 
 def test_simulate_hand_traces():
-    st = mc._simulate_signs(Constant(1), np.array([1, -1], dtype=np.int8))
+    st = simulate_signs(Constant(1), np.array([1, -1], dtype=np.int8))
     assert (st.zero_hits, st.sign_changes, st.max_abs) == (1, 0, 1.0)
     assert st.last_zero_hit == 2 and st.final_value == 0.0
 
-    st = mc._simulate_signs(Linear(), np.array([1, -1, -1], dtype=np.int8))
+    st = simulate_signs(Linear(), np.array([1, -1, -1], dtype=np.int8))
     assert (st.zero_hits, st.sign_changes) == (0, 1)
     assert st.final_value == -4.0 and st.max_abs == 4.0 and st.last_zero_hit is None
 
 
 def test_sign_change_zero_handling():
     # +1, 0, +1: no change through the zero; +1, 0, -1: one change
-    st = mc._simulate_signs(Constant(1), np.array([1, -1, 1], dtype=np.int8))
+    st = simulate_signs(Constant(1), np.array([1, -1, 1], dtype=np.int8))
     assert st.zero_hits == 1 and st.sign_changes == 0
-    st = mc._simulate_signs(Constant(1), np.array([1, -1, -1], dtype=np.int8))
+    st = simulate_signs(Constant(1), np.array([1, -1, -1], dtype=np.int8))
     assert st.zero_hits == 1 and st.sign_changes == 1
 
 
 def test_band_hits_and_monotonicity():
-    st = mc._simulate_signs(Linear(), np.array([1, -1, 1, -1, 1], dtype=np.int8),
+    st = simulate_signs(Linear(), np.array([1, -1, 1, -1, 1], dtype=np.int8),
                             bands=(0, 2, 4))
     assert st.band_hits[0] <= st.band_hits[2] <= st.band_hits[4]
     assert all(v <= st.steps for v in st.band_hits.values())
@@ -43,8 +44,8 @@ def test_band_hits_and_monotonicity():
 
 def test_checkpoint_snapshots_are_prefixes():
     signs = np.array([1, -1, -1, 1, 1, -1, 1, -1], dtype=np.int8)
-    full = mc._simulate_signs(Constant(1), signs, bands=(1,), checkpoints=(4, 8))
-    half = mc._simulate_signs(Constant(1), signs[:4], bands=(1,))
+    full = simulate_signs(Constant(1), signs, bands=(1,), checkpoints=(4, 8))
+    half = simulate_signs(Constant(1), signs[:4], bands=(1,))
     snap = full.checkpoints[0]
     assert snap.at == 4
     assert snap.zero_hits == half.zero_hits
@@ -109,26 +110,106 @@ def _step_loop_stats(spec, signs, bands, checkpoints):
     return zero_hits, changes, last_zero, float(max_abs), float(s), hits, last, snaps
 
 
-_INTEGER_SPECS = ["linear", "constant:1", "constant:3", "powfloor:0.5", "logceil:2",
-                  "explicit:" + ",".join(str(1 + k % 4) for k in range(300))]
+_INTEGER_SPECS = [
+    "linear", "constant:1", "constant:3", "powfloor:0.5", "logceil:2", "blocks:pow2",
+    # no byte of 1,2,3,4,1,2,3,4,... is affine
+    "explicit:" + ",".join(str(1 + k % 4) for k in range(2000)),
+    # every byte is affine, with a step that varies from byte to byte
+    "explicit:" + ",".join(str(1 + k // 8 + (k % 8) * (k // 8 % 3)) for k in range(2000))]
+
+
+def _sign_runs(length: int, seed: int) -> list[int]:
+    """`length` signs in runs of 1 to 24 equal signs, so that many whole sign
+    bytes are 0x00 or 0xff."""
+    gen = np.random.default_rng(seed)
+    runs = gen.integers(1, 25, size=length)
+    signs = np.repeat(np.where(np.arange(length) % 2 == gen.integers(0, 2), 1, -1), runs)
+    return signs[:length].tolist()
+
+
+_SIGN_RUNS = strategies.builds(_sign_runs, strategies.integers(1, 2000),
+                               strategies.integers(0, 2 ** 32 - 1))
 
 
 @settings(max_examples=200, deadline=None)
-@given(strategies.sampled_from(_INTEGER_SPECS),
-       strategies.lists(strategies.sampled_from([-1, 1]), min_size=1, max_size=300),
-       strategies.lists(strategies.sampled_from([0, 1, 2, 2.5, 7]), max_size=3, unique=True),
-       strategies.lists(strategies.integers(0, 299), max_size=6))
+@given(strategies.sampled_from(_INTEGER_SPECS), _SIGN_RUNS,
+       strategies.lists(strategies.sampled_from([0, 1, 2, 2.5, 3, 7]), max_size=3, unique=True),
+       # checkpoints anywhere, and often right after a byte's first step
+       strategies.lists(strategies.one_of(strategies.integers(0, 1999),
+                                          strategies.integers(0, 249).map(lambda b: 8 * b)),
+                        max_size=6))
 def test_integer_kernel_matches_step_loop(text, signs, bands, offsets):
     spec = parse_spec(text)
     first = spec.first_index
-    checkpoints = {first + o for o in offsets if o < len(signs)}
-    got = mc._simulate_signs(spec, np.array(signs, dtype=np.int8), bands=bands,
-                             checkpoints=sorted(checkpoints))
+    checkpoints = {first + o % len(signs) for o in offsets}
     want = _step_loop_stats(spec, signs, bands, checkpoints)
-    assert (got.zero_hits, got.sign_changes, got.last_zero_hit, got.max_abs,
-            got.final_value, got.band_hits, got.last_band_hit) == want[:7]
-    assert [(c.at, c.zero_hits, c.sign_changes, c.band_hits)
-            for c in got.checkpoints] == want[7]
+    for bytewise in (False, True):
+        got = simulate_signs(spec, np.array(signs, dtype=np.int8), bands=bands,
+                             checkpoints=sorted(checkpoints), bytewise=bytewise)
+        assert (got.zero_hits, got.sign_changes, got.last_zero_hit, got.max_abs,
+                got.final_value, got.band_hits, got.last_band_hit) == want[:7], bytewise
+        assert [(c.at, c.zero_hits, c.sign_changes, c.band_hits)
+                for c in got.checkpoints] == want[7], bytewise
+
+
+def test_byte_path_places_change_at_first_nonzero_step():
+    # powfloor:0.5 weights 1,1,1,2,2,2,2,2 | 3,3,...: S(8) = 3, S(9) = 0, S(10) = -3,
+    # so the change between the two bytes happens at index 10, after checkpoint 9
+    signs = [-1, 1, 1, -1, -1, 1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1]
+    for bytewise in (False, True):
+        st = simulate_signs(PowerFloor(0.5), np.array(signs, dtype=np.int8), bands=(0,),
+                            checkpoints=(9, 10), bytewise=bytewise)
+        assert [(c.at, c.zero_hits, c.sign_changes) for c in st.checkpoints] == \
+            [(9, 2, 3), (10, 2, 4)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.sampled_from(_INTEGER_SPECS), _SIGN_RUNS,
+       strategies.sampled_from([0.05, 0.25, 0.45]), strategies.integers(0, 1999))
+def test_byte_path_growth_test_matches_step_loop(text, signs, exponent, window_start):
+    spec = parse_spec(text)
+    first = spec.first_index
+    weights = mc._weights_for(spec, first + len(signs) - 1)
+    thresholds = np.arange(first, first + len(signs), dtype=np.float64) ** exponent
+    partial = np.cumsum(weights * np.array(signs))
+    want = bool(np.all(np.abs(partial[window_start:]) > thresholds[window_start:]))
+    for bytewise in (False, True):
+        test = mc._GrowthTest(window_start, thresholds)
+        mc._PathKernel(weights, bytewise=bytewise).run(SignSource(signs), test)
+        assert test.ok == want, bytewise
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.sampled_from(_INTEGER_SPECS), _SIGN_RUNS)
+def test_byte_path_final_value_matches_dot_product(text, signs):
+    spec = parse_spec(text)
+    weights = mc._weights_for(spec, spec.first_index + len(signs) - 1)
+    want = int(np.dot(weights, signs))
+    for bytewise in (False, True):
+        assert mc._PathKernel(weights, bytewise=bytewise).run(SignSource(signs)) == want
+
+
+@pytest.mark.parametrize("text", ["logceil:2", "linear", "powfloor:0.5"])
+def test_byte_path_spans_chunks_of_a_philox_stream(text):
+    # 137,500 whole bytes: two full chunks, a short one and a 5-step tail
+    spec, n, rng = parse_spec(text), 1_100_005, mc.RngSpec(31, 4)
+    first = spec.first_index
+    weights = mc._weights_for(spec, n)
+    cps = [1, 8 * mc._BYTE_CHUNK, 8 * mc._BYTE_CHUNK + 3, 1_000_003, n - first + 1]
+    window = n // 10 - first
+    thresholds = np.arange(first, n + 1, dtype=np.float64) ** 0.05
+    results = []
+    for bytewise in (False, True):
+        kernel = mc._PathKernel(weights, cps, bytewise=bytewise)
+        assert kernel.bytewise == bytewise
+        tally = mc._PathTally(first, True, (0, 2, 2.5), 1e-9)
+        kernel.run(mc._BitStream(rng, n), tally)
+        test = mc._GrowthTest(window, thresholds)
+        kernel.run(mc._BitStream(rng, n), test)
+        results.append((tally.row(), test.ok, kernel.run(mc._BitStream(rng, n))))
+    assert results[0] == results[1]
+    assert mc.simulate(spec, n, rng, (0, 2, 2.5)) == simulate_signs(
+        spec, mc._BitStream(rng, n).take(n - first + 1).astype(np.int8) * 2 - 1, (0, 2, 2.5))
 
 
 def test_truncated_refill_reads_the_same_bits():
@@ -254,7 +335,7 @@ def test_strict_sign_change_law_matches_enumeration():
     # the program's strict counter agrees path by path in distribution
     for steps in (13, 14):
         counts = np.bincount([
-            mc._simulate_signs(Constant(1), np.array(signs, dtype=np.int8)).sign_changes
+            simulate_signs(Constant(1), np.array(signs, dtype=np.int8)).sign_changes
             for signs in itertools.product((-1, 1), repeat=steps)])
         assert counts.tolist() == enumerate_sign_change_counts(steps)
 
