@@ -248,7 +248,7 @@ class _PathKernel:
     n mod 8 steps take the step path.  Below 2^16 steps the per-chunk calls
     cost more than the byte tables save.  Measured per path on 2 vCPUs, with
     `constant:1`, `linear`, `logceil:2` and the growth test, the byte path
-    took 1.3-3x the step path's time at 2^14 steps, 0.7-1.4x at 2^15,
+    took 1.0-2.1x the step path's time at 2^14 steps, 0.8-1.4x at 2^15,
     0.5-1.05x at 2^16 and 0.25-0.45x at 10^6.
     """
 
