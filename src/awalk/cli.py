@@ -16,11 +16,11 @@ import json
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from . import __version__, exact, fourier, montecarlo, verify
 from .errors import PreconditionError, ResourceError, ToleranceError
-from .reports import RunManifest, ensure_writable, jsonable, sha256_file, write_csv, write_json
+from .reports import (RunManifest, ensure_writable, fraction_fields, jsonable, sha256_file,
+                      write_csv, write_json)
 from .sequences import parse_spec
 
 EXIT_OK = 0
@@ -175,8 +175,16 @@ def _apply_config(parser_map, argv):
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise PreconditionError(f"cannot read config {cfg_path!r}: {exc}") from exc
-    merged = dict(cfg.get("defaults", {}))
-    merged.update(cfg.get(name, {}))
+    if not isinstance(cfg, dict):
+        raise PreconditionError(f"config {cfg_path!r} must hold a JSON object, "
+                                f"got {type(cfg).__name__}")
+    merged = {}
+    for section in ("defaults", name):
+        values = cfg.get(section, {})
+        if not isinstance(values, dict):
+            raise PreconditionError(f"config {cfg_path!r}: key {section!r} must map flags "
+                                    f"to values, got {values!r}")
+        merged.update(values)
     p = parser_map[name]
     dests = {a.dest for a in p._actions}
     defaults = {}
@@ -186,7 +194,11 @@ def _apply_config(parser_map, argv):
             for a in p._actions:
                 if a.dest == dest:
                     if a.type is not None and isinstance(value, str):
-                        value = a.type(value)
+                        try:
+                            value = a.type(value)
+                        except ValueError as exc:
+                            raise PreconditionError(
+                                f"config {cfg_path!r}: key {key!r}: {exc}") from exc
                     a.required = False  # the config satisfies the requirement
             defaults[dest] = value
     p.set_defaults(**defaults)
@@ -195,12 +207,6 @@ def _apply_config(parser_map, argv):
 def _require_seed(args, parser_map):
     if args.command in _EXPERIMENT_COMMANDS and args.seed is None:
         parser_map[args.command].error("--seed is required (no silent entropy)")
-
-
-def _fraction_fields(x) -> dict:
-    if isinstance(x, Fraction):
-        return {"fraction": f"{x.numerator}/{x.denominator}", "float": float(x)}
-    return {"fraction": None, "float": None if x is None else float(x)}
 
 
 # --- subcommand implementations ---------------------------------------------------
@@ -232,7 +238,7 @@ def _cmd_hit(args, outputs):
     rep = exact.zero_hit_probability(spec, args.n, args.band, mode=args.mode)
     payload = {
         "spec": rep.spec, "horizon": rep.horizon, "band": rep.band, "mode": rep.mode,
-        "hit_probability": _fraction_fields(rep.hit_probability),
+        "hit_probability": fraction_fields(rep.hit_probability),
         "per_n": [{"n": n, "first_hit_mass": float(p)} for n, p in rep.per_n],
     }
     write_json(args.out, payload, force=args.force)
@@ -311,17 +317,23 @@ def _checkpoint_csv_rows(report):
     return rows
 
 
+def _write_report(args, rep, outputs):
+    """The report's JSON at --out and its checkpoint CSV at --csv (default:
+    OUT without .json, plus .csv)."""
+    write_json(args.out, rep.to_dict(), force=args.force)
+    outputs.append(args.out)
+    csv_path = args.csv or (args.out[:-5] if args.out.endswith(".json") else args.out) + ".csv"
+    write_csv(csv_path, ["checkpoint", "target", "statistic", "value"],
+              _checkpoint_csv_rows(rep), force=args.force)
+    outputs.append(csv_path)
+
+
 def _cmd_recurrence(args, outputs):
     spec = parse_spec(args.spec)
     rep = montecarlo.recurrence_experiment(spec, args.n, args.bands, args.paths,
                                            args.seed, checkpoints=args.checkpoints,
                                            zero_tol=args.zero_tol)
-    write_json(args.out, rep.to_dict(), force=args.force)
-    outputs.append(args.out)
-    csv_path = args.csv or _stem(args.out) + ".csv"
-    write_csv(csv_path, ["checkpoint", "target", "statistic", "value"],
-              _checkpoint_csv_rows(rep), force=args.force)
-    outputs.append(csv_path)
+    _write_report(args, rep, outputs)
     return {"spec": spec.canonical(), "paths": args.paths}
 
 
@@ -329,12 +341,7 @@ def _cmd_signs(args, outputs):
     spec = parse_spec(args.spec)
     rep = montecarlo.sign_change_experiment(spec, args.n, args.paths, args.seed,
                                             checkpoints=args.checkpoints)
-    write_json(args.out, rep.to_dict(), force=args.force)
-    outputs.append(args.out)
-    csv_path = args.csv or _stem(args.out) + ".csv"
-    write_csv(csv_path, ["checkpoint", "target", "statistic", "value"],
-              _checkpoint_csv_rows(rep), force=args.force)
-    outputs.append(csv_path)
+    _write_report(args, rep, outputs)
     return {"spec": spec.canonical(), "paths": args.paths,
             "mean_sign_changes": rep.aggregates["mean_sign_changes"]}
 
@@ -354,7 +361,7 @@ def _cmd_tomaszewski(args, outputs):
     rep = montecarlo.tomaszewski_check(spec, args.n, args.mode,
                                        paths=args.paths, seed=args.seed)
     payload = {"spec": rep.spec, "horizon": rep.horizon, "mode": rep.mode,
-               "probability": _fraction_fields(rep.probability),
+               "probability": fraction_fields(rep.probability),
                "passed": rep.passed, "paths": rep.paths, "stderr": rep.stderr}
     write_json(args.out, payload, force=args.force)
     outputs.append(args.out)
@@ -375,10 +382,6 @@ def _cmd_pattern(args, outputs):
     write_csv(args.out, ["kappa", "count", "ratio"], rows, force=args.force)
     outputs.append(args.out)
     return {"kappa_max": args.kappa_max}
-
-
-def _stem(path: str) -> str:
-    return path[:-5] if path.endswith(".json") else path
 
 
 _HANDLERS = {

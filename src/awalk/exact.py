@@ -49,9 +49,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_CELLS = 50_000_000
-# Exact rationals are used while the denominator 2^steps stays below this
-# many decimal digits; beyond it the absorbing DP runs on 256-bit floats.
-DEFAULT_DIGIT_BUDGET = 5000
+# Mode "auto" uses exact rationals while the denominator 2^steps stays below
+# this many decimal digits; beyond it the band DP runs on 256-bit floats.
+DIGIT_BUDGET = 5000
 
 _MAGIC = b"AWLD"
 _FORMAT_VERSION = 1
@@ -212,21 +212,21 @@ class HitReport:
     per_n: list[tuple[int, object]] = field(default_factory=list)
 
 
-def _pick_mode(spec: SequenceSpec, n: int, mode: str, digit_budget: int) -> str:
+def _pick_mode(spec: SequenceSpec, n: int, mode: str) -> str:
     if mode not in ("auto", "exact", "float256"):
         raise PreconditionError(f"mode must be auto|exact|float256, got {mode!r}")
     if mode != "auto":
         return "exact-rational" if mode == "exact" else "float256"
     digits = spec.steps(n) * math.log10(2)
-    return "exact-rational" if digits <= digit_budget else "float256"
+    return "exact-rational" if digits <= DIGIT_BUDGET else "float256"
 
 
 def _band_series(spec: SequenceSpec, n: int, band: int | float, absorb: bool,
-                 mode: str, digit_budget: int, max_cells: int):
+                 mode: str, max_cells: int):
     """(report with the per-step band probabilities, their sum) in the chosen mode."""
     require_finite_nonnegative("band", band)
     weights = _integer_weights(spec, n)
-    chosen = _pick_mode(spec, n, mode, digit_budget)
+    chosen = _pick_mode(spec, n, mode)
     report = HitReport(spec=spec.canonical(), horizon=n, band=band, mode=chosen)
     steps = range(spec.first_index, spec.first_index + len(weights))
     if chosen == "exact-rational":
@@ -242,7 +242,7 @@ def _band_series(spec: SequenceSpec, n: int, band: int | float, absorb: bool,
 
 
 def zero_hit_probability(spec: SequenceSpec, n: int, band: int | float = 0,
-                         *, mode: str = "auto", digit_budget: int = DEFAULT_DIGIT_BUDGET,
+                         *, mode: str = "auto",
                          max_cells: int = DEFAULT_MAX_CELLS) -> HitReport:
     """P(|S(m)| <= band for some m <= n), by a forward DP that absorbs mass
     on first entry into the band.
@@ -250,16 +250,16 @@ def zero_hit_probability(spec: SequenceSpec, n: int, band: int | float = 0,
     Non-decreasing in both n and band.  The per_n series holds the first-hit
     mass at each step; its sum is the hit probability.
     """
-    report, total = _band_series(spec, n, band, True, mode, digit_budget, max_cells)
+    report, total = _band_series(spec, n, band, True, mode, max_cells)
     report.hit_probability = total
     return report
 
 
 def expected_visits(spec: SequenceSpec, n: int, band: int | float = 0,
-                    *, mode: str = "auto", digit_budget: int = DEFAULT_DIGIT_BUDGET,
+                    *, mode: str = "auto",
                     max_cells: int = DEFAULT_MAX_CELLS) -> HitReport:
     """Sum over m <= n of P(|S(m)| <= band), with the full per-m series."""
-    report, total = _band_series(spec, n, band, False, mode, digit_budget, max_cells)
+    report, total = _band_series(spec, n, band, False, mode, max_cells)
     report.expected_visits = total
     return report
 
@@ -295,6 +295,13 @@ def two_scale_point(k: int, n: int, j: int) -> Fraction:
         raise DomainError(f"need k >= 1 and n >= 1, got ({k}, {n})")
     if (j - n) % 2 != 0:
         return Fraction(0)
+    row = [math.comb(n, w) for w in range(n + 1)]
+    return Fraction(_two_scale_count(k, n, j, row), 1 << (2 * n))
+
+
+def _two_scale_count(k: int, n: int, j: int, row: list[int]) -> int:
+    """Number of sign vectors (x, y) in {-1,1}^n x {-1,1}^n with
+    (k-1)*sum(x) + k*sum(y) = j; ``row`` is the binomial row C(n, 0..n)."""
     num = 0
     for s in range(-n, n + 1, 2):
         rem = j - (k - 1) * s
@@ -303,8 +310,8 @@ def two_scale_point(k: int, n: int, j: int) -> Fraction:
         t = rem // k
         if abs(t) > n or (t - n) % 2 != 0:
             continue
-        num += math.comb(n, (n + s) // 2) * math.comb(n, (n + t) // 2)
-    return Fraction(num, 1 << (2 * n))
+        num += row[(n + s) // 2] * row[(n + t) // 2]
+    return num
 
 
 # --- exhaustive inequality checkers ---------------------------------------------
@@ -425,10 +432,16 @@ def _exact_tail(ws: list, threshold: float) -> Fraction:
         dist = _lattice(ws)
         hit = sum(c for z, c in zip(dist.support(), dist.counts) if abs(z) >= threshold)
         return Fraction(hit, dist.total)
-    sums = np.zeros(1, dtype=np.float64)
-    for w in ws:
-        sums = np.concatenate([sums - w, sums + w])
+    sums = _sign_sums(ws)
     return Fraction(int(np.count_nonzero(np.abs(sums) >= threshold)), sums.size)
+
+
+def _sign_sums(weights) -> np.ndarray:
+    """All 2^m sums +-w_1 +- ... +-w_m of the weights, in float64."""
+    sums = np.zeros(1, dtype=np.float64)
+    for w in weights:
+        sums = np.concatenate([sums - w, sums + w])
+    return sums
 
 
 def avoid_pattern_count(kappa: int) -> int:

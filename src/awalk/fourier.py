@@ -233,10 +233,18 @@ def _initial_breakpoints(spec: SequenceSpec, n: int, z: int, hi: float) -> list[
     return sorted(pts)
 
 
+def _check_tol(abs_tol: float) -> None:
+    # a zero, negative or nan tolerance is never met: the panel splits would
+    # run to the node budget, which takes minutes
+    if not (abs_tol > 0 and math.isfinite(abs_tol)):
+        raise DomainError(f"abs_tol must be finite and > 0, got {abs_tol}")
+
+
 def point_mass_fourier(spec: SequenceSpec, n: int, z: int, *,
                        abs_tol: float = 1e-10,
                        max_nodes: int = 2_000_000) -> QuadratureResult:
     """P(S(n) = z) via (1/pi) * integral_0^pi cos(t z) prod_k cos(t a_k) dt."""
+    _check_tol(abs_tol)
     if not spec.is_integer_valued:
         raise PreconditionError(
             f"point-mass inversion needs integer weights; {spec.canonical()} is not")
@@ -298,10 +306,10 @@ class SullivanReport:
     rel_gap_last: float
 
 
-def sullivan_constant_estimate(beta, n_list: Sequence[int], *,
-                               rel_tol: float = 1e-4) -> SullivanReport:
+def sullivan_constant_estimate(beta, n_list: Sequence[int]) -> SullivanReport:
     """Scaled integrals c_n = n^(beta+1/2) * integral |prod cos| for the
-    floor-power walk, against the limit sqrt(8*pi*(1+2*beta)).
+    floor-power walk, against the limit sqrt(8*pi*(1+2*beta)).  Each
+    integral runs to a relative tolerance of 1e-4.
 
     The Aitken delta-squared value of the last three entries is reported as
     the extrapolated limit.
@@ -315,7 +323,7 @@ def sullivan_constant_estimate(beta, n_list: Sequence[int], *,
     target = math.sqrt(8.0 * math.pi * (1.0 + 2.0 * float(spec.beta)))
     entries = []
     for n in ns:
-        res = abs_integral(spec, n, rel_tol=rel_tol)
+        res = abs_integral(spec, n, rel_tol=1e-4)
         scale = n ** expo
         entries.append(SullivanEntry(n=n, scaled=res.value * scale,
                                      abs_error=res.abs_error_estimate * scale,
@@ -379,6 +387,7 @@ def transience_report(spec: SequenceSpec, n_max: int, z: int, *,
     Horizons whose lattice parity excludes z contribute exactly zero without
     quadrature.  Requires at least 8 positive fit points for the slope.
     """
+    _check_tol(abs_tol)
     if not spec.is_integer_valued:
         raise PreconditionError(
             f"transience diagnostics need integer weights; {spec.canonical()} is not")

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError, require_finite_nonnegative
-from .sequences import SequenceSpec, parse_spec, sum_squares_exact
+from .sequences import SequenceSpec, sum_squares_exact
 
 __all__ = [
     "RngSpec",
@@ -689,10 +689,13 @@ def _path_stats(spec, weights, horizon, stream, bands, zero_tol, checkpoints) ->
 _CTX: dict = {}
 
 
-def _init_worker(kind, spec_text, horizon, seed, bands, zero_tol, checkpoints, extra):
-    """Per-process state: the kernel, one bit stream and the row reducer of `kind`."""
+def _init_worker(kind, spec, horizon, seed, bands, zero_tol, checkpoints, extra):
+    """Per-process state: the kernel, one bit stream and the row reducer of `kind`.
+
+    Each worker builds its own weights, byte tables and growth thresholds
+    after the fork; built once in the parent, they would stay resident there
+    for the whole pool and raise the peak memory of every job."""
     _CTX.clear()
-    spec = parse_spec(spec_text)
     first = spec.first_index
     kernel = _PathKernel(_weights_for(spec, horizon), [c - first + 1 for c in checkpoints])
     stream = _BitStream()
@@ -733,19 +736,15 @@ def _run_blocks(kind: str, spec: SequenceSpec, horizon: int, paths: int, seed: i
 
     `kind` picks the reducer: "stats" (`_PathTally.row`), "counts" (the same
     row with only its counts filled in), "growth" (one 0/1 flag per path) or
-    "final" (S(n) per path).
+    "final" (S(n) per path).  The pool forks, so the workers inherit the spec
+    object itself (any spec, a callable block rule included); nothing is
+    pickled.
     """
     if paths < 1:
         raise PreconditionError(f"paths must be >= 1, got {paths}")
     RngSpec(seed)  # validates the seed before any worker starts
-    try:  # workers rebuild the spec from its canonical text
-        parse_spec(spec.canonical())
-    except PreconditionError as exc:
-        raise PreconditionError(
-            f"experiments need a spec with a parseable canonical form, "
-            f"got {spec.canonical()!r}") from exc
     blocks = [(lo, min(lo + _BLOCK, paths)) for lo in range(0, paths, _BLOCK)]
-    args = (kind, spec.canonical(), horizon, seed, tuple(bands), zero_tol,
+    args = (kind, spec, horizon, seed, tuple(bands), zero_tol,
             tuple(checkpoints), extra)
     workers = min(worker_count(threads), len(blocks))
     if workers <= 1:
@@ -885,11 +884,11 @@ def recurrence_experiment(spec: SequenceSpec, n: int, bands: Sequence[float],
 
 
 def sign_change_experiment(spec: SequenceSpec, n: int, paths: int, seed: int, *,
-                           thresholds: Sequence[int] = tuple(range(1, 21)),
                            checkpoints: Sequence[int] | None = None,
                            zero_tol: float = 1e-9,
                            threads: int | None = None) -> ExperimentReport:
-    """Empirical CDF of strict sign-change counts at each checkpoint."""
+    """Empirical CDF of strict sign-change counts at each checkpoint:
+    the fraction of paths with at least k changes, for k = 1..20."""
     if not spec.is_non_decreasing:
         raise PreconditionError(
             f"sign-change experiment requires non-decreasing weights, got {spec.canonical()}")
@@ -903,7 +902,7 @@ def sign_change_experiment(spec: SequenceSpec, n: int, paths: int, seed: int, *,
         col = 5 + ci * per_cp + 1
         counts = rows[:, col]
         aggregates["fraction_at_least"][str(cp)] = {
-            str(k): float(np.mean(counts >= k)) for k in thresholds}
+            str(k): float(np.mean(counts >= k)) for k in range(1, 21)}
     return ExperimentReport(schema=REPORT_SCHEMA, kind="signs", spec=spec.canonical(),
                             horizon=n, paths=paths, seed=seed, bands=[],
                             zero_tol=zero_tol, checkpoints=cps, aggregates=aggregates,
@@ -958,8 +957,8 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
     streamed through the experiments' worker pool.
     """
     if mode == "exact":
+        from .exact import _sign_sums, distribution
         if spec.is_integer_valued:
-            from .exact import distribution
             dist = distribution(spec, n)
             good = dist.band_count(math.isqrt(sum_squares_exact(spec, n)))
             prob: Fraction | float = Fraction(good, dist.total)
@@ -968,10 +967,9 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
             if steps > 24:
                 raise PreconditionError(
                     f"enumeration mode capped at 24 steps, got {steps}")
-            sums = np.zeros(1, dtype=np.float64)
-            for w in spec.terms(n):
-                sums = np.concatenate([sums - w, sums + w])
-            ssq_f = math.fsum(float(w) ** 2 for w in spec.terms(n))
+            ws = spec.terms(n)
+            sums = _sign_sums(ws)
+            ssq_f = math.fsum(float(w) ** 2 for w in ws)
             prob = Fraction(int(np.count_nonzero(sums * sums <= ssq_f)), sums.size)
         return TomaszewskiReport(spec=spec.canonical(), horizon=n, mode="exact",
                                  probability=prob, passed=prob >= Fraction(1, 2))

@@ -2,8 +2,9 @@
 
 CSV uses comma separators, '.' decimal points, LF line endings, UTF-8 and a
 header row.  Floats are written with repr (shortest round-trip form), so
-re-reading a report reproduces the numbers bit for bit.  Existing files are
-never appended to and only overwritten when ``force`` is set.
+re-reading a report reproduces the numbers bit for bit, and integers are
+written with every digit, however long.  Existing files are never appended
+to and only overwritten when ``force`` is set.
 """
 
 from __future__ import annotations
@@ -11,12 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import PreconditionError
 
-__all__ = ["ensure_writable", "fmt_cell", "write_csv", "write_json",
+__all__ = ["ensure_writable", "fmt_cell", "fraction_fields", "write_csv", "write_json",
            "sha256_file", "RunManifest"]
 
 
@@ -29,15 +32,28 @@ def ensure_writable(path: str, force: bool) -> None:
         raise PreconditionError(f"output directory {parent!r} does not exist")
 
 
+def _int_text(v: int) -> str:
+    """Every digit of v.  str() refuses an int longer than
+    sys.get_int_max_str_digits() digits (4300 by default); Decimal does not."""
+    try:
+        return str(v)
+    except ValueError:
+        return str(Decimal(v))
+
+
+def _fraction_text(x: Fraction) -> str:
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
+
+
 def fmt_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
-        return str(v)
+        return _int_text(v)
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return _fraction_text(v)
     return str(v)
 
 
@@ -49,10 +65,18 @@ def write_csv(path: str, header: list[str], rows, force: bool = False) -> None:
             fh.write(",".join(fmt_cell(v) for v in row) + "\n")
 
 
+def fraction_fields(x) -> dict:
+    """A probability as {"fraction": "p/q", "float": p/q}; a value that is
+    not a Fraction (a float, a float256 mpf, or None) has fraction None."""
+    if isinstance(x, Fraction):
+        return {"fraction": _fraction_text(x), "float": float(x)}
+    return {"fraction": None, "float": None if x is None else float(x)}
+
+
 def jsonable(obj):
     """Recursively convert report objects to plain JSON types."""
     if isinstance(obj, Fraction):
-        return {"fraction": f"{obj.numerator}/{obj.denominator}", "float": float(obj)}
+        return fraction_fields(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -64,8 +88,18 @@ def jsonable(obj):
 
 def write_json(path: str, obj, force: bool = False) -> None:
     ensure_writable(path, force)
+    data = jsonable(obj)
+    # json writes an int through int.__repr__, which has the digit limit of
+    # str(); lift the limit for this dump only (0 means none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(jsonable(obj), fh, indent=2, sort_keys=True)
+        try:
+            if limit:
+                sys.set_int_max_str_digits(0)
+            json.dump(data, fh, indent=2, sort_keys=True)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
         fh.write("\n")
 
 

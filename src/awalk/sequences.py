@@ -77,9 +77,13 @@ def _floor_rational_power(base: Fraction, e: int) -> int:
     return (base.numerator ** e) // (base.denominator ** e)
 
 
-def _fraction_from_text(text: str) -> Fraction:
-    # Decimal strings parse exactly ("0.8" -> 4/5); "p/q" accepted as well.
-    return Fraction(text)
+def _rational(x):
+    """x as an exact Fraction when it is a float, int or text; decimal text
+    and float reprs parse exactly ("0.8" -> 4/5), and "p/q" is accepted.
+    Any other value is returned as it is, for the caller to reject."""
+    if isinstance(x, float):
+        x = repr(x)
+    return Fraction(x) if isinstance(x, (str, int)) else x
 
 
 def _format_number(x) -> str:
@@ -111,7 +115,8 @@ class SequenceSpec:
         raise NotImplementedError
 
     def canonical(self) -> str:
-        """Canonical textual form, parseable by :func:`parse_spec`."""
+        """Canonical textual form, parseable by :func:`parse_spec` except for
+        blocks with a callable length rule ("blocks:<name>")."""
         raise NotImplementedError
 
     def term(self, k: int):
@@ -239,12 +244,7 @@ class PowerFloor(SequenceSpec):
     kind = "powfloor"
 
     def __init__(self, beta):
-        if isinstance(beta, float):
-            beta = Fraction(repr(beta))
-        elif isinstance(beta, str):
-            beta = _fraction_from_text(beta)
-        elif isinstance(beta, int):
-            beta = Fraction(beta)
+        beta = _rational(beta)
         if not isinstance(beta, Fraction) or not (0 < beta <= 1):
             raise DomainError(f"beta must lie in (0, 1], got {beta}")
         self.beta = beta
@@ -294,12 +294,7 @@ class LogCeilBlocks(SequenceSpec):
     first_index = 2
 
     def __init__(self, gamma):
-        if isinstance(gamma, float):
-            gamma = Fraction(repr(gamma))
-        elif isinstance(gamma, str):
-            gamma = _fraction_from_text(gamma)
-        elif isinstance(gamma, int):
-            gamma = Fraction(gamma)
+        gamma = _rational(gamma)
         if not isinstance(gamma, Fraction) or gamma <= 1:
             raise DomainError(f"gamma must exceed 1, got {gamma}")
         self.gamma = gamma
@@ -470,18 +465,6 @@ class GeneralBlocks(SequenceSpec):
             k += 1
         return runs
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_starts"] = [1]
-        if self.rule_name in LENGTH_RULES:
-            state["_rule"] = None  # reattach by name on unpickle
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if self._rule is None and self.rule_name is not None:
-            self._rule = LENGTH_RULES[self.rule_name]
-
 
 class LogContinuous(SequenceSpec):
     """a_k = c * ln(k) for k >= 2, c > 0.  Real-valued, strictly increasing."""
@@ -502,11 +485,6 @@ class LogContinuous(SequenceSpec):
     @property
     def is_non_decreasing(self):
         return True
-
-    @property
-    def gamma(self) -> float:
-        """Growth base: a_k >= m first happens near gamma**m with gamma = e^(1/c)."""
-        return math.exp(1.0 / self.c)
 
     def canonical(self):
         return f"logcont:{repr(self.c)}"
@@ -580,10 +558,14 @@ class Explicit(SequenceSpec):
 
 
 def _coerce_number(v):
-    """Ints stay ints, integral floats become ints, the rest become floats."""
+    """Ints stay ints, integral floats become ints, the rest become floats.
+
+    Integer weights are summed in int64 arrays, so each must be below 2^63."""
     if isinstance(v, (bool,)):
         raise DomainError(f"weights must be numbers, got {v!r}")
     if isinstance(v, (int, np.integer)):
+        if v >= 1 << 63:
+            raise DomainError(f"integer weight {v} does not fit in int64 (must be < 2^63)")
         return int(v)
     f = float(v)
     if not math.isfinite(f):

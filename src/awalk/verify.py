@@ -36,7 +36,6 @@ __all__ = [
     "fourier_agreement_suite",
     "pattern_suite",
     "bc_suite",
-    "inequalities_suite",
     "run_suite",
     "SUITES",
 ]
@@ -67,10 +66,6 @@ class SuiteResult:
             "checks": [{"name": c.name, "passed": c.passed, "details": c.details}
                        for c in self.checks],
         }
-
-
-def _suite(name: str, checks: list[CheckResult]) -> SuiteResult:
-    return SuiteResult(suite=name, passed=all(c.passed for c in checks), checks=checks)
 
 
 # --- sub-Gaussian tail bound ------------------------------------------------------
@@ -187,10 +182,12 @@ def cordiv_sweep(k_max: int = 40, m_max: int = 4000, half_c1: float = 0.05) -> C
 
 
 def two_scale_sweep(k_top: int = 20, coeff: float = 0.0025) -> CheckResult:
-    """P((k-1)*X + k*Y = j) >= coeff/n for even k, n = k^2, all even |j| <= n.
+    """P((k-1)*X + k*Y = j) >= coeff/n for even k, n = k^2, all even |j| <= n,
+    where X and Y are sums of n independent signs each.
 
-    Exact: 400 * count * n >= 4^(2n) * ... folded into integers; reports the
-    smallest even k2 from which all larger even k pass.
+    Exact (for coeff = 1/400): P = count / 4^n, so the comparison is
+    400 * count * n >= 4^n.  Reports the smallest even k2 from which all
+    larger even k pass.
     """
     if coeff != 0.0025:
         raise PreconditionError("the exact integer comparison is built for c1^2/4 = 0.0025")
@@ -198,24 +195,8 @@ def two_scale_sweep(k_top: int = 20, coeff: float = 0.0025) -> CheckResult:
     for k in range(2, k_top + 1, 2):
         n = k * k
         row = [math.comb(n, w) for w in range(n + 1)]
-        four_2n = 1 << (4 * n)  # denominator 2^(2n) squared ... kept as 4^n * 4^n
-        good = True
-        for j in range(0, n + 1, 2):
-            num = 0
-            for s in range(-n, n + 1, 2):
-                rem = j - (k - 1) * s
-                if rem % k != 0:
-                    continue
-                t = rem // k
-                if abs(t) > n or (t - n) % 2 != 0:
-                    continue
-                num += row[(n + s) // 2] * row[(n + t) // 2]
-            # P = num / 4^n ; need P >= coeff/n  <=>  400 * num * n >= 4^n... with
-            # coeff = 1/400:   num * n * 400 >= 1 << (2*n)
-            if 400 * num * n < (1 << (2 * n)):
-                good = False
-                break
-        results[k] = good
+        results[k] = all(400 * exact._two_scale_count(k, n, j, row) * n >= 1 << (2 * n)
+                         for j in range(0, n + 1, 2))
     k2 = None
     for k in sorted(results, reverse=True):
         if not results[k]:
@@ -375,41 +356,18 @@ def bc_suite() -> CheckResult:
 
 # --- suite registry ----------------------------------------------------------------
 
-def inequalities_suite() -> SuiteResult:
-    return _suite("inequalities", [
-        azuma_sweep(),
-        lemld_sweep(),
-        cordiv_sweep(),
-        two_scale_sweep(),
-        dominance_sweep(),
-        tomaszewski_sweep(),
-    ])
-
-
-def oracles_suite() -> SuiteResult:
-    return _suite("oracles", [
-        enumeration_oracle_suite(),
-        fourier_agreement_suite(),
-    ])
-
-
-def patterns_suite() -> SuiteResult:
-    return _suite("patterns", [pattern_suite()])
-
-
-def bc_suite_result() -> SuiteResult:
-    return _suite("bc", [bc_suite()])
-
-
+# Each suite's checks, run with their default arguments in this order.
 SUITES = {
-    "inequalities": inequalities_suite,
-    "oracles": oracles_suite,
-    "patterns": patterns_suite,
-    "bc": bc_suite_result,
+    "inequalities": (azuma_sweep, lemld_sweep, cordiv_sweep, two_scale_sweep,
+                     dominance_sweep, tomaszewski_sweep),
+    "oracles": (enumeration_oracle_suite, fourier_agreement_suite),
+    "patterns": (pattern_suite,),
+    "bc": (bc_suite,),
 }
 
 
 def run_suite(name: str) -> SuiteResult:
     if name not in SUITES:
         raise PreconditionError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    return SUITES[name]()
+    checks = [check() for check in SUITES[name]]
+    return SuiteResult(suite=name, passed=all(c.passed for c in checks), checks=checks)

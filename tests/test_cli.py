@@ -1,13 +1,16 @@
 import json
 import math
 import os
+import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from awalk.cli import build_parser, main
-from awalk.reports import sha256_file
+from awalk.reports import sha256_file, write_csv, write_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -84,6 +87,59 @@ def test_tolerance_exit_code(tmp_path):
     from awalk.sequences import Linear
     with pytest.raises(ToleranceError):
         point_mass_fourier(Linear(), 60, 0, abs_tol=1e-18, max_nodes=2000)
+
+
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys):
+    # a tolerance that can never be met used to split panels for minutes
+    for command, horizon in (("fourier", "--n"), ("transience", "--n-max")):
+        for tol in ("0", "-1", "nan", "inf"):
+            start = time.perf_counter()
+            assert run([command, "--spec", "linear", horizon, "5", "--tol", tol,
+                        "--out", "f.csv"], tmp_path) == 2
+            assert time.perf_counter() - start < 1.0
+            assert f"abs_tol must be finite and > 0, got {float(tol)}" in capsys.readouterr().err
+            assert not (tmp_path / "f.csv").exists()
+
+
+def test_integer_weights_beyond_int64_are_rejected(tmp_path, capsys):
+    big = "99999999999999999999"
+    for spec in (f"explicit:1,{big}", f"constant:{big}", f"constant:{2 ** 63}"):
+        for command in (["dist"], ["hit"], ["simulate", "--seed", "1"], ["tomaszewski"],
+                        ["fourier"]):
+            start = time.perf_counter()
+            assert run([*command, "--spec", spec, "--n", "2", "--out", "x.out"], tmp_path) == 2
+            assert time.perf_counter() - start < 1.0
+            weight = spec.rpartition(",")[2].rpartition(":")[2]
+            assert f"integer weight {weight} does not fit in int64" in capsys.readouterr().err
+    # the largest int64 weight is accepted; the cell budget then refuses the lattice
+    assert run(["dist", "--spec", f"constant:{2 ** 63 - 1}", "--n", "1", "--out", "x.out"],
+               tmp_path) == 3
+
+
+def test_writers_keep_every_digit(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    big = 7 * 10 ** 4999 + 3  # 5,000 digits, over the default limit of 4,300
+    tiny = Fraction(1, 2 ** 15000)
+    write_csv(str(tmp_path / "b.csv"), ["count", "prob"], [(big, tiny)])
+    write_json(str(tmp_path / "b.json"), {"count": big, "prob": tiny})
+    assert sys.get_int_max_str_digits() == limit  # the limit is left as it was
+    digits = "7" + "0" * 4998 + "3"
+    den_digits = str(Decimal(2 ** 15000))  # str() of the int itself would raise
+    assert (tmp_path / "b.csv").read_text() == f"count,prob\n{digits},1/{den_digits}\n"
+    payload = (tmp_path / "b.json").read_text()
+    assert f'"count": {digits},' in payload
+    assert f'"fraction": "1/{den_digits}"' in payload and '"float": 0.0' in payload
+
+
+def test_pattern_writes_every_digit(tmp_path):
+    # the counts of kappa = 18,000 have 4,397 digits
+    assert run(["pattern", "--kappa-max", "18000", "--out", "p.csv"], tmp_path) == 0
+    rows = (tmp_path / "p.csv").read_text().splitlines()
+    assert rows[:4] == ["kappa,count,ratio", "1,2,", "2,4,2.0", "3,7,1.75"]
+    last = [int(Decimal(r.split(",")[1])) for r in rows[-4:]]
+    assert len(rows[-1].split(",")[1]) == 4397
+    # a_k = 2 a_(k-1) - a_(k-2) + a_(k-3), from x^3 - 2x^2 + x - 1
+    assert last[3] == 2 * last[2] - last[1] + last[0]
 
 
 def test_hit_and_visits_outputs(tmp_path):
@@ -181,6 +237,23 @@ def test_config_supplies_defaults(tmp_path):
                 "--seed", "18", "--out", "s2.json"], tmp_path) == 0
     payload = json.loads((tmp_path / "s2.json").read_text())
     assert payload["seed"] == 18 and payload["path"]["steps"] == 32
+
+
+@pytest.mark.parametrize("config, named", [
+    ([{"seed": 1}], "must hold a JSON object, got list"),
+    ({"simulate": 5}, "key 'simulate' must map flags to values, got 5"),
+    ({"defaults": [1]}, "key 'defaults' must map flags to values"),
+    ({"defaults": {"n": "abc"}}, "key 'n': invalid literal for int()"),
+    ({"simulate": {"bands": "0,x"}}, "key 'bands': could not convert string to float"),
+])
+def test_bad_config_is_a_precondition_error(config, named, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["simulate", "--spec", "linear", "--n", "8", "--seed", "1",
+                "--config", str(cfg), "--out", "s.json"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"config {str(cfg)!r}" in err and named in err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_tomaszewski_cli(tmp_path):

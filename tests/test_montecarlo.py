@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import given, settings, strategies
 
 from awalk import exact, montecarlo as mc
 from awalk.errors import DomainError, PreconditionError
-from awalk.sequences import Constant, Explicit, Linear, PowerFloor, parse_spec
+from awalk.reports import write_json
+from awalk.sequences import (Constant, Explicit, GeneralBlocks, Linear, PowerFloor, parse_spec,
+                             sum_squares_exact)
 from conftest import (SignSource, band_avoidance_block_estimate, bridge_touch,
                       enumerate_sign_change_counts, first_hit_probability,
                       floor_sqrt_runs, killed_walk_survival, simulate_signs,
@@ -263,6 +266,28 @@ def test_recurrence_report_structure_and_determinism():
     zero = r1.aggregates["per_band"]["zero"]
     assert 0 <= zero["fraction_last_hit_final_decade"] <= 1
     assert set(zero["mean_hits_at_checkpoint"]) == {str(c) for c in r1.checkpoints}
+
+
+def test_experiments_accept_a_callable_block_rule(tmp_path, monkeypatch):
+    # the pool forks, so workers use the spec object itself: a rule with no
+    # parseable canonical form runs, with the same bytes at any worker count
+    spec = GeneralBlocks(lambda k: k + 1)
+    n, paths, seed = 2000, 150, 11
+    written = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("AWALK_THREADS", threads)
+        rec = mc.recurrence_experiment(spec, n, [0, 2], paths, seed)
+        tz = mc.tomaszewski_check(spec, n, "mc", paths=paths, seed=seed)
+        path = tmp_path / f"reports-{threads}.json"
+        write_json(str(path), {"recurrence": rec.to_dict(), "tomaszewski": asdict(tz)})
+        written.append(path.read_bytes())
+        finals = mc._run_blocks("final", spec, n, paths, seed, (), 0.0, (), None, None)
+        assert finals[:, 0].tolist() == [mc.simulate(spec, n, mc.RngSpec(seed, p)).final_value
+                                         for p in range(paths)]
+    assert written[0] == written[1]
+    assert rec.spec == tz.spec == "blocks:<lambda>"
+    root = math.sqrt(sum_squares_exact(spec, n))
+    assert tz.probability == np.count_nonzero(np.abs(finals[:, 0]) <= root) / paths
 
 
 def test_env_thread_cap(monkeypatch):
