@@ -193,15 +193,40 @@ def _apply_config(parser_map, argv):
         if dest in dests:
             for a in p._actions:
                 if a.dest == dest:
-                    if a.type is not None and isinstance(value, str):
-                        try:
-                            value = a.type(value)
-                        except ValueError as exc:
-                            raise PreconditionError(
-                                f"config {cfg_path!r}: key {key!r}: {exc}") from exc
+                    value = _config_value(a, value, f"config {cfg_path!r}: key {key!r}")
                     a.required = False  # the config satisfies the requirement
             defaults[dest] = value
     p.set_defaults(**defaults)
+
+
+def _config_value(action, value, where: str):
+    """A config value checked against its flag.  A string goes through the
+    flag's type, as on the command line; another JSON value must already be
+    what the flag takes: true or false for a switch, an integer for an int
+    flag, a number for a float flag."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if action.nargs == 0:
+        want, ok = "true or false", isinstance(value, bool)
+    elif isinstance(value, str):
+        want, ok = "", True
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError as exc:
+                raise PreconditionError(f"{where}: {exc}") from exc
+    elif action.type is int:
+        want, ok = "an integer or a string", number and isinstance(value, int)
+    elif action.type is float:
+        want, ok = "a number or a string", number
+        value = float(value) if ok else value
+    else:
+        want, ok = "a string", False
+    if not ok:
+        raise PreconditionError(f"{where}: expected {want}, got {json.dumps(value)}")
+    if action.choices is not None and value not in action.choices:
+        raise PreconditionError(f"{where}: expected one of {sorted(action.choices)}, "
+                                f"got {json.dumps(value)}")
+    return value
 
 
 def _require_seed(args, parser_map):

@@ -10,12 +10,14 @@ the thousands do not underflow.  Integrals run on a panel-adaptive
 Clenshaw-Curtis scheme: the initial mesh packs geometric panels into the
 central peak (width ~ 1/sqrt(sum a_k^2)) and sizes the uniform part by the
 total oscillation frequency sum a_k; the worst panel is then split until the
-summed error estimate meets tolerance.  Panel results are summed left to
-right, so the value is a deterministic function of the panel set.
+summed error estimate meets tolerance.  Panel values and error estimates
+are summed exactly and rounded once, so the value is a deterministic
+function of the panel set.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -164,6 +166,16 @@ def _eval_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> 
     return _Panel(lo, hi, fine, abs(fine - coarse))
 
 
+_FIXED_ONE = 1 << 1074  # every finite float is an integer multiple of 2**-1074
+
+
+def _fixed(x: float) -> int:
+    """x as an exact integer count of 2**-1074, so that sums of floats are
+    exact; dividing such a sum by _FIXED_ONE rounds it once, as math.fsum does."""
+    num, den = x.as_integer_ratio()  # den is a power of two
+    return num * (_FIXED_ONE // den)
+
+
 def adaptive_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, *,
                       abs_tol: float = 1e-12, rel_tol: float = 0.0,
                       breakpoints: Sequence[float] = (),
@@ -173,7 +185,9 @@ def adaptive_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: floa
     The summed two-level Clenshaw-Curtis discrepancy is the error estimate;
     iteration stops once it drops below max(abs_tol, rel_tol*|value|).
     Raises ToleranceError (carrying the best value) if the node budget runs
-    out first.
+    out first.  The panels that are wider than the smallest split wait in a
+    heap keyed (-error, lo), so the worst one, leftmost on ties, is found in
+    O(log panels); the value and error totals are kept exact.
     """
     if hi <= lo:
         raise DomainError(f"empty integration domain [{lo}, {hi}]")
@@ -182,29 +196,38 @@ def adaptive_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: floa
     if len(pts) - 1 > max_panels:  # thin the mesh to leave budget for splits
         step = -(-(len(pts) - 1) // max_panels)
         pts = pts[::step] + ([hi] if pts[::step][-1] != hi else [])
-    panels = [_eval_panel(f, a, b) for a, b in zip(pts, pts[1:])]
-    nodes = (_CC_ORDER + 1) * len(panels)
     min_width = (hi - lo) * 1e-14
+    heap: list[tuple[float, float, float, float]] = []  # (-error, lo, hi, value)
+    value = error = nodes = 0
+
+    def add(a: float, b: float) -> None:
+        nonlocal value, error, nodes
+        panel = _eval_panel(f, a, b)
+        if not (math.isfinite(panel.value) and math.isfinite(panel.error)):
+            raise DomainError(f"integrand is not finite on [{a}, {b}]")
+        value += _fixed(panel.value)
+        error += _fixed(panel.error)
+        nodes += _CC_ORDER + 1
+        if b - a > min_width:
+            heapq.heappush(heap, (-panel.error, a, b, panel.value))
+
+    for a, b in zip(pts, pts[1:]):
+        add(a, b)
     while True:
-        total = math.fsum(p.value for p in panels)
-        err = math.fsum(p.error for p in panels)
+        total, err = value / _FIXED_ONE, error / _FIXED_ONE
         if err <= max(abs_tol, rel_tol * abs(total)):
             break
-        splittable = [p for p in panels if p.hi - p.lo > min_width]
-        if not splittable or nodes + 2 * (_CC_ORDER + 1) > max_nodes:
+        if not heap or nodes + 2 * (_CC_ORDER + 1) > max_nodes:
             raise ToleranceError(
                 f"error estimate {err:.3e} above tolerance after {nodes} nodes",
                 best_value=total, achieved_estimate=err, nodes=nodes)
-        worst = max(splittable, key=lambda p: (p.error, -p.lo))
-        panels.remove(worst)
-        mid = 0.5 * (worst.lo + worst.hi)
-        panels.append(_eval_panel(f, worst.lo, mid))
-        panels.append(_eval_panel(f, mid, worst.hi))
-        nodes += 2 * (_CC_ORDER + 1)
-    panels.sort(key=lambda p: p.lo)
-    value = math.fsum(p.value for p in panels)
-    err = math.fsum(p.error for p in panels)
-    return QuadratureResult(value=value, abs_error_estimate=err, nodes=nodes,
+        neg_error, a, b, worst = heapq.heappop(heap)
+        value -= _fixed(worst)
+        error -= _fixed(-neg_error)
+        mid = 0.5 * (a + b)
+        add(a, mid)
+        add(mid, b)
+    return QuadratureResult(value=total, abs_error_estimate=err, nodes=nodes,
                             scheme="adaptive-panel", domain=(lo, hi))
 
 

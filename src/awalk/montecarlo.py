@@ -9,24 +9,31 @@ fixed seed no matter how many workers run (AWALK_THREADS caps the pool).
 Philox is counter-based, so each process re-keys one generator per path and
 draws only the words the path reads.
 
-Every experiment streams its paths through one kernel, `_PathKernel.run`,
-in O(2^16) memory.  A reducer per experiment reads the partial sums: the
-path statistics (`_PathTally`, for `simulate`, `recurrence` and `signs`),
-the growth window test (`_GrowthTest`) or, with no reducer, only S(n)
-(`tomaszewski_check`).  The kernel walks a path in one of two ways:
+Every experiment streams its paths through one kernel, `_PathKernel`, in
+O(2^16) memory.  A reducer per experiment reads the partial sums: the path
+statistics (`_PathTally`, for `simulate`, `recurrence` and `signs`), the
+growth window test (`_GrowthTest`) or, with no reducer, only S(n)
+(`tomaszewski_check`).  Each keeps one column entry per path, so that a
+pass can walk several paths at once.  The kernel walks in one of two ways:
 
-- step by step: one cumsum per step, in int64 for integer weights (exact)
-  and in extended precision for real weights, with the carry propagated
-  across segments, which keeps the drift of a million-step sum far below the
-  1e-9 zero-detection tolerance;
-- a sign byte at a time, for integer weights and at least 2^16 steps.  Byte
-  b of a path's words holds steps 8b..8b+7, and two 256-entry tables give
-  its sums of x_j and j*x_j, so a byte whose weights run w0 + j*delta moves
-  S by w0*sum + delta*moment; one cumsum per 8 steps gives S at every byte
-  end.  Only the bytes that end within reach of a band (or a growth
-  threshold) are expanded to exact per-step sums; every other byte keeps
-  one sign and stays outside every band.  Both ways give the same
-  statistics, bit for bit.
+- a sign byte at a time, for positive integer weights.  Byte b of a path's
+  words holds steps 8b..8b+7, and two 256-entry tables give its sums of x_j
+  and j*x_j, so a byte whose weights run w0 + j*delta moves S by
+  w0*sum + delta*moment; one cumsum per 8 steps gives S at every byte end.
+  Two more tables bound how far S strays from a byte's end inside the
+  byte, and only the bytes that end within that reach of a band (or a
+  growth threshold) are expanded to exact per-step sums; every other byte
+  keeps one sign and stays outside every band.  A walk of at most 2^16
+  steps reads one refill, so the paths of a 64-path work unit are walked
+  together, as many as fit in one 2^15-byte chunk, as one array of
+  (paths, sign bytes);
+- step by step, one path at a time, for real weights (and for integer
+  weights that are not all positive): one cumsum per step, in int64 for
+  integer weights (exact) and in extended precision for real weights, with
+  the carry propagated across segments, which keeps the drift of a
+  million-step sum far below the 1e-9 zero-detection tolerance.
+
+Both ways give the same statistics, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,8 +72,7 @@ REPORT_SCHEMA = "awalk-report/1"
 _CHUNK = 1 << 16
 _BLOCK = 64          # paths per work unit; fixed so partitioning never varies
 _WORDS = 1 << 10     # most uint64 words per RNG refill
-_BYTE_MIN_STEPS = 1 << 16  # integer walks this long take the byte path
-_BYTE_CHUNK = 1 << 15      # sign bytes per byte-path chunk (2^18 steps)
+_BYTE_CHUNK = 1 << 15  # sign bytes per byte-path pass, over all its paths
 
 # Row c of _BYTE_SIGNS is the +-1 steps x_j of sign byte c (bit j is step j).
 # _BYTE_PREFIX / _BYTE_JPREFIX hold the prefix sums of x_j and of j*x_j over
@@ -79,6 +85,12 @@ _BYTE_JPREFIX = np.cumsum(_BYTE_SIGNS * _LANES, axis=1)
 _REACH_LANES = np.array([0, 1, 1, 1, 1, 1, 1, 1])
 _BYTE_SUM = _BYTE_PREFIX[:, -1].copy()
 _BYTE_MOMENT = _BYTE_JPREFIX[:, -1].copy()
+# The reach tables A and B: the largest |x_{j+1} + ... + x_7| and
+# |(j+1) x_{j+1} + ... + 7 x_7| over the steps j of sign byte c.  S at step
+# j of a byte with weights w0 + j*delta lies within w0*A[c] + |delta|*B[c]
+# of S at the byte's end.
+_REACH_SUM = np.abs(_BYTE_SUM[:, None] - _BYTE_PREFIX).max(axis=1)
+_REACH_MOMENT = np.abs(_BYTE_MOMENT[:, None] - _BYTE_JPREFIX).max(axis=1)
 _BOOTSTRAP_SALT = 0xB00575A9
 
 # Attached to every experiment report: simulation evidence is finite-horizon
@@ -130,6 +142,7 @@ class _BitStream:
     refill draws only the words the path reads; refill sizes never change
     which bit a step reads.  `take` gives bits and `take_bytes` whole sign
     bytes of the same stream; a refill is unpacked only when bits are read.
+    `rows` gives the sign bytes of several short paths, one row each.
     """
 
     __slots__ = ("_philox", "_state", "_raw", "_bits", "_pos", "_left")
@@ -144,10 +157,13 @@ class _BitStream:
         if rng is not None:
             self.start(rng.seed, rng.stream, nbits)
 
-    def start(self, seed: int, stream: int, nbits: int = 0) -> None:
-        """Re-key for path (seed, stream), which reads `nbits` bits (0: unknown)."""
+    def _rekey(self, seed: int, stream: int) -> None:
         self._state["state"]["key"] = np.array([stream, seed], dtype=np.uint64)
         self._philox.state = self._state
+
+    def start(self, seed: int, stream: int, nbits: int = 0) -> None:
+        """Re-key for path (seed, stream), which reads `nbits` bits (0: unknown)."""
+        self._rekey(seed, stream)
         self._raw = self._raw[:0]
         self._bits = None
         self._pos = 0
@@ -181,6 +197,18 @@ class _BitStream:
             self._pos += k
             filled += k
         return out
+
+    def rows(self, seed: int, streams: range, nbits: int) -> np.ndarray:
+        """The first ceil(nbits/8) sign bytes of each path (seed, s), s in
+        streams, as one uint8 row per path.  A path of nbits <= 2^16 bits
+        reads one refill of ceil(nbits/64) words, as `start` and `take_bytes`
+        would draw it.  Call `start` before reading a single path again."""
+        words = -(-nbits // 64)
+        out = np.empty((len(streams), words), dtype=np.uint64)
+        for row, stream in zip(out, streams):
+            self._rekey(seed, stream)
+            row[:] = self._philox.random_raw(words)
+        return out.view(np.uint8)[:, :-(-nbits // 8)]
 
     def take_bytes(self, n: int) -> np.ndarray:
         """The next n sign bytes (8 steps each, bit j little-endian is step j),
@@ -230,172 +258,243 @@ def _weights_for(spec: SequenceSpec, n: int) -> np.ndarray:
 
 
 class _PathKernel:
-    """The one path kernel: a path's partial sums S, fed to a reducer.
+    """The one path kernel: partial sums S of one or several paths, fed to a
+    reducer.
 
-    The step path walks segments that end at every multiple of 2^16 steps,
-    at each checkpoint and at the horizon, and calls reducer.update with the
-    segment's partial sums.  Integer weights accumulate exactly in int64.
-    Real weights take a long-double cumsum per segment and then add the
-    carry, so the cut positions fix the rounding: keep them where they are,
-    or reports move.
+    The byte path (`bytewise`) takes every walk with positive integer
+    weights.  It reads whole sign bytes, in chunks of up to 2^15 bytes over
+    all the paths of a pass, and forms each byte's sum from the tables
+    (`_byte_sums`); a byte whose weights are not affine takes an exact row
+    sum.  The last byte of a walk of n steps, n mod 8 > 0, gets weight 0 on
+    its missing steps, so S stays at S(n) there and reducers skip them.  One
+    cumsum per path gives S at the chunk's byte ends, which
+    reducer.update_bytes reads; it expands only the bytes that end within
+    their reach (`reach`, from the tables A and B) of what it looks for,
+    to exact per-step sums (`expand`).
 
-    The byte path (`bytewise`) takes integer walks of at least 2^16 steps
-    with positive weights.  It reads whole sign bytes in chunks of up to 2^15
-    bytes and forms each byte's sum from the tables (`_byte_sums`); a byte
-    whose weights are not affine takes an exact row sum.  One cumsum gives S
-    at the chunk's byte ends, which reducer.update_bytes reads; it expands
-    the few bytes it needs to exact per-step sums (`expand`).  The last
-    n mod 8 steps take the step path.  Below 2^16 steps the per-chunk calls
-    cost more than the byte tables save.  Measured per path on 2 vCPUs, with
-    `constant:1`, `linear`, `logceil:2` and the growth test, the byte path
-    took 1.0-2.1x the step path's time at 2^14 steps, 0.8-1.4x at 2^15,
-    0.5-1.05x at 2^16 and 0.25-0.45x at 10^6.
+    Pass rule: a walk of at most 2^16 steps reads one refill per path, so
+    `run_rows` walks `paths_per_pass` paths together, as many whole paths
+    of a 64-path work unit as fit in one chunk; a longer walk goes one path
+    per pass (`run`), a chunk at a time.
+
+    The step path walks one path in segments that end at every multiple of
+    2^16 steps, at each checkpoint and at the horizon, and calls
+    reducer.update with the segment's partial sums.  Integer weights
+    accumulate exactly in int64.  Real weights take a long-double cumsum per
+    segment and then add the carry, so the cut positions fix the rounding:
+    keep them where they are, or reports move.
     """
 
     def __init__(self, weights: np.ndarray, checkpoint_steps: Sequence[int] = (),
-                 bytewise: bool | None = None):
-        """`bytewise` None picks the path by the rule above; True or False
-        forces it (True needs positive integer weights)."""
+                 bytewise: bool = True):
+        """`bytewise` False forces the step path, the byte path's reference."""
         self.weights = weights
         self.steps = int(weights.size)
         self.integer = weights.dtype == np.int64
         self.checkpoints = frozenset(checkpoint_steps)
-        if bytewise is None:
-            bytewise = self.steps >= _BYTE_MIN_STEPS
-        self.bytewise = bool(bytewise and self.integer and weights.min() > 0)
-        self.nbytes = self.steps // 8 if self.bytewise else 0  # whole bytes
-        self.segments = self._segments(8 * self.nbytes)
-        size = min(_CHUNK, self.steps - 8 * self.nbytes)
+        self.bytewise = bool(bytewise and self.integer and self.steps and weights.min() > 0)
+        self.paths_per_pass = 1
+        if self.bytewise:
+            self.nbytes = -(-self.steps // 8)
+            if self.steps <= 64 * _WORDS:
+                self.paths_per_pass = min(_BLOCK, _BYTE_CHUNK // self.nbytes)
+            self._init_bytes()
+            size = min(_BYTE_CHUNK, self.paths_per_pass * self.nbytes)
+            self._index = np.empty(size, dtype=np.intp)
+            # sums, moment, a reducer's array and a limit per byte
+            self._work = np.empty((4, size), dtype=np.int64)
+            self._bound = np.empty(min(_BYTE_CHUNK, self.nbytes), dtype=np.int64)
+            self._bound_at = None
+            return
+        ends = sorted(set(range(_CHUNK, self.steps, _CHUNK)) | self.checkpoints
+                      | ({self.steps} if self.steps else set()))
+        self.segments = list(zip([0] + ends[:-1], ends))
+        size = min(_CHUNK, self.steps)
         self._signs = np.empty(size, dtype=np.uint8)
         self._sums = np.empty(size, dtype=np.int64 if self.integer else np.longdouble)
-        if self.bytewise:
-            self._init_bytes()
 
-    def _segments(self, start: int) -> list[tuple[int, int]]:
-        """Step-path segments covering steps start..steps-1."""
-        ends = sorted({e for e in range(_CHUNK, self.steps, _CHUNK) if e > start}
-                      | {c for c in self.checkpoints if c > start}
-                      | ({self.steps} if self.steps > start else set()))
-        return list(zip([start] + ends[:-1], ends))
+    def _padded_blocks(self):
+        """(first byte, weights) for blocks of 2^13 bytes; the last byte's
+        missing steps get weight 0."""
+        for lo in range(0, self.nbytes, _CHUNK // 8):
+            w = self.weights[8 * lo:8 * (lo + _CHUNK // 8)]
+            if w.size % 8:
+                w = np.concatenate((w, np.zeros(-w.size % 8, dtype=w.dtype)))
+            yield lo, w
 
     def _init_bytes(self) -> None:
-        """Per-byte tables: w0, delta and which bytes are affine.
+        """Per-byte tables: w0, delta and which bytes are affine; the weights
+        and reach (w_1 + ... + w_7) of the others.
 
         Built in blocks of 2^16 steps, so no temporary is larger than the
         step path's buffers."""
         nb = self.nbytes
-        rows = self.weights[:8 * nb].reshape(nb, 8)  # a view: byte b's weights
-        self._byte_weights = rows
-        self._w0 = rows[:, 0].copy()  # contiguous: a strided w0 reads all of w
-        self._affine = np.empty(nb, dtype=bool)
-        deltas = set()
-        for lo in range(0, nb, _CHUNK // 8):
-            hi = min(lo + _CHUNK // 8, nb)
-            d = np.diff(self.weights[8 * lo:8 * hi + 2])
+        self._w0 = np.empty(nb, dtype=np.int64)
+        self._affine = np.ones(nb, dtype=bool)
+        odd, deltas = [], set()
+        for lo, w in self._padded_blocks():
+            hi = lo + w.size // 8
+            d = np.diff(w)
             # byte b is affine unless a second difference inside it is nonzero
             bent = np.flatnonzero(d[1:] != d[:-1])
             affine = self._affine[lo:hi]
-            affine[:] = True
             affine[bent[bent % 8 <= 5] // 8] = False
-            steps = d[:8 * (hi - lo):8][affine]  # delta = w1 - w0 of the affine bytes
+            self._w0[lo:hi] = w[::8]
+            odd.append(w.reshape(-1, 8)[~affine])
+            steps = d[::8][affine]  # delta = w1 - w0 of the affine bytes
             if steps.size:
                 deltas.update({int(steps.min()), int(steps.max())})
         self._nonaffine = np.flatnonzero(~self._affine)
+        self._odd = np.concatenate(odd)
+        self._odd_reach = self._odd @ _REACH_LANES
         # one common delta (0 for run-constant weights, 1 for linear) stays a scalar
         if len(deltas) > 1:
-            self._delta = rows[:, 1] - rows[:, 0]
+            self._delta = np.concatenate([np.diff(w)[::8] for _, w in self._padded_blocks()])
+            self._abs_delta = np.abs(self._delta)
         else:
             self._delta = deltas.pop() if deltas else 0
-        self._byte_cps = np.asarray(sorted(c for c in self.checkpoints if c <= 8 * nb),
-                                    dtype=np.int64)
+            self._abs_delta = abs(self._delta)
+        self._byte_cps = np.asarray(sorted(self.checkpoints), dtype=np.int64)
 
-    def reach(self, lo: int, hi: int) -> np.ndarray:
-        """w_1 + ... + w_7 of bytes lo..hi-1: |S| moves by at most this much
-        between a step of the byte and its end."""
-        reach = self._w0[lo:hi] * 7
-        delta = self._delta
-        if isinstance(delta, np.ndarray):
-            reach += delta[lo:hi] * 28
-        elif delta:
-            reach += delta * 28
+    def _odd_cols(self, lo: int, hi: int) -> tuple[slice, np.ndarray]:
+        """Which non-affine bytes lie in lo..hi-1: their slice of `_odd` and
+        their columns in the chunk."""
         a, b = np.searchsorted(self._nonaffine, (lo, hi))
-        if b > a:
-            na = self._nonaffine[a:b]
-            reach[na - lo] = self._byte_weights[na] @ _REACH_LANES
-        return reach
+        return slice(a, b), self._nonaffine[a:b] - lo
 
-    def _rows(self, idx: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Signed weights w_j * x_j of bytes idx with sign bytes codes, (k, 8)."""
-        return self._byte_weights[idx] * _BYTE_SIGNS[codes]
+    def _at(self, lo: int, index: np.ndarray, flat: np.ndarray):
+        """Byte numbers and codes of the flat positions `flat` of the chunk's
+        (paths, bytes) arrays, whose bytes start at byte lo."""
+        return lo + flat % index.shape[1], index.ravel()[flat]
 
-    def _byte_sums(self, lo: int, codes: np.ndarray) -> np.ndarray:
-        """The sum of w_j * x_j over each byte lo, lo+1, ... with these codes."""
-        hi = lo + codes.size
-        index = codes.astype(np.intp)  # np.take is several times slower on uint8
-        sums = np.take(_BYTE_SUM, index)
-        sums *= self._w0[lo:hi]
-        delta = self._delta
-        if isinstance(delta, np.ndarray):
-            sums += np.take(_BYTE_MOMENT, index) * delta[lo:hi]
-        elif delta:
-            moment = np.take(_BYTE_MOMENT, index)
-            sums += moment if delta == 1 else moment * delta
-        a, b = np.searchsorted(self._nonaffine, (lo, hi))
-        if b > a:
-            na = self._nonaffine[a:b]
-            sums[na - lo] = self._rows(na, codes[na - lo]).sum(axis=1)
-        return sums
+    def reach_bound(self, lo: int, hi: int) -> np.ndarray:
+        """w_1 + ... + w_7 of bytes lo..hi-1: a bound on `reach` for any code.
+        The array is the kernel's, kept until a call for other bytes."""
+        bound = self._bound[:hi - lo]
+        if self._bound_at != (lo, hi):
+            self._bound_at = (lo, hi)
+            np.multiply(self._w0[lo:hi], 7, out=bound)
+            delta = self._abs_delta
+            if isinstance(delta, np.ndarray):
+                bound += delta[lo:hi] * 28
+            elif delta:
+                bound += delta * 28
+            odd, cols = self._odd_cols(lo, hi)
+            bound[cols] = self._odd_reach[odd]
+        return bound
 
-    def expand(self, lo: int, idx: np.ndarray, codes: np.ndarray,
-               ends: np.ndarray) -> np.ndarray:
-        """Exact S at the 8 steps of chunk bytes idx, (k, 8), from S at their ends."""
-        at, code = lo + idx, codes[idx]
-        rows = _BYTE_PREFIX[code] * self._w0[at][:, None]
-        delta = self._delta
-        if isinstance(delta, np.ndarray):
-            rows += _BYTE_JPREFIX[code] * delta[at][:, None]
-        elif delta:
-            rows += _BYTE_JPREFIX[code] * delta
+    def reach(self, lo: int, index: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        """How far S can lie from S at the byte's end, at any step of the
+        bytes at flat positions `flat`: w0*A[c] + |delta|*B[c] for an affine
+        byte with code c, `reach_bound` for the others."""
+        at, code = self._at(lo, index, flat)
+        reach = _REACH_SUM[code] * self._w0[at]
+        delta = self._abs_delta
+        if isinstance(delta, np.ndarray) or delta:
+            moment = _REACH_MOMENT[code]
+            moment *= delta[at] if isinstance(delta, np.ndarray) else delta
+            reach += moment
         odd = ~self._affine[at]
         if odd.any():
-            rows[odd] = np.cumsum(self._rows(at[odd], code[odd]), axis=1)
-        rows += (ends[idx] - rows[:, -1])[:, None]
+            reach[odd] = self._odd_reach[np.searchsorted(self._nonaffine, at[odd])]
+        return reach
+
+    def near(self, lo: int, index: np.ndarray, abs_ends: np.ndarray, band) -> np.ndarray:
+        """Flat positions of the chunk's bytes with |S| <= band possible at
+        some step, |S at the end| <= reach + band, found by `reach_bound`
+        first and `reach` on what passes it."""
+        k = index.shape[1]
+        limit = self.reach_bound(lo, lo + k)
+        if band:
+            limit = np.add(limit, band, out=self._work[3, :k])
+        pass_ = np.flatnonzero(abs_ends <= limit)
+        return pass_[abs_ends.ravel()[pass_] <= self.reach(lo, index, pass_) + band]
+
+    def buffer(self, shape) -> np.ndarray:
+        """An int64 array of this shape for a reducer, reused for the next
+        chunk.  The kernel keeps its per-chunk arrays, because fresh arrays
+        this large cost more than the work on them."""
+        return _shaped(self._work[2], shape)
+
+    def _byte_sums(self, lo: int, index: np.ndarray) -> np.ndarray:
+        """The sum of w_j * x_j over each byte lo, lo+1, ... with codes `index`."""
+        hi = lo + index.shape[1]
+        # mode='clip' (codes are 0..255): take buffers `out` in its default mode
+        sums = np.take(_BYTE_SUM, index, out=_shaped(self._work[0], index.shape),
+                       mode="clip")
+        sums *= self._w0[lo:hi]
+        delta = self._delta
+        if isinstance(delta, np.ndarray) or delta:
+            moment = np.take(_BYTE_MOMENT, index, out=_shaped(self._work[1], index.shape),
+                             mode="clip")
+            if isinstance(delta, np.ndarray):
+                moment *= delta[lo:hi]
+            elif delta != 1:
+                moment *= delta
+            sums += moment
+        odd, cols = self._odd_cols(lo, hi)
+        if cols.size:
+            sums[:, cols] = (self._odd[odd] * _BYTE_SIGNS[index[:, cols]]).sum(axis=2)
+        return sums
+
+    def expand(self, lo: int, near: np.ndarray, index: np.ndarray,
+               ends: np.ndarray) -> np.ndarray:
+        """Exact S at the 8 steps of the bytes at flat positions `near` of the
+        chunk's (paths, bytes) arrays, (k, 8), from S at their ends."""
+        at, code = self._at(lo, index, near)
+        rows = np.take(_BYTE_PREFIX, code, axis=0)
+        rows *= self._w0[at][:, None]
+        delta = self._delta
+        if isinstance(delta, np.ndarray) or delta:
+            moment = np.take(_BYTE_JPREFIX, code, axis=0)
+            moment *= delta[at][:, None] if isinstance(delta, np.ndarray) else delta
+            rows += moment
+        odd = ~self._affine[at]
+        if odd.any():
+            w = self._odd[np.searchsorted(self._nonaffine, at[odd])]
+            rows[odd] = np.cumsum(w * _BYTE_SIGNS[code[odd]], axis=1)
+        rows += (ends.ravel()[near] - rows[:, -1])[:, None]
         return rows
 
-    def run(self, stream, reducer=None):
+    def run(self, stream, reducer=None) -> np.ndarray:
         """Walk one path read from `stream` (`take` bits, `take_bytes` bytes)
         into the reducer until it returns True; return the last partial sum
-        formed.  Without a reducer an integer walk only sums S(n)."""
+        formed, as a one-entry array.  Without a reducer an integer walk only
+        sums S(n)."""
         if self.bytewise:
-            return self._run_bytes(stream.take_bytes, reducer)
-        return self._run_steps(stream.take, reducer, self.segments, 0)
+            return self._run_bytes(stream.take_bytes, reducer, 1)
+        return np.asarray([self._run_steps(stream.take, reducer)])
 
-    def _run_bytes(self, take_bytes, reducer=None):
-        carry = 0
-        for lo in range(0, self.nbytes, _BYTE_CHUNK):
-            codes = take_bytes(min(_BYTE_CHUNK, self.nbytes - lo))
-            sums = self._byte_sums(lo, codes)
+    def run_rows(self, codes: np.ndarray, reducer=None) -> np.ndarray:
+        """`run` for the paths whose sign bytes are the rows of `codes`,
+        walked together; one last partial sum per path."""
+        return self._run_bytes(_reader(codes), reducer, codes.shape[0])
+
+    def _run_bytes(self, take_bytes, reducer, paths):
+        carry = np.zeros(paths, dtype=np.int64)
+        chunk = _BYTE_CHUNK // paths
+        for lo in range(0, self.nbytes, chunk):
+            codes = take_bytes(min(chunk, self.nbytes - lo))
+            index = _shaped(self._index, (paths, codes.shape[-1]))
+            index[...] = codes  # np.take is several times slower on uint8
+            sums = self._byte_sums(lo, index)
             if reducer is None:
-                carry += int(sums.sum())
+                carry += sums.sum(axis=1)
                 continue
-            sums[0] += carry  # exact in int64
-            ends = np.add.accumulate(sums, out=sums)
-            carry = int(ends[-1])
-            a, b = np.searchsorted(self._byte_cps, (8 * lo, 8 * (lo + codes.size)), "right")
-            if reducer.update_bytes(self, lo, codes, ends, self._byte_cps[a:b]):
-                return carry
-        if self.segments:  # the last n mod 8 steps
-            bits = np.unpackbits(take_bytes(1), bitorder="little")
-            carry = self._run_steps(_reader(bits), reducer, self.segments, carry)
+            sums[:, 0] += carry  # exact in int64
+            ends = np.add.accumulate(sums, axis=1, out=sums)
+            carry = ends[:, -1].copy()
+            a, b = np.searchsorted(self._byte_cps, (8 * lo, 8 * (lo + index.shape[1])), "right")
+            if reducer.update_bytes(self, lo, index, ends, self._byte_cps[a:b]):
+                break
         return carry
 
-    def _run_steps(self, take, reducer, segments, carry):
+    def _run_steps(self, take, reducer):
         """Feed each segment to reducer.update(pos, s, at_checkpoint) until it
         returns True; return the last partial sum formed."""
         w = self.weights
-        if not self.integer:
-            carry = np.longdouble(carry)
-        for pos, end in segments:
+        carry = 0 if self.integer else np.longdouble(0)
+        for pos, end in self.segments:
             m = end - pos
             bits = take(m)
             signs = np.add(bits, bits, out=self._signs[:m])
@@ -424,14 +523,19 @@ class _PathKernel:
         return carry
 
 
-def _reader(bits: np.ndarray) -> Callable[[int], np.ndarray]:
-    """take(m) over a fixed bit array: the next m bits, in order."""
+def _shaped(buf: np.ndarray, shape) -> np.ndarray:
+    """The first entries of a flat buffer, viewed in this shape."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _reader(data: np.ndarray) -> Callable[[int], np.ndarray]:
+    """take(m) over a fixed array: its next m entries along the last axis."""
     pos = 0
 
     def take(m):
         nonlocal pos
         pos += m
-        return bits[pos - m:pos]
+        return data[..., pos - m:pos]
     return take
 
 
@@ -440,15 +544,16 @@ def _last_true(mask: np.ndarray) -> int:
 
 
 class _PathTally:
-    """Reducer for the path statistics of `PathStats`.
+    """Reducer for the path statistics of `PathStats`, one column entry per
+    path of the pass (`paths`).
 
     With ``full=False`` it keeps only the counts (zero hits, sign changes,
     band hits and their checkpoint snapshots) and skips the last-hit
-    positions, max |S| and S(n).
+    positions, max |S| and S(n).  A missing last hit is -1.
     """
 
     def __init__(self, first: int, integer: bool, bands: Sequence[float], zero_tol: float,
-                 full: bool = True):
+                 full: bool = True, paths: int = 1):
         self.first = first
         self.integer = integer
         self.bands = [float(c) if not float(c).is_integer() else int(c) for c in bands]
@@ -457,165 +562,197 @@ class _PathTally:
         # an integer walk needs |S| only for nonzero bands; band 0 is the zero mask
         self.need_abs = not integer or any(c != 0 for c in self.bands)
         self.widest = math.floor(max(self.bands, default=0))  # |S| <= c iff |S| <= floor(c)
-        self.zero_hits = 0
-        self.sign_changes = 0
-        self.last_zero = None
-        self.max_abs = 0.0
-        self.final = 0.0
-        self.band_hits = {c: 0 for c in self.bands}
-        self.last_band: dict[float, int | None] = {c: None for c in self.bands}
-        self.last_sign = 0
-        self.snapshots: list[CheckpointSnapshot] = []
+        self.zero_hits = np.zeros(paths, dtype=np.int64)
+        self.sign_changes = np.zeros(paths, dtype=np.int64)
+        self.last_zero = np.full(paths, -1, dtype=np.int64)
+        self.max_abs = np.zeros(paths)
+        self.final = np.zeros(paths)
+        self.band_hits = np.zeros((len(self.bands), paths), dtype=np.int64)
+        self.last_band = np.full((len(self.bands), paths), -1, dtype=np.int64)
+        self.last_sign = np.zeros(paths, dtype=np.int64)
+        # (step, zero hits, sign changes, band hits) at each checkpoint
+        self.snapshots: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def _snapshot(self, at: int, zeros, changes, band_hits) -> None:
+        self.snapshots.append((at, self.zero_hits + zeros, self.sign_changes + changes,
+                               self.band_hits + band_hits))
 
     def update(self, pos: int, s: np.ndarray, at_checkpoint: bool) -> bool:
+        """Step-path update of a one-path tally: S at steps pos, pos+1, ..."""
         abs_s = np.abs(s) if self.need_abs else None
         zmask = s == 0 if self.integer else abs_s <= self.zero_tol
         zeros = int(np.count_nonzero(zmask))
-        last_zero = None
+        last_zero = -1
         if zeros:
             self.zero_hits += zeros
             if self.full:
-                last_zero = self.last_zero = self.first + pos + _last_true(zmask)
-        for c in self.bands:
+                last_zero = self.first + pos + _last_true(zmask)
+                self.last_zero[0] = last_zero
+        for b, c in enumerate(self.bands):
             if self.integer and c == 0:
                 hits, last = zeros, last_zero
             else:
                 bmask = abs_s <= c
                 hits = int(np.count_nonzero(bmask))
-                last = self.first + pos + _last_true(bmask) if hits and self.full else None
+                last = self.first + pos + _last_true(bmask) if hits and self.full else -1
             if hits:
-                self.band_hits[c] += hits
-                self.last_band[c] = last
+                self.band_hits[b] += hits
+                self.last_band[b] = last
         # sign changes among the nonzero S; a zero never counts as a sign
         live = s[~zmask] if zeros else s
         if live.size:
             up = live > 0
-            if self.last_sign and (1 if up[0] else -1) != self.last_sign:
+            if self.last_sign[0] and (1 if up[0] else -1) != self.last_sign[0]:
                 self.sign_changes += 1
             self.sign_changes += int(np.count_nonzero(up[1:] != up[:-1]))
-            self.last_sign = 1 if up[-1] else -1
+            self.last_sign[0] = 1 if up[-1] else -1
         if self.full:
             top = abs_s.max() if abs_s is not None else max(s.max(), -s.min())
-            self.max_abs = max(self.max_abs, float(top))
-            self.final = float(s[-1])
+            self.max_abs[0] = max(self.max_abs[0], float(top))
+            self.final[0] = float(s[-1])
         if at_checkpoint:
-            self.snapshots.append(CheckpointSnapshot(
-                at=self.first + pos + s.size - 1, zero_hits=self.zero_hits,
-                sign_changes=self.sign_changes, band_hits=dict(self.band_hits)))
+            self._snapshot(self.first + pos + s.size - 1, 0, 0, 0)
         return False
 
-    def update_bytes(self, kernel: _PathKernel, lo: int, codes: np.ndarray,
+    def update_bytes(self, kernel: _PathKernel, lo: int, index: np.ndarray,
                      ends: np.ndarray, cps: np.ndarray) -> bool:
         """Byte-path `update`: `ends` holds S at the last step of bytes lo,
-        lo+1, ... and `cps` the checkpoints (step counts) that fall in them.
+        lo+1, ... (one row per path), `index` their sign bytes and `cps` the
+        checkpoints (step counts) that fall in them.
 
         Only a byte that ends within its reach of the widest band (0
         included) can hold a zero, a band hit or a sign change between its
         steps, so only those are expanded.  Every other byte has the sign of
         its end throughout.  Weights are positive, so zeros are isolated and
         every byte has a nonzero step; a change between bytes sits at the
-        later byte's first nonzero step.  Events keep their exact steps and
-        snapshots count them.
+        later byte's first nonzero step.  Events are keyed row * 8k + step
+        in the chunk (k bytes per row), so each row's keys form one sorted
+        run, which snapshots and totals count.
         """
-        base = 8 * lo  # events carry steps relative to the chunk
-        abs_ends = np.abs(ends)
-        margin = kernel.reach(lo, lo + ends.size)
-        if self.widest:
-            margin += self.widest
-        near = np.flatnonzero(abs_ends <= margin)
-        s = kernel.expand(lo, near, codes, ends)
-        at = (8 * near)[:, None] + _LANES
-        zeros_at = at[s == 0]
-        events = {None: zeros_at}  # step lists: None for zeros, then each band
-        for c in self.bands:
-            events[c] = zeros_at if c == 0 else at[np.abs(s) <= c]
-        # sign changes: inside expanded bytes, skipping an isolated zero ...
-        sg = np.sign(s)
-        prev = sg[:, :-1].copy()
-        hole = prev[:, 1:] == 0
-        prev[:, 1:][hole] = sg[:, :-2][hole]
-        inner_at = at[:, 1:][sg[:, 1:] * prev < 0]
+        paths, k = ends.shape
+        span, base = 8 * k, 8 * lo
+        abs_ends = np.abs(ends, out=kernel.buffer(ends.shape))
+        near = kernel.near(lo, index, abs_ends, self.widest)
+        s = kernel.expand(lo, near, index, ends)
+        key0 = 8 * near  # the key of each expanded byte's first step
+
+        def keys(mask):  # the keys of the steps where mask holds
+            at = np.flatnonzero(mask)
+            return key0[at >> 3] + (at & 7)
+
+        zero = s == 0
+        real = kernel.steps - base
+        if real < span:  # the steps past n that pad the last byte hold no event
+            exists = (key0 % span)[:, None] + _LANES < real
+        else:
+            exists = True
+        zeros_at = keys(zero & exists)
+        events = [zeros_at] + [zeros_at if c == 0 else keys((s <= c) & (s >= -c) & exists)
+                               for c in map(math.floor, self.bands)]
+        # sign changes inside expanded bytes: zeros are isolated, so the last
+        # sign before step j is that of step j-1 or, over a zero, of step j-2
+        # (flat arrays, because short rows make numpy slow)
+        up = s > 0
+        u, z = up.ravel(), zero.ravel()
+        filled = np.zeros_like(u)  # up, and a zero takes the sign of the step before it
+        np.logical_and(z[1:], u[:-1], out=filled[1:])
+        filled |= u
+        inner = np.zeros_like(u)
+        np.not_equal(u[1:], filled[:-1], out=inner[1:])
+        inner &= ~z
+        inner = inner.reshape(-1, 8)
+        inner[:, 0] = False  # a change at a byte's first steps is counted between bytes
+        inner[:, 1] &= ~zero[:, 0]
+        inner_at = keys(inner)
         # ... and between bytes, from each byte's first and last nonzero sign
-        up = ends > 0
-        lead = sg[:, 0] == 0
-        first_up = up.copy()
-        first_up[near] = np.where(lead, sg[:, 1], sg[:, 0]) > 0
-        last_up = up
-        end_zero = sg[:, 7] == 0
+        end_up = ends > 0
+        lead = zero[:, 0]
+        first_up = end_up.copy()
+        first_up.ravel()[near] = np.where(lead, up[:, 1], up[:, 0])
+        last_up = end_up
+        end_zero = zero[:, 7]
         if end_zero.any():
-            last_up = up.copy()
-            last_up[near[end_zero]] = sg[end_zero, 6] > 0
-        between = np.flatnonzero(last_up[:-1] != first_up[1:]) + 1
-        if self.last_sign and first_up[0] != (self.last_sign > 0):
-            between = np.concatenate(([0], between))
-        first_step = np.zeros(ends.size, dtype=bool)  # a byte that opens with a zero
-        first_step[near] = lead
-        between_at = 8 * between + first_step[between]
-        self.last_sign = 1 if last_up[-1] else -1
-        if cps.size:
-            changes_at = np.sort(np.concatenate((between_at, inner_at)))
-            for cp in cps:
-                t = cp - 1 - base
-                before = {k: int(np.searchsorted(v, t, "right")) for k, v in events.items()}
-                self.snapshots.append(CheckpointSnapshot(
-                    at=self.first + int(cp) - 1, zero_hits=self.zero_hits + before[None],
-                    sign_changes=self.sign_changes + int(np.searchsorted(changes_at, t,
-                                                                         "right")),
-                    band_hits={c: self.band_hits[c] + before[c] for c in self.bands}))
-        self.sign_changes += between_at.size + inner_at.size
-        self.zero_hits += zeros_at.size
-        for c in self.bands:
-            self.band_hits[c] += events[c].size
+            last_up = end_up.copy()
+            last_up.ravel()[near[end_zero]] = up[end_zero, 6]
+        change = np.empty_like(end_up)
+        change[:, 1:] = last_up[:, :-1] != first_up[:, 1:]
+        change[:, 0] = (self.last_sign != 0) & (first_up[:, 0] != (self.last_sign > 0))
+        between = np.flatnonzero(change)
+        opens_zero = np.zeros(end_up.size, dtype=bool)  # a byte whose first step is a zero
+        opens_zero[near] = lead
+        between_at = 8 * between + opens_zero[between]
+        if real < span:
+            between_at = between_at[between_at % span < real]
+        self.last_sign = np.where(last_up[:, -1], 1, -1)
+        # per row: the events up to each checkpoint, then in the whole chunk
+        starts = np.arange(paths) * span
+        edges = starts + np.array([0] + [int(cp) - base for cp in cps] + [span])[:, None]
+
+        def count(e):  # per later edge and row: the events before it; where the last stop
+            stop = np.searchsorted(e, edges)
+            return stop[1:] - stop[0], stop[-1]
+        zeros = count(zeros_at)
+        tallies = [zeros] + [zeros if e is zeros_at else count(e) for e in events[1:]]
+        changes = count(between_at)[0] + count(inner_at)[0]
+        band_counts = np.array([n for n, _ in tallies[1:]], dtype=np.int64).reshape(
+            len(self.bands), len(edges) - 1, paths)
+        for i, cp in enumerate(cps):
+            self._snapshot(self.first + int(cp) - 1, zeros[0][i], changes[i], band_counts[:, i])
+        self.zero_hits += zeros[0][-1]
+        self.sign_changes += changes[-1]
+        self.band_hits += band_counts[:, -1]
         if self.full:
-            for c, steps in events.items():
-                if steps.size:
-                    last = self.first + base + int(steps[-1])
-                    if c is None:
-                        self.last_zero = last
-                    else:
-                        self.last_band[c] = last
+            for e, (n, stop), last in zip(events, tallies, [self.last_zero, *self.last_band]):
+                got = n[-1] > 0
+                last[got] = e[stop[got] - 1] - starts[got] + self.first + base
             # only a byte that reaches past the largest |S| at a byte end can beat it
-            top = max(int(self.max_abs), int(abs_ends.max()))
-            beat = np.flatnonzero(np.add(abs_ends, margin, out=abs_ends) > top + self.widest)
+            top = np.maximum(self.max_abs.astype(np.int64), abs_ends.max(axis=1))
+            bound = kernel.reach_bound(lo, lo + k)
+            beat = np.flatnonzero(abs_ends > (top - bound.max())[:, None])
+            beat = beat[abs_ends.ravel()[beat] + bound[beat % k] > top[beat // k]]
             if beat.size:
-                top = max(top, int(np.abs(kernel.expand(lo, beat, codes, ends)).max()))
-            self.max_abs = float(top)
-            self.final = float(ends[-1])
+                np.maximum.at(top, beat // k,
+                              np.abs(kernel.expand(lo, beat, index, ends)).max(axis=1))
+            self.max_abs = top.astype(np.float64)
+            self.final = ends[:, -1].astype(np.float64)
         return False
 
     def stats(self, horizon: int, steps: int) -> PathStats:
-        return PathStats(horizon=horizon, steps=steps, zero_hits=self.zero_hits,
-                         sign_changes=self.sign_changes, last_zero_hit=self.last_zero,
-                         max_abs=self.max_abs, final_value=self.final,
-                         band_hits=self.band_hits, last_band_hit=self.last_band,
-                         checkpoints=self.snapshots)
+        """The `PathStats` of a one-path tally."""
+        def step(v):
+            return None if v < 0 else int(v)
+        return PathStats(
+            horizon=horizon, steps=steps, zero_hits=int(self.zero_hits[0]),
+            sign_changes=int(self.sign_changes[0]), last_zero_hit=step(self.last_zero[0]),
+            max_abs=float(self.max_abs[0]), final_value=float(self.final[0]),
+            band_hits={c: int(h[0]) for c, h in zip(self.bands, self.band_hits)},
+            last_band_hit={c: step(h[0]) for c, h in zip(self.bands, self.last_band)},
+            checkpoints=[CheckpointSnapshot(
+                at=at, zero_hits=int(z[0]), sign_changes=int(ch[0]),
+                band_hits={c: int(h[0]) for c, h in zip(self.bands, hits)})
+                for at, z, ch, hits in self.snapshots])
 
-    def row(self) -> list[float]:
-        """Flat layout read by the experiment aggregators."""
-        row = [self.zero_hits, self.sign_changes,
-               -1 if self.last_zero is None else self.last_zero,
-               self.max_abs, self.final]
-        for c in self.bands:
-            row.append(self.band_hits[c])
-            lb = self.last_band[c]
-            row.append(-1 if lb is None else lb)
-        for snap in self.snapshots:
-            row.append(snap.zero_hits)
-            row.append(snap.sign_changes)
-            row.extend(snap.band_hits.values())
-        return row
+    def columns(self) -> np.ndarray:
+        """One row per path, in the flat layout the experiment aggregators read."""
+        cols = [self.zero_hits, self.sign_changes, self.last_zero, self.max_abs, self.final]
+        for hits, last in zip(self.band_hits, self.last_band):
+            cols += [hits, last]
+        for _, zeros, changes, hits in self.snapshots:
+            cols += [zeros, changes, *hits]
+        return np.stack(cols, axis=1).astype(np.float64)
 
 
 class _GrowthTest:
     """Reducer: does |S(m)| exceed threshold[m] at every step of the window?
 
-    Set ``ok`` back to True to test the next path with the same kernel.
+    `ok` holds one flag per path; set it to a fresh all-True array to test
+    the next paths with the same kernel.
     """
 
     def __init__(self, window_start: int, thresholds: np.ndarray):
         self.window_start = window_start
         self.thresholds = thresholds
-        self.ok = True
+        self.ok = np.ones(1, dtype=bool)
         self._tops: dict[int, int] = {}  # chunk -> its largest threshold, rounded up
 
     def update(self, pos: int, s: np.ndarray, at_checkpoint: bool) -> bool:
@@ -624,30 +761,32 @@ class _GrowthTest:
             return False
         a = max(self.window_start, pos)
         if np.any(np.abs(s[a - pos:]) <= self.thresholds[a:end]):
-            self.ok = False
+            self.ok[0] = False
             return True  # the rest of the path cannot change the verdict
         return False
 
-    def update_bytes(self, kernel: _PathKernel, lo: int, codes: np.ndarray,
+    def update_bytes(self, kernel: _PathKernel, lo: int, index: np.ndarray,
                      ends: np.ndarray, cps: np.ndarray) -> bool:
         """Byte-path `update`: only a byte that ends within its reach plus its
         largest threshold in the chunk can hold a failing step, so only those
         are expanded."""
-        hi = lo + ends.size
+        k = ends.shape[1]
         start = max(lo, self.window_start // 8)
-        if start >= hi:
+        if start >= lo + k:
             return False
         if lo not in self._tops:
-            self._tops[lo] = math.ceil(self.thresholds[8 * start:8 * hi].max())
-        near = np.flatnonzero(np.abs(ends[start - lo:])
-                              <= kernel.reach(start, hi) + self._tops[lo])
-        near += start - lo
+            self._tops[lo] = math.ceil(self.thresholds[8 * start:8 * (lo + k)].max())
+        near = kernel.near(lo, index, np.abs(ends, out=kernel.buffer(ends.shape)),
+                           self._tops[lo])
+        near = near[near % k >= start - lo]
         if near.size:
-            at = (8 * (lo + near))[:, None] + _LANES
-            s = kernel.expand(lo, near, codes, ends)
-            if np.any((np.abs(s) <= self.thresholds[at]) & (at >= self.window_start)):
-                self.ok = False
-                return True
+            row = near // k
+            # a padded step stands for step n, whose S it repeats
+            step = np.minimum((8 * (lo + near % k))[:, None] + _LANES, kernel.steps - 1)
+            s = kernel.expand(lo, near, index, ends)
+            fail = (np.abs(s) <= self.thresholds[step]) & (step >= self.window_start)
+            self.ok[row[fail.any(axis=1)]] = False
+            return not self.ok.any()
         return False
 
 
@@ -690,7 +829,8 @@ _CTX: dict = {}
 
 
 def _init_worker(kind, spec, horizon, seed, bands, zero_tol, checkpoints, extra):
-    """Per-process state: the kernel, one bit stream and the row reducer of `kind`.
+    """Per-process state: the kernel, one bit stream and, for `kind`, the
+    reducer of a pass over some paths and the columns it gives them.
 
     Each worker builds its own weights, byte tables and growth thresholds
     after the fork; built once in the parent, they would stay resident there
@@ -698,44 +838,59 @@ def _init_worker(kind, spec, horizon, seed, bands, zero_tol, checkpoints, extra)
     _CTX.clear()
     first = spec.first_index
     kernel = _PathKernel(_weights_for(spec, horizon), [c - first + 1 for c in checkpoints])
-    stream = _BitStream()
     if kind in ("stats", "counts"):
-        def row():
-            tally = _PathTally(first, kernel.integer, bands, zero_tol, full=kind == "stats")
-            kernel.run(stream, tally)
-            return tally.row()
+        def reducer(paths):
+            return _PathTally(first, kernel.integer, bands, zero_tol, full=kind == "stats",
+                              paths=paths)
+
+        def columns(tally, last):
+            return tally.columns()
     elif kind == "growth":
         window_start, exponent = extra
         thresholds = np.arange(first, horizon + 1, dtype=np.float64)
         thresholds **= exponent  # in place: one array of n floats, not two
         test = _GrowthTest(window_start, thresholds)
 
-        def row():
-            test.ok = True
-            kernel.run(stream, test)
-            return [1.0 if test.ok else 0.0]
+        def reducer(paths):
+            test.ok = np.ones(paths, dtype=bool)
+            return test
+
+        def columns(test, last):
+            return test.ok[:, None].astype(np.float64)
     else:  # "final": the value S(n) alone
-        def row():
-            return [float(kernel.run(stream))]
-    _CTX.update(seed=seed, steps=kernel.steps, stream=stream, row=row)
+        def reducer(paths):
+            return None
+
+        def columns(_, last):
+            return last[:, None].astype(np.float64)
+    _CTX.update(seed=seed, kernel=kernel, stream=_BitStream(), reducer=reducer,
+                columns=columns)
 
 
 def _path_block(block: tuple[int, int]) -> np.ndarray:
+    """The columns of paths lo..hi-1, `paths_per_pass` of them per pass."""
     lo, hi = block
-    seed, steps, stream, row = _CTX["seed"], _CTX["steps"], _CTX["stream"], _CTX["row"]
+    seed, kernel, stream = _CTX["seed"], _CTX["kernel"], _CTX["stream"]
+    per_pass = kernel.paths_per_pass
     out = []
-    for p in range(lo, hi):
-        stream.start(seed, p, steps)
-        out.append(row())
-    return np.asarray(out, dtype=np.float64)
+    for a in range(lo, hi, per_pass):
+        paths = range(a, min(a + per_pass, hi))
+        reducer = _CTX["reducer"](len(paths))
+        if per_pass > 1:
+            last = kernel.run_rows(stream.rows(seed, paths, kernel.steps), reducer)
+        else:
+            stream.start(seed, a, kernel.steps)
+            last = kernel.run(stream, reducer)
+        out.append(_CTX["columns"](reducer, last))
+    return np.concatenate(out, axis=0)
 
 
 def _run_blocks(kind: str, spec: SequenceSpec, horizon: int, paths: int, seed: int,
                 bands, zero_tol, checkpoints, extra, threads: int | None) -> np.ndarray:
     """Run the per-path kernel over fixed path blocks; row order is path order.
 
-    `kind` picks the reducer: "stats" (`_PathTally.row`), "counts" (the same
-    row with only its counts filled in), "growth" (one 0/1 flag per path) or
+    `kind` picks the reducer: "stats" (`_PathTally.columns`), "counts" (the
+    same columns with only the counts filled in), "growth" (one 0/1 flag per path) or
     "final" (S(n) per path).  The pool forks, so the workers inherit the spec
     object itself (any spec, a callable block rule included); nothing is
     pickled.

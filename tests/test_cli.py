@@ -87,6 +87,9 @@ def test_tolerance_exit_code(tmp_path):
     from awalk.sequences import Linear
     with pytest.raises(ToleranceError):
         point_mass_fourier(Linear(), 60, 0, abs_tol=1e-18, max_nodes=2000)
+    # splitting toward the full 2*10^6-node budget ends within seconds
+    assert run(["fourier", "--spec", "linear", "--n", "5", "--z", "1",
+                "--tol", "1e-300", "--out", "g.csv"], tmp_path) == 4
 
 
 def test_tolerance_must_be_finite_and_positive(tmp_path, capsys):
@@ -245,6 +248,11 @@ def test_config_supplies_defaults(tmp_path):
     ({"defaults": [1]}, "key 'defaults' must map flags to values"),
     ({"defaults": {"n": "abc"}}, "key 'n': invalid literal for int()"),
     ({"simulate": {"bands": "0,x"}}, "key 'bands': could not convert string to float"),
+    ({"simulate": {"bands": 5}}, "key 'bands': expected a string, got 5"),
+    ({"defaults": {"n": 8.5}}, "key 'n': expected an integer or a string, got 8.5"),
+    ({"defaults": {"seed": True}}, "key 'seed': expected an integer or a string, got true"),
+    ({"simulate": {"zero-tol": [0]}}, "key 'zero-tol': expected a number or a string, got [0]"),
+    ({"simulate": {"force": "yes"}}, "key 'force': expected true or false, got \"yes\""),
 ])
 def test_bad_config_is_a_precondition_error(config, named, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -166,3 +166,62 @@ def test_adaptive_integral_polynomial_and_peak():
     res = fourier.adaptive_integral(lambda x: np.exp(-(x * 1000.0) ** 2), 0.0, 1.0,
                                     abs_tol=1e-12, breakpoints=[1e-4, 1e-3, 1e-2])
     assert res.value == pytest.approx(math.sqrt(math.pi) / 2000.0, rel=1e-8)
+
+
+def _adaptive_integral_reference(f, lo, hi, *, abs_tol=1e-12, rel_tol=0.0, breakpoints=(),
+                                 max_nodes=2_000_000):
+    """The panel loop before the heap: a max and a list.remove over all panels
+    and two math.fsum calls per split."""
+    order = fourier._CC_ORDER
+    pts = sorted({lo, hi, *(p for p in breakpoints if lo < p < hi)})
+    max_panels = max(1, max_nodes // (2 * (order + 1)))
+    if len(pts) - 1 > max_panels:
+        step = -(-(len(pts) - 1) // max_panels)
+        pts = pts[::step] + ([hi] if pts[::step][-1] != hi else [])
+    panels = [fourier._eval_panel(f, a, b) for a, b in zip(pts, pts[1:])]
+    nodes = (order + 1) * len(panels)
+    min_width = (hi - lo) * 1e-14
+    while True:
+        total = math.fsum(p.value for p in panels)
+        err = math.fsum(p.error for p in panels)
+        if err <= max(abs_tol, rel_tol * abs(total)):
+            break
+        splittable = [p for p in panels if p.hi - p.lo > min_width]
+        if not splittable or nodes + 2 * (order + 1) > max_nodes:
+            raise ToleranceError("budget", best_value=total, achieved_estimate=err, nodes=nodes)
+        worst = max(splittable, key=lambda p: (p.error, -p.lo))
+        panels.remove(worst)
+        mid = 0.5 * (worst.lo + worst.hi)
+        panels.append(fourier._eval_panel(f, worst.lo, mid))
+        panels.append(fourier._eval_panel(f, mid, worst.hi))
+        nodes += 2 * (order + 1)
+    panels.sort(key=lambda p: p.lo)
+    return fourier.QuadratureResult(
+        value=math.fsum(p.value for p in panels), abs_error_estimate=math.fsum(
+            p.error for p in panels), nodes=nodes, scheme="adaptive-panel", domain=(lo, hi))
+
+
+def _cosine_integrand(weights, z):
+    return lambda t: np.cos(t * z) * np.prod([np.cos(t * w) for w in weights], axis=0)
+
+
+@pytest.mark.parametrize("f, lo, hi, breakpoints", [
+    (lambda x: x ** 4, 0.0, 1.0, ()),
+    (lambda x: np.exp(-(x * 1000.0) ** 2), 0.0, 1.0, [1e-4, 1e-3, 1e-2]),
+    (lambda x: np.abs(np.sin(7 * x)) * np.exp(-x), -1.0, 3.0, [0.5]),
+    (_cosine_integrand(range(1, 9), 2), 0.0, math.pi, np.linspace(0, math.pi, 9)[1:-1]),
+    (_cosine_integrand([1, 1, 2, 3, 5, 8, 13, 21], 1), 0.0, math.pi, ()),
+])
+@pytest.mark.parametrize("abs_tol, max_nodes", [(1e-6, 2_000_000), (1e-13, 2_000_000),
+                                                (1e-300, 20_000)])
+def test_adaptive_integral_matches_the_panel_list_loop(f, lo, hi, breakpoints, abs_tol,
+                                                       max_nodes):
+    # the heap picks the same panel as max(key=(error, -lo)), and the exact
+    # totals equal math.fsum, so every stopping decision and result agree
+    def outcome(integrate):
+        try:
+            return integrate(f, lo, hi, abs_tol=abs_tol, breakpoints=breakpoints,
+                             max_nodes=max_nodes)
+        except ToleranceError as exc:
+            return ("tolerance", exc.best_value, exc.achieved_estimate, exc.nodes)
+    assert outcome(fourier.adaptive_integral) == outcome(_adaptive_integral_reference)

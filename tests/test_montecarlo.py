@@ -155,6 +155,99 @@ def test_integer_kernel_matches_step_loop(text, signs, bands, offsets):
                 for c in got.checkpoints] == want[7], bytewise
 
 
+def _step_loop_columns(spec, signs, bands, checkpoints, full):
+    """`_step_loop_stats` in the flat layout of `_PathTally.columns`."""
+    zeros, changes, last_zero, max_abs, final, hits, last, snaps = _step_loop_stats(
+        spec, signs, bands, checkpoints)
+    none = -1
+    row = [zeros, changes, last_zero if full and last_zero is not None else none,
+           max_abs if full else 0.0, final if full else 0.0]
+    for c in bands:
+        row += [hits[c], last[c] if full and last[c] is not None else none]
+    for _, z, ch, h in snaps:
+        row += [z, ch, *(h[c] for c in bands)]
+    return row
+
+
+@settings(max_examples=150, deadline=None)
+@given(strategies.sampled_from(_INTEGER_SPECS), strategies.integers(1, 2000),
+       strategies.lists(strategies.integers(0, 2 ** 32 - 1), min_size=1, max_size=5),
+       strategies.lists(strategies.sampled_from([0, 1, 2.5, 7]), max_size=3, unique=True),
+       # checkpoints anywhere, on a byte's last step and on the step after it
+       strategies.lists(strategies.one_of(strategies.integers(0, 1999),
+                                          strategies.integers(1, 250).map(lambda b: 8 * b - 1),
+                                          strategies.integers(0, 249).map(lambda b: 8 * b)),
+                        max_size=5),
+       strategies.booleans(), strategies.sampled_from([0.05, 0.25, 0.45]))
+def test_block_pass_matches_single_paths(text, length, seeds, bands, offsets, full, exponent):
+    # R paths walked together as one (paths, sign bytes) array give, row by
+    # row, what R single paths give through the Python step loop
+    spec = parse_spec(text)
+    first = spec.first_index
+    weights = mc._weights_for(spec, first + length - 1)
+    paths = [_sign_runs(length, seed) for seed in seeds]
+    codes = np.stack([np.packbits(np.array(p) > 0, bitorder="little") for p in paths])
+    checkpoints = sorted({first + o % length for o in offsets})
+    kernel = mc._PathKernel(weights, [c - first + 1 for c in checkpoints])
+    assert kernel.bytewise
+    tally = mc._PathTally(first, True, bands, 1e-9, full=full, paths=len(paths))
+    last = kernel.run_rows(codes, tally)
+    assert tally.columns().tolist() == [
+        _step_loop_columns(spec, p, bands, set(checkpoints), full) for p in paths]
+    assert last.tolist() == [int(np.dot(weights, p)) for p in paths]
+    assert kernel.run_rows(codes).tolist() == last.tolist()  # the S(n) sum alone
+    window = length // 3
+    thresholds = np.arange(first, first + length, dtype=np.float64) ** exponent
+    test = mc._GrowthTest(window, thresholds)
+    test.ok = np.ones(len(paths), dtype=bool)
+    kernel.run_rows(codes, test)
+    assert test.ok.tolist() == [
+        bool(np.all(np.abs(np.cumsum(weights * p)[window:]) > thresholds[window:]))
+        for p in map(np.array, paths)]
+
+
+def test_reach_tables_bound_every_suffix():
+    # A[c] and B[c] are the largest |x_{j+1} + ... + x_7| and
+    # |(j+1) x_{j+1} + ... + 7 x_7| over the steps j of sign byte c
+    for c in range(256):
+        x = [1 if c >> j & 1 else -1 for j in range(8)]
+        suffix = [sum(x[j + 1:]) for j in range(8)]
+        moment = [sum(i * x[i] for i in range(j + 1, 8)) for j in range(8)]
+        assert mc._REACH_SUM[c] == max(map(abs, suffix)), c
+        assert mc._REACH_MOMENT[c] == max(map(abs, moment)), c
+        # so S at any step of an affine byte lies within the reach of its end
+        for w0, delta in ((1, 0), (5, 1), (3, 2), (30, -3), (8, -1)):
+            w = [w0 + j * delta for j in range(8)]
+            s = np.cumsum([wj * xj for wj, xj in zip(w, x)])
+            assert max(abs(s - s[-1])) <= w0 * mc._REACH_SUM[c] + abs(delta) * mc._REACH_MOMENT[c]
+
+
+@pytest.mark.parametrize("kind", ["stats", "counts", "growth", "final"])
+def test_path_blocks_match_step_path_runs(kind, monkeypatch):
+    # real Philox streams: 70 paths (a 64-path unit of three passes and a
+    # unit of 6) of 1003 steps, against each path on its own through the step path
+    monkeypatch.setenv("AWALK_THREADS", "1")
+    spec, n, paths, seed = parse_spec("powfloor:0.5"), 1003, 70, 17
+    bands, cps = [0.0, 2.5], [8, 9, 500, 1003]
+    extra = (100, 0.3) if kind == "growth" else None
+    rows = mc._run_blocks(kind, spec, n, paths, seed, bands, 1e-9, cps, extra, None)
+    weights = mc._weights_for(spec, n)
+    kernel = mc._PathKernel(weights, cps, bytewise=False)
+    stream = mc._BitStream()
+    for p in range(paths):
+        stream.start(seed, p, n)
+        if kind == "growth":
+            reducer = mc._GrowthTest(100, np.arange(1, n + 1, dtype=np.float64) ** 0.3)
+        elif kind != "final":
+            reducer = mc._PathTally(1, True, bands, 1e-9, full=kind == "stats")
+        else:
+            reducer = None
+        last = kernel.run(stream, reducer)
+        want = (reducer.columns()[0] if kind in ("stats", "counts")
+                else reducer.ok.astype(float) if kind == "growth" else last.astype(float))
+        assert rows[p].tolist() == want.tolist(), p
+
+
 def test_byte_path_places_change_at_first_nonzero_step():
     # powfloor:0.5 weights 1,1,1,2,2,2,2,2 | 3,3,...: S(8) = 3, S(9) = 0, S(10) = -3,
     # so the change between the two bytes happens at index 10, after checkpoint 9
@@ -164,6 +257,12 @@ def test_byte_path_places_change_at_first_nonzero_step():
                             checkpoints=(9, 10), bytewise=bytewise)
         assert [(c.at, c.zero_hits, c.sign_changes) for c in st.checkpoints] == \
             [(9, 2, 3), (10, 2, 4)]
+        # ending at that zero, the walk's last byte holds one step: the seven
+        # steps that pad it repeat S(9) = 0 and count neither as zeros nor as a change
+        st = simulate_signs(PowerFloor(0.5), np.array(signs[:9], dtype=np.int8), bands=(0, 1),
+                            bytewise=bytewise)
+        assert (st.zero_hits, st.sign_changes, st.band_hits, st.last_zero_hit) == \
+            (2, 3, {0: 2, 1: 7}, 9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -209,7 +308,8 @@ def test_byte_path_spans_chunks_of_a_philox_stream(text):
         kernel.run(mc._BitStream(rng, n), tally)
         test = mc._GrowthTest(window, thresholds)
         kernel.run(mc._BitStream(rng, n), test)
-        results.append((tally.row(), test.ok, kernel.run(mc._BitStream(rng, n))))
+        results.append((tally.columns().tolist(), test.ok.tolist(),
+                        kernel.run(mc._BitStream(rng, n)).tolist()))
     assert results[0] == results[1]
     assert mc.simulate(spec, n, rng, (0, 2, 2.5)) == simulate_signs(
         spec, mc._BitStream(rng, n).take(n - first + 1).astype(np.int8) * 2 - 1, (0, 2, 2.5))
@@ -231,6 +331,13 @@ def test_truncated_refill_reads_the_same_bits():
     for p in (3, 0, 3):
         stream.start(21, p, 100)
         assert np.array_equal(stream.take(100), mc._BitStream(mc.RngSpec(21, p)).take(100))
+    # and `rows` reads the sign bytes of several short paths, one row each
+    for nbits in (1, 200, 1003, 1 << 16):
+        rows = stream.rows(21, range(2, 5), nbits)
+        assert rows.shape == (3, -(-nbits // 8))
+        for row, p in zip(rows, range(2, 5)):
+            assert np.array_equal(row, mc._BitStream(mc.RngSpec(21, p), nbits).take_bytes(
+                -(-nbits // 8)))
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
