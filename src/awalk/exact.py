@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_CELLS = 50_000_000
+# The band DP refuses to start when its buffer is predicted to need more
+# bytes than this (see `_cell_bytes`).
+MAX_BUFFER_BYTES = 2 << 30
 # Mode "auto" uses exact rationals while the denominator 2^steps stays below
 # this many decimal digits; beyond it the band DP runs on 256-bit floats.
 DIGIT_BUDGET = 5000
@@ -168,6 +172,11 @@ def _band_masses(weights: list[int], band: int | float | None, absorb: bool, one
     if span > max_cells:
         raise ResourceError(f"band DP needs {span} lattice cells (budget {max_cells})",
                             required=span, budget=max_cells)
+    need = span * _cell_bytes(one, len(weights))
+    if need > MAX_BUFFER_BYTES:
+        raise ResourceError(f"band DP needs about {need} bytes for {span} lattice cells "
+                            f"(budget {MAX_BUFFER_BYTES})",
+                            required=need, budget=MAX_BUFFER_BYTES)
     zero = one - one
     buf = np.full(span, zero, dtype=object)
     buf[0] = one
@@ -185,6 +194,20 @@ def _band_masses(weights: list[int], band: int | float | None, absorb: bool, one
             if absorb:
                 buf[jlo:jhi] = zero
     return masses, buf
+
+
+def _cell_bytes(one, steps: int) -> int:
+    """Predicted bytes of one band-DP cell after ``steps`` weights: the
+    buffer's pointer and a count of up to steps + 1 bits, or a 256-bit mpf
+    (its object, its tuple, a mantissa and an exponent)."""
+    if isinstance(one, int):
+        return 8 + _int_bytes(steps + 1)
+    return 8 + sys.getsizeof(one) + sys.getsizeof(one._mpf_) + 2 * _int_bytes(256)
+
+
+def _int_bytes(bits: int) -> int:
+    """Size of a CPython int of ``bits`` bits."""
+    return int.__basicsize__ + int.__itemsize__ * -(-bits // sys.int_info.bits_per_digit)
 
 
 def _band_slice(offset: int, length: int, band: int | float) -> tuple[int, int]:
@@ -339,45 +362,85 @@ def dominance_check(tail_weights: Sequence[float], start: float,
     walk to -r with r = ceil(start / a_1).  Both survival functions are
     counted over all 2^H sign vectors.
     """
-    weights = [float(w) for w in tail_weights]
-    if not weights or any(w <= 0 for w in weights):
+    weights = _descent_weights([[float(w) for w in tail_weights]])
+    _check_start(start)
+    h = weights.shape[1] if horizon is None else int(horizon)
+    if h != weights.shape[1]:
+        raise PreconditionError(f"horizon {h} must match weight count {weights.shape[1]}")
+    (r,), (surv_w,), (surv_u,) = _descent_survivals(weights, [start])
+    total = 1 << h
+    violation = _first_violation(surv_w[0], surv_u[0])
+    return DominanceReport(r=r[0], horizon=h, start=float(start),
+                           survival_weighted=[Fraction(c, total) for c in surv_w[0]],
+                           survival_unit=[Fraction(c, total) for c in surv_u[0]],
+                           passed=violation is None, first_violation=violation)
+
+
+_CORE_ENTRIES = 1 << 17  # entries per temporary of the descent core (1 MB of float64)
+
+
+def _descent_weights(lists) -> np.ndarray:
+    """Weight lists of one length as a float64 array, checked for the descent
+    core: non-empty, positive and non-decreasing."""
+    weights = np.asarray(lists, dtype=np.float64)
+    if weights.shape[1] == 0 or np.any(weights <= 0):
         raise PreconditionError("tail weights must be positive")
-    if any(a > b for a, b in zip(weights, weights[1:])):
+    if np.any(weights[:, :-1] > weights[:, 1:]):
         raise PreconditionError("tail weights must be non-decreasing")
+    return weights
+
+
+def _check_start(start: float) -> None:
     if start <= 0:
         raise DomainError(f"start must be positive, got {start}")
-    h = len(weights) if horizon is None else int(horizon)
-    if h != len(weights):
-        raise PreconditionError(f"horizon {h} must match weight count {len(weights)}")
+
+
+def _descent_survivals(weights: np.ndarray, starts: Sequence[float]):
+    """(r, weighted counts, unit counts) for every row of ``weights`` (as
+    checked by `_descent_weights`, of length h) and every start: r[i][k] =
+    ceil(start_k / a_1), and the counts of sign vectors with tau > j and with
+    tau~ > j for j = 0..h, as nested lists indexed [row][start][j].  The
+    starts must be positive (`_check_start`).
+
+    tau > j when start + C_i > 0 for every i <= j, C_i the partial sums of
+    the signed weights.  A rounded sum keeps the sign of the exact one, so
+    that is min_{i<=j} C_i > -start, and one running minimum serves every
+    start.  Sign vectors go in chunks and weight rows in groups, so that no
+    temporary holds more than about _CORE_ENTRIES entries.
+    """
+    rows, h = weights.shape
     if h > 24:
         raise ResourceError(f"exhaustive enumeration capped at 24 steps, got {h}",
                             required=h, budget=24)
-    r = math.ceil(start / weights[0])
+    r = [[math.ceil(a / w) for a in starts] for w in weights[:, 0].tolist()]
+    # a unit walk never reaches below -h, so every r > h counts alike
+    capped = np.array([[min(x, h + 1) for x in row] for row in r], dtype=np.int64)
+    levels = np.unique(capped)
+    weighted = np.zeros((rows, len(starts), h + 1), dtype=np.int64)
+    unit = np.zeros((levels.size, h + 1), dtype=np.int64)
+    weighted[..., 0] = unit[:, 0] = 1 << h
+    per_chunk = min(1 << h, max(1, _CORE_ENTRIES // h))  # sign vectors
+    per_group = max(1, _CORE_ENTRIES // (per_chunk * h))  # weight rows
+    shifts = np.arange(h, dtype=np.uint64)
+    for lo in range(0, 1 << h, per_chunk):
+        codes = np.arange(lo, min(lo + per_chunk, 1 << h), dtype=np.uint64)
+        signs = (((codes[:, None] >> shifts) & 1) * 2 - 1).astype(np.int8)
+        low = np.cumsum(signs, axis=1, dtype=np.int64)
+        np.minimum.accumulate(low, axis=1, out=low)
+        for i, level in enumerate(levels.tolist()):
+            unit[i, 1:] += np.count_nonzero(low > -level, axis=0)
+        for g in range(0, rows, per_group):
+            c = signs * weights[g:g + per_group, None, :]
+            np.cumsum(c, axis=2, out=c)
+            # fmin skips the nan of inf - inf, which a walk never counts as a hit
+            np.fmin.accumulate(c, axis=2, out=c)
+            for k, a in enumerate(starts):
+                weighted[g:g + per_group, k, 1:] += np.count_nonzero(c > -a, axis=1)
+    return r, weighted.tolist(), unit[np.searchsorted(levels, capped)].tolist()
 
-    total = 1 << h
-    fp_w = np.full(total, h + 1, dtype=np.int64)   # first j with S <= 0
-    fp_u = np.full(total, h + 1, dtype=np.int64)   # first j with T <= -r
-    w_arr = np.asarray(weights, dtype=np.float64)
-    chunk = 1 << 18
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        codes = np.arange(lo, hi, dtype=np.uint64)
-        signs = (((codes[:, None] >> np.arange(h, dtype=np.uint64)) & 1) * 2 - 1).astype(np.int8)
-        s = start + np.cumsum(signs * w_arr, axis=1)
-        t = np.cumsum(signs, axis=1, dtype=np.int64)
-        hit_w = s <= 0.0
-        hit_u = t <= -r
-        any_w = hit_w.any(axis=1)
-        any_u = hit_u.any(axis=1)
-        fp_w[lo:hi][any_w] = np.argmax(hit_w[any_w], axis=1) + 1
-        fp_u[lo:hi][any_u] = np.argmax(hit_u[any_u], axis=1) + 1
 
-    surv_w = [Fraction(int(np.count_nonzero(fp_w > j)), total) for j in range(h + 1)]
-    surv_u = [Fraction(int(np.count_nonzero(fp_u > j)), total) for j in range(h + 1)]
-    violation = next((j for j in range(h + 1) if surv_w[j] > surv_u[j]), None)
-    return DominanceReport(r=r, horizon=h, start=float(start),
-                           survival_weighted=surv_w, survival_unit=surv_u,
-                           passed=violation is None, first_violation=violation)
+def _first_violation(surv_w: list[int], surv_u: list[int]) -> int | None:
+    return next((j for j, (w, u) in enumerate(zip(surv_w, surv_u)) if w > u), None)
 
 
 @dataclass

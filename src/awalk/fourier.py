@@ -13,6 +13,13 @@ total oscillation frequency sum a_k; the worst panel is then split until the
 summed error estimate meets tolerance.  Panel values and error estimates
 are summed exactly and rounded once, so the value is a deterministic
 function of the panel set.
+
+Meshes are evaluated in batches: the whole initial mesh goes to the
+integrand in one call, as a (panels, 33) node array, and so do the two
+halves of each split.  Batching changes no bit of any panel: each panel
+still takes its own two dot products for its value and error estimate,
+and `CosineProfile` its own matrix-vector product, so the same panels
+split as when every panel was one call.
 """
 
 from __future__ import annotations
@@ -25,15 +32,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ToleranceError
-from .sequences import SequenceSpec, prefix_sum_squares
+from .sequences import SequenceSpec
 
 __all__ = [
     "QuadratureResult",
-    "SignedLogValue",
     "CosineProfile",
     "SullivanReport",
     "TransienceReport",
-    "cosine_product",
     "point_mass_fourier",
     "abs_integral",
     "sullivan_constant_estimate",
@@ -41,21 +46,7 @@ __all__ = [
     "adaptive_integral",
 ]
 
-_EVAL_CHUNK = 1 << 21  # max t-by-value matrix entries per integrand batch
-
-
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number stored as sign and log-magnitude (log 0 = -inf)."""
-
-    sign: int
-    log_abs: float
-
-    @property
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_abs)
+_EVAL_CHUNK = 1 << 15  # node-by-value entries evaluated at a time (256 KB)
 
 
 class CosineProfile:
@@ -63,7 +54,18 @@ class CosineProfile:
 
     For block-structured sequences the number of distinct values is far below
     the number of terms, so prod_k cos(t*a_k) collapses to a weighted sum of
-    log|cos(t*v)| over distinct v.
+    log|cos(t*v)| over distinct v.  The spec's value runs are built once;
+    the profile keeps the sum of squares and the total frequency sum a_k
+    that size the quadrature mesh.
+
+    Nodes are evaluated in place, in chunks of at most _EVAL_CHUNK
+    node-by-value entries (but at least one panel).  A node array of two or
+    more dimensions holds one panel per row of its last axis, and each panel
+    keeps its own matrix-vector product over the values: BLAS sums a row in
+    an order that can depend on how many rows the product has, so one
+    product over a whole chunk moves the last bit of some node values (2 of
+    41,844 for `linear` n=100), and with them which panels split.  A 1-D
+    array is cut into products of at most _EVAL_CHUNK entries.
     """
 
     def __init__(self, spec: SequenceSpec, n: int):
@@ -72,21 +74,38 @@ class CosineProfile:
             raise DomainError(f"{spec.canonical()} has no terms up to {n}")
         self.values = np.asarray([float(v) for v, _ in runs], dtype=np.float64)
         self.mults = np.asarray([float(c) for _, c in runs], dtype=np.float64)
-        self.odd_mults = np.asarray([c & 1 for _, c in runs], dtype=np.int64)
+        self.odd = np.flatnonzero([c & 1 for _, c in runs])  # columns that flip the sign
+        if spec.is_integer_valued:
+            self.sum_squares = float(sum(int(v) * int(v) * int(c) for v, c in runs))
+        else:  # the float squares summed exactly, rounded once
+            self.sum_squares = sum(_fixed(float(v) * float(v)) * c
+                                   for v, c in runs) / _FIXED_ONE
+        self.total_freq = float(sum(v * c for v, c in runs))
 
-    def log_abs_and_parity(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sum of m_v*log|cos(t v)|, parity of negative factors) per node."""
+    def log_abs_and_parity(self, t: np.ndarray, parity: bool = True
+                           ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(sum of m_v*log|cos(t v)|, parity of negative factors) per node;
+        the parity is None when not asked for."""
         t = np.asarray(t, dtype=np.float64)
-        out_log = np.empty(t.shape, dtype=np.float64)
-        out_par = np.empty(t.shape, dtype=np.int64)
-        step = max(1, _EVAL_CHUNK // max(1, self.values.size))
-        for lo in range(0, t.size, step):
-            hi = min(lo + step, t.size)
-            c = np.cos(np.multiply.outer(t[lo:hi], self.values))
+        flat = t.reshape(-1)
+        size = self.values.size
+        width = max(1, t.shape[-1] if t.ndim > 1 else _EVAL_CHUNK // size)  # nodes per product
+        step = width * max(1, _EVAL_CHUNK // (width * size))  # nodes per chunk
+        buf = np.empty((min(step, flat.size), size))
+        out_log = np.empty(flat.size)
+        out_par = np.empty(flat.size, dtype=np.int64) if parity else None
+        for lo in range(0, flat.size, step):
+            c = buf[:min(step, flat.size - lo)]
+            np.multiply(flat[lo:lo + len(c), None], self.values, out=c)
+            np.cos(c, out=c)
+            if parity:
+                out_par[lo:lo + len(c)] = np.count_nonzero(c[:, self.odd] < 0, axis=1) & 1
+            np.abs(c, out=c)
             with np.errstate(divide="ignore"):
-                out_log[lo:hi] = np.log(np.abs(c)) @ self.mults
-            out_par[lo:hi] = ((c < 0).astype(np.int64) @ self.odd_mults) & 1
-        return out_log, out_par
+                np.log(c, out=c)
+            for p in range(0, len(c), width):
+                out_log[lo + p:lo + p + width] = c[p:p + width] @ self.mults
+        return out_log.reshape(t.shape), None if out_par is None else out_par.reshape(t.shape)
 
     def signed(self, t: np.ndarray) -> np.ndarray:
         """prod_k cos(t*a_k) per node (underflows cleanly to 0)."""
@@ -97,20 +116,8 @@ class CosineProfile:
 
     def absolute(self, t: np.ndarray) -> np.ndarray:
         """prod_k |cos(t*a_k)| per node."""
-        lg, _ = self.log_abs_and_parity(t)
+        lg, _ = self.log_abs_and_parity(t, parity=False)
         return np.exp(lg)
-
-
-def cosine_product(spec: SequenceSpec, n: int, t: float,
-                   absolute: bool = False) -> SignedLogValue:
-    """prod_{k<=n} cos(t*a_k), as sign plus log-magnitude."""
-    profile = CosineProfile(spec, n)
-    lg, par = profile.log_abs_and_parity(np.asarray([float(t)]))
-    log_abs = float(lg[0])
-    if log_abs == -math.inf:
-        return SignedLogValue(0, -math.inf)
-    sign = 1 if (absolute or par[0] == 0) else -1
-    return SignedLogValue(sign, log_abs)
 
 
 # --- Clenshaw-Curtis panels -----------------------------------------------------
@@ -149,21 +156,20 @@ class QuadratureResult:
     domain: tuple[float, float]
 
 
-@dataclass
-class _Panel:
-    lo: float
-    hi: float
-    value: float
-    error: float
-
-
-def _eval_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> _Panel:
+def _eval_panels(f: Callable[[np.ndarray], np.ndarray], lo: Sequence[float],
+                 hi: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Values and error estimates of the panels [lo_i, hi_i], from one call
+    of f on their (panels, 33) nodes; each panel takes its own two dot
+    products, so its numbers do not depend on the other panels."""
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
     half = 0.5 * (hi - lo)
-    x = 0.5 * (hi + lo) + half * _NODES
-    y = f(x)
-    fine = half * float(y @ _W_FINE)
-    coarse = half * float(y[::2] @ _W_COARSE)
-    return _Panel(lo, hi, fine, abs(fine - coarse))
+    y = f((0.5 * (hi + lo))[:, None] + half[:, None] * _NODES)
+    values, errors = [], []
+    for h, row in zip(half.tolist(), y):
+        fine = h * float(row @ _W_FINE)
+        values.append(fine)
+        errors.append(abs(fine - h * float(row[::2] @ _W_COARSE)))
+    return values, errors
 
 
 _FIXED_ONE = 1 << 1074  # every finite float is an integer multiple of 2**-1074
@@ -182,7 +188,9 @@ def adaptive_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: floa
                       max_nodes: int = 2_000_000) -> QuadratureResult:
     """Integrate a vectorized integrand by splitting the worst panel.
 
-    The summed two-level Clenshaw-Curtis discrepancy is the error estimate;
+    f maps a (panels, 33) array of nodes to its values elementwise; it gets
+    the whole initial mesh in one call, then both halves of each split.  The
+    summed two-level Clenshaw-Curtis discrepancy is the error estimate;
     iteration stops once it drops below max(abs_tol, rel_tol*|value|).
     Raises ToleranceError (carrying the best value) if the node budget runs
     out first.  The panels that are wider than the smallest split wait in a
@@ -200,19 +208,19 @@ def adaptive_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: floa
     heap: list[tuple[float, float, float, float]] = []  # (-error, lo, hi, value)
     value = error = nodes = 0
 
-    def add(a: float, b: float) -> None:
+    def add(a: list[float], b: list[float]) -> None:
         nonlocal value, error, nodes
-        panel = _eval_panel(f, a, b)
-        if not (math.isfinite(panel.value) and math.isfinite(panel.error)):
-            raise DomainError(f"integrand is not finite on [{a}, {b}]")
-        value += _fixed(panel.value)
-        error += _fixed(panel.error)
-        nodes += _CC_ORDER + 1
-        if b - a > min_width:
-            heapq.heappush(heap, (-panel.error, a, b, panel.value))
+        values, errors = _eval_panels(f, a, b)
+        for lo_i, hi_i, v, e in zip(a, b, values, errors):
+            if not (math.isfinite(v) and math.isfinite(e)):
+                raise DomainError(f"integrand is not finite on [{lo_i}, {hi_i}]")
+            value += _fixed(v)
+            error += _fixed(e)
+            nodes += _CC_ORDER + 1
+            if hi_i - lo_i > min_width:
+                heapq.heappush(heap, (-e, lo_i, hi_i, v))
 
-    for a, b in zip(pts, pts[1:]):
-        add(a, b)
+    add(pts[:-1], pts[1:])
     while True:
         total, err = value / _FIXED_ONE, error / _FIXED_ONE
         if err <= max(abs_tol, rel_tol * abs(total)):
@@ -225,14 +233,13 @@ def adaptive_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: floa
         value -= _fixed(worst)
         error -= _fixed(-neg_error)
         mid = 0.5 * (a + b)
-        add(a, mid)
-        add(mid, b)
+        add([a, mid], [mid, b])
     return QuadratureResult(value=total, abs_error_estimate=err, nodes=nodes,
                             scheme="adaptive-panel", domain=(lo, hi))
 
 
-def _peak_scale(spec: SequenceSpec, n: int) -> float:
-    ssq = prefix_sum_squares(spec, n)
+def _peak_scale(profile: CosineProfile) -> float:
+    ssq = profile.sum_squares
     return 1.0 / math.sqrt(ssq) if ssq > 0 else 1.0
 
 
@@ -246,9 +253,9 @@ def _geometric_ladder(start: float, stop: float) -> list[float]:
     return out
 
 
-def _initial_breakpoints(spec: SequenceSpec, n: int, z: int, hi: float) -> list[float]:
-    w = _peak_scale(spec, n)
-    total_freq = float(sum(v * c for v, c in spec.value_runs(n))) + abs(z)
+def _initial_breakpoints(profile: CosineProfile, z: int, hi: float) -> list[float]:
+    w = _peak_scale(profile)
+    total_freq = profile.total_freq + abs(z)
     uniform = int(np.clip(total_freq / 4.0, 8, 4096))
     pts = set(np.linspace(0.0, hi, uniform + 1)[1:-1])
     pts.update(_geometric_ladder(w / 4.0, hi / uniform))
@@ -277,7 +284,7 @@ def point_mass_fourier(spec: SequenceSpec, n: int, z: int, *,
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.cos(t * z) * profile.signed(t)
 
-    bps = _initial_breakpoints(spec, n, z, math.pi)
+    bps = _initial_breakpoints(profile, z, math.pi)
     try:
         res = adaptive_integral(integrand, 0.0, math.pi, abs_tol=abs_tol * math.pi,
                                 breakpoints=bps, max_nodes=max_nodes)
@@ -301,7 +308,7 @@ def abs_integral(spec: SequenceSpec, n: int, *,
     """
     profile = CosineProfile(spec, n)
     factor, hi = (4.0, math.pi / 2) if spec.is_integer_valued else (2.0, math.pi)
-    w = _peak_scale(spec, n)
+    w = _peak_scale(profile)
     pts = set(np.linspace(0.0, hi, 65)[1:-1])
     pts.update(_geometric_ladder(w / 4.0, hi / 64))
     res = adaptive_integral(profile.absolute, 0.0, hi,

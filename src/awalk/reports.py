@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import PreconditionError
 
 __all__ = ["ensure_writable", "fmt_cell", "fraction_fields", "write_csv", "write_json",
@@ -46,6 +48,13 @@ def _fraction_text(x: Fraction) -> str:
 
 
 def fmt_cell(v) -> str:
+    t = type(v)
+    if t is int:
+        return _int_text(v)
+    if t is float:
+        return repr(v)
+    if isinstance(v, np.generic):  # a numpy scalar is written as its Python value
+        v = v.item()
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
@@ -61,8 +70,7 @@ def write_csv(path: str, header: list[str], rows, force: bool = False) -> None:
     ensure_writable(path, force)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt_cell(v) for v in row) + "\n")
+        fh.writelines(",".join(map(fmt_cell, row)) + "\n" for row in rows)
 
 
 def fraction_fields(x) -> dict:

@@ -210,17 +210,25 @@ def two_scale_sweep(k_top: int = 20, coeff: float = 0.0025) -> CheckResult:
 def dominance_sweep(max_len: int = 10, values: tuple[int, ...] = (1, 2, 3),
                     starts: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)) -> CheckResult:
     """Descent-time dominance for every non-decreasing weight list over
-    ``values`` with length <= max_len and every start level in ``starts``."""
+    ``values`` with length <= max_len and every start level in ``starts``.
+
+    Each length's 2^h sign vectors are enumerated once, for all its lists
+    and starts, by the core behind `exact.dominance_check`."""
     lists = 0
     failures = []
+    for a in starts:
+        exact._check_start(a)
     for h in range(1, max_len + 1):
-        for ws in itertools.combinations_with_replacement(values, h):
-            lists += 1
-            for a in starts:
-                rep = exact.dominance_check(list(ws), a)
-                if not rep.passed:
-                    failures.append({"weights": list(ws), "start": a,
-                                     "j": rep.first_violation})
+        wss = list(itertools.combinations_with_replacement(values, h))
+        if not wss:
+            continue
+        lists += len(wss)
+        _, surv_w, surv_u = exact._descent_survivals(exact._descent_weights(wss), starts)
+        for ws, per_w, per_u in zip(wss, surv_w, surv_u):
+            for a, w_counts, u_counts in zip(starts, per_w, per_u):
+                j = exact._first_violation(w_counts, u_counts)
+                if j is not None:
+                    failures.append({"weights": list(ws), "start": a, "j": j})
     return CheckResult("descent-time-dominance", not failures,
                        {"weight_lists": lists, "starts": list(starts),
                         "failures": failures[:5]})

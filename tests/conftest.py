@@ -7,6 +7,7 @@ production algorithms change.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -14,7 +15,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from awalk import fourier
 from awalk import montecarlo as mc
+from awalk.errors import DomainError, ToleranceError
+from awalk.reports import _fraction_text, _int_text
 from awalk.sequences import parse_spec
 from awalk.verify import CheckResult
 
@@ -301,3 +305,131 @@ def cordiv_reference(k_max: int, m_max: int, scale: int = 20) -> CheckResult:
     return CheckResult("srw-residue-lower-bound", k1 is not None,
                        {"half_c1": 0.05, "k_max": k_max, "m_max": m_max,
                         "k1": k1, "first_failures": {str(k): worst[k] for k in sorted(worst)[:5]}})
+
+
+# --- panel-at-a-time Fourier reference ------------------------------------------
+
+class PanelProfile(fourier.CosineProfile):
+    """`fourier.CosineProfile` evaluated as before batching: each call gets one
+    33-node panel, takes one matrix-vector product over all its nodes and
+    counts the parity by an integer product."""
+
+    def log_abs_and_parity(self, t, parity=True):
+        c = np.cos(np.multiply.outer(np.asarray(t, dtype=np.float64), self.values))
+        with np.errstate(divide="ignore"):
+            lg = np.log(np.abs(c)) @ self.mults
+        odd = np.zeros(self.values.size, dtype=np.int64)
+        odd[self.odd] = 1
+        return lg, ((c < 0).astype(np.int64) @ odd) & 1
+
+    def signed(self, t):
+        lg, par = self.log_abs_and_parity(t)
+        with np.errstate(over="ignore"):
+            mag = np.exp(lg)
+        return np.where(par == 1, -mag, mag)
+
+    def absolute(self, t):
+        return np.exp(self.log_abs_and_parity(t)[0])
+
+
+def eval_panel(f, lo, hi) -> tuple[float, float]:
+    """(value, error estimate) of one panel, from its own call of f."""
+    half = 0.5 * (hi - lo)
+    y = f(0.5 * (hi + lo) + half * fourier._NODES)
+    fine = half * float(y @ fourier._W_FINE)
+    coarse = half * float(y[::2] @ fourier._W_COARSE)
+    return fine, abs(fine - coarse)
+
+
+def panel_adaptive_integral(f, lo, hi, *, abs_tol=1e-12, rel_tol=0.0, breakpoints=(),
+                            max_nodes=2_000_000):
+    """`fourier.adaptive_integral` with one call of f per panel."""
+    order = fourier._CC_ORDER
+    if hi <= lo:
+        raise DomainError(f"empty integration domain [{lo}, {hi}]")
+    pts = sorted({lo, hi, *(p for p in breakpoints if lo < p < hi)})
+    max_panels = max(1, max_nodes // (2 * (order + 1)))
+    if len(pts) - 1 > max_panels:
+        step = -(-(len(pts) - 1) // max_panels)
+        pts = pts[::step] + ([hi] if pts[::step][-1] != hi else [])
+    min_width = (hi - lo) * 1e-14
+    heap = []
+    value = error = nodes = 0
+
+    def add(a, b):
+        nonlocal value, error, nodes
+        v, e = eval_panel(f, a, b)
+        if not (math.isfinite(v) and math.isfinite(e)):
+            raise DomainError(f"integrand is not finite on [{a}, {b}]")
+        value += fourier._fixed(v)
+        error += fourier._fixed(e)
+        nodes += order + 1
+        if b - a > min_width:
+            heapq.heappush(heap, (-e, a, b, v))
+
+    for a, b in zip(pts, pts[1:]):
+        add(a, b)
+    while True:
+        total, err = value / fourier._FIXED_ONE, error / fourier._FIXED_ONE
+        if err <= max(abs_tol, rel_tol * abs(total)):
+            break
+        if not heap or nodes + 2 * (order + 1) > max_nodes:
+            raise ToleranceError("budget", best_value=total, achieved_estimate=err,
+                                 nodes=nodes)
+        neg_error, a, b, worst = heapq.heappop(heap)
+        value -= fourier._fixed(worst)
+        error -= fourier._fixed(-neg_error)
+        mid = 0.5 * (a + b)
+        add(a, mid)
+        add(mid, b)
+    return fourier.QuadratureResult(value=total, abs_error_estimate=err, nodes=nodes,
+                                    scheme="adaptive-panel", domain=(lo, hi))
+
+
+@pytest.fixture
+def panel_reference(monkeypatch):
+    """A callable that switches `awalk.fourier` to the panel-at-a-time
+    reference for the rest of the test."""
+    def switch():
+        monkeypatch.setattr(fourier, "adaptive_integral", panel_adaptive_integral)
+        monkeypatch.setattr(fourier, "CosineProfile", PanelProfile)
+    return switch
+
+
+# --- per-list descent-time enumeration --------------------------------------------
+
+def descent_survival_reference(weights, start) -> tuple[int, list[int], list[int]]:
+    """(r, #{tau > j}, #{tau~ > j} for j = 0..h) for one weight list, from
+    first-passage times over all 2^h sign vectors."""
+    h = len(weights)
+    r = math.ceil(start / weights[0])
+    codes = np.arange(1 << h, dtype=np.uint64)
+    signs = (((codes[:, None] >> np.arange(h, dtype=np.uint64)) & 1) * 2 - 1).astype(np.int8)
+    hit_w = start + np.cumsum(signs * np.asarray(weights, dtype=np.float64), axis=1) <= 0.0
+    hit_u = np.cumsum(signs, axis=1, dtype=np.int64) <= -r
+    fp_w = np.where(hit_w.any(axis=1), np.argmax(hit_w, axis=1) + 1, h + 1)
+    fp_u = np.where(hit_u.any(axis=1), np.argmax(hit_u, axis=1) + 1, h + 1)
+    return (r, [int(np.count_nonzero(fp_w > j)) for j in range(h + 1)],
+            [int(np.count_nonzero(fp_u > j)) for j in range(h + 1)])
+
+
+# --- the CSV writer before its type dispatch ----------------------------------------
+
+def legacy_fmt_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return _int_text(v)
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, Fraction):
+        return _fraction_text(v)
+    return str(v)
+
+
+def legacy_csv_bytes(header, rows) -> bytes:
+    """The bytes the per-cell CSV writer wrote for these rows."""
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        lines.append(",".join(legacy_fmt_cell(v) for v in row) + "\n")
+    return "".join(lines).encode("utf-8")

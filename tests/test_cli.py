@@ -7,10 +7,16 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from awalk import exact
 from awalk.cli import build_parser, main
-from awalk.reports import sha256_file, write_csv, write_json
+from awalk.errors import ResourceError
+from awalk.reports import fmt_cell, sha256_file, write_csv, write_json
+from awalk.sequences import Linear
+
+from conftest import legacy_csv_bytes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -78,6 +84,25 @@ def test_oversized_visits_exit_before_running(tmp_path):
         assert time.perf_counter() - start < 1.0
 
 
+def test_band_dp_refuses_oversized_buffers_at_once(tmp_path):
+    # linear n=9999 has 49,995,001 cells, under the cell budget, but its
+    # counts of up to 10,000 bits would need about 68 GB
+    for argv in (["dist", "--spec", "linear", "--n", "9999", "--out", "d.csv"],
+                 ["hit", "--spec", "linear", "--n", "9999", "--out", "h.json"],
+                 ["visits", "--spec", "linear", "--n", "9999", "--out", "v.csv"]):
+        start = time.perf_counter()
+        assert run(argv, tmp_path) == 3
+        assert time.perf_counter() - start < 1.0
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ResourceError) as exc:
+        exact.distribution(Linear(), 9999)
+    assert exc.value.budget == exact.MAX_BUFFER_BYTES < exc.value.required
+    # 12.5 million cells of 256-bit floats
+    with pytest.raises(ResourceError) as exc:
+        exact.expected_visits(Linear(), 5000, mode="float256")
+    assert exc.value.budget == exact.MAX_BUFFER_BYTES < exc.value.required
+
+
 def test_tolerance_exit_code(tmp_path):
     assert run(["fourier", "--spec", "linear", "--n", "60", "--z", "0",
                 "--tol", "1e-16", "--out", "f.csv"], tmp_path) in (0, 4)
@@ -132,6 +157,27 @@ def test_writers_keep_every_digit(tmp_path):
     payload = (tmp_path / "b.json").read_text()
     assert f'"count": {digits},' in payload
     assert f'"fraction": "1/{den_digits}"' in payload and '"float": 0.0' in payload
+
+
+def test_csv_bytes_match_the_per_cell_writer(tmp_path):
+    header = ["a", "b", "c", "d", "e"]
+    rows = [(1, -2, 0.1, True, False),
+            (7 * 10 ** 4999 + 3, Fraction(-3, 7), float("nan"), float("inf"), -0.0),
+            (2 ** 64, 1e-300, "text", None, ""),
+            (Fraction(1, 2 ** 15000), 5e-324, 1.5, 0, -1)]
+    write_csv(str(tmp_path / "m.csv"), header, rows)
+    assert (tmp_path / "m.csv").read_bytes() == legacy_csv_bytes(header, rows)
+
+
+def test_numpy_scalars_are_written_as_python_values(tmp_path):
+    assert fmt_cell(np.float64(0.5)) == fmt_cell(0.5) == "0.5"
+    assert fmt_cell(np.float64(0.1)) == repr(0.1)
+    assert fmt_cell(np.bool_(True)) == "true" and fmt_cell(np.bool_(False)) == "false"
+    assert fmt_cell(np.int64(-7)) == "-7"
+    write_csv(str(tmp_path / "np.csv"), ["x", "y", "z"],
+              [(np.int64(3), np.float64(0.25), np.bool_(True))])
+    write_csv(str(tmp_path / "py.csv"), ["x", "y", "z"], [(3, 0.25, True)])
+    assert (tmp_path / "np.csv").read_bytes() == (tmp_path / "py.csv").read_bytes()
 
 
 def test_pattern_writes_every_digit(tmp_path):

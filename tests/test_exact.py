@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,8 +12,8 @@ from awalk import exact
 from awalk.errors import DomainError, PreconditionError, ResourceError, UnsupportedVariantError
 from awalk.sequences import Constant, Explicit, Linear, LogContinuous, parse_spec
 
-from conftest import (enumerate_int_sums, first_hit_probability,
-                      visit_expectation)
+from conftest import (descent_survival_reference, enumerate_int_sums,
+                      first_hit_probability, visit_expectation)
 
 
 def brute_counts(weights):
@@ -180,6 +181,32 @@ def test_dominance_examples():
     assert rep.survival_weighted == rep.survival_unit  # scaled unit walk
     with pytest.raises(PreconditionError):
         exact.dominance_check([2, 1], 1.0)
+
+
+def test_descent_core_equals_per_list_enumeration():
+    # every list over these values with h <= 8 and every start, one core call
+    # per length; at h = 8 the 165 lists go in three groups
+    values = (0.5, 1, 2, 3)
+    starts = (0.25, 0.5, 1.0, 1.5, 2, 5.0)
+    for h in range(1, 9):
+        lists = list(itertools.combinations_with_replacement(values, h))
+        r, surv_w, surv_u = exact._descent_survivals(exact._descent_weights(lists), starts)
+        for i, ws in enumerate(lists):
+            for k, a in enumerate(starts):
+                want = descent_survival_reference([float(w) for w in ws], a)
+                assert (r[i][k], surv_w[i][k], surv_u[i][k]) == want, (ws, a)
+
+
+def test_dominance_check_spans_chunks_of_sign_vectors():
+    # 2^16 sign vectors go in 8 chunks; r = 7 > 4 exercises the capped level
+    for ws, a in (([1.0] * 8 + [2.0] * 8, 2.5), ([0.5] * 4 + [3.0] * 12, 3.1),
+                  ([1.0, 2.0, 3.0, 4.0], 7.0)):
+        rep = exact.dominance_check(ws, a)
+        total = 1 << len(ws)
+        r, surv_w, surv_u = descent_survival_reference(ws, a)
+        assert rep.r == r
+        assert rep.survival_weighted == [Fraction(c, total) for c in surv_w]
+        assert rep.survival_unit == [Fraction(c, total) for c in surv_u]
 
 
 def test_dominance_survival_by_enumeration():

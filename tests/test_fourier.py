@@ -6,30 +6,43 @@ import pytest
 from awalk import exact, fourier
 from awalk.errors import PreconditionError, ToleranceError
 from awalk.sequences import Constant, Explicit, Linear, parse_spec
+from conftest import BATTERY_TEXTS, eval_panel
 
 
-def test_cosine_product_examples():
-    assert fourier.cosine_product(Linear(), 5, 0.0).value == 1.0
-    assert fourier.cosine_product(Constant(1), 2, math.pi / 3).value == pytest.approx(0.25)
+def test_cosine_profile_examples():
+    assert fourier.CosineProfile(Linear(), 5).signed(np.array([0.0]))[0] == 1.0
+    assert fourier.CosineProfile(Constant(1), 2).signed(
+        np.array([math.pi / 3]))[0] == pytest.approx(0.25)
     # zero factor at t = pi/2, up to the float representation of pi
-    v = fourier.cosine_product(Linear(), 3, math.pi / 2)
-    assert abs(v.value) < 1e-30
+    assert abs(fourier.CosineProfile(Linear(), 3).signed(np.array([math.pi / 2]))[0]) < 1e-30
+    # panels in rows: each node as if evaluated alone
+    profile = fourier.CosineProfile(Linear(), 7)
+    t = np.linspace(0.0, 3.0, 66).reshape(2, 33)
+    alone = np.array([profile.signed(np.array([x]))[0] for x in t.ravel()]).reshape(2, 33)
+    assert profile.signed(t).shape == (2, 33)
+    np.testing.assert_allclose(profile.signed(t), alone, rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(profile.absolute(t), np.abs(alone), rtol=1e-12, atol=1e-300)
 
 
-def test_cosine_product_log_accumulation_matches_direct():
+def test_cosine_profile_log_accumulation_matches_direct():
     spec = parse_spec("powfloor:0.5")
-    for t in (0.01, 0.3, 1.7):
-        direct = np.prod([math.cos(t * spec.term(k)) for k in range(1, 101)])
-        got = fourier.cosine_product(spec, 100, t)
-        assert got.value == pytest.approx(direct, rel=1e-10, abs=1e-300)
-        absval = fourier.cosine_product(spec, 100, t, absolute=True)
-        assert absval.value == pytest.approx(abs(direct), rel=1e-10, abs=1e-300)
+    profile = fourier.CosineProfile(spec, 100)
+    for shape in ((3,), (1, 3), (3, 1)):
+        t = np.array([0.01, 0.3, 1.7]).reshape(shape)
+        direct = np.array([np.prod([math.cos(x * spec.term(k)) for k in range(1, 101)])
+                           for x in t.ravel()]).reshape(shape)
+        np.testing.assert_allclose(profile.signed(t), direct, rtol=1e-10, atol=1e-300)
+        np.testing.assert_allclose(profile.absolute(t), np.abs(direct), rtol=1e-10,
+                                   atol=1e-300)
 
 
-def test_cosine_product_deep_horizon_no_underflow():
-    v = fourier.cosine_product(parse_spec("powfloor:0.5"), 5000, 0.3, absolute=True)
-    assert v.log_abs < -1000  # far below float range, still finite in log form
-    assert v.value == 0.0  # collapses only on conversion
+def test_cosine_profile_deep_horizon_no_underflow():
+    profile = fourier.CosineProfile(parse_spec("powfloor:0.5"), 5000)
+    for t in (np.array([0.3]), np.full((2, 33), 0.3)):
+        lg, _ = profile.log_abs_and_parity(t)
+        assert np.all(lg < -1000)  # far below float range, still finite in log form
+        assert np.all(np.isfinite(lg))
+        assert np.all(profile.absolute(t) == 0.0)  # collapses only on conversion
 
 
 def test_point_mass_examples():
@@ -171,34 +184,34 @@ def test_adaptive_integral_polynomial_and_peak():
 def _adaptive_integral_reference(f, lo, hi, *, abs_tol=1e-12, rel_tol=0.0, breakpoints=(),
                                  max_nodes=2_000_000):
     """The panel loop before the heap: a max and a list.remove over all panels
-    and two math.fsum calls per split."""
+    and two math.fsum calls per split, one call of f per panel."""
     order = fourier._CC_ORDER
     pts = sorted({lo, hi, *(p for p in breakpoints if lo < p < hi)})
     max_panels = max(1, max_nodes // (2 * (order + 1)))
     if len(pts) - 1 > max_panels:
         step = -(-(len(pts) - 1) // max_panels)
         pts = pts[::step] + ([hi] if pts[::step][-1] != hi else [])
-    panels = [fourier._eval_panel(f, a, b) for a, b in zip(pts, pts[1:])]
+    panels = [(a, b, *eval_panel(f, a, b)) for a, b in zip(pts, pts[1:])]  # (lo, hi, value, error)
     nodes = (order + 1) * len(panels)
     min_width = (hi - lo) * 1e-14
     while True:
-        total = math.fsum(p.value for p in panels)
-        err = math.fsum(p.error for p in panels)
+        total = math.fsum(p[2] for p in panels)
+        err = math.fsum(p[3] for p in panels)
         if err <= max(abs_tol, rel_tol * abs(total)):
             break
-        splittable = [p for p in panels if p.hi - p.lo > min_width]
+        splittable = [p for p in panels if p[1] - p[0] > min_width]
         if not splittable or nodes + 2 * (order + 1) > max_nodes:
             raise ToleranceError("budget", best_value=total, achieved_estimate=err, nodes=nodes)
-        worst = max(splittable, key=lambda p: (p.error, -p.lo))
+        worst = max(splittable, key=lambda p: (p[3], -p[0]))
         panels.remove(worst)
-        mid = 0.5 * (worst.lo + worst.hi)
-        panels.append(fourier._eval_panel(f, worst.lo, mid))
-        panels.append(fourier._eval_panel(f, mid, worst.hi))
+        a, b = worst[:2]
+        mid = 0.5 * (a + b)
+        panels.append((a, mid, *eval_panel(f, a, mid)))
+        panels.append((mid, b, *eval_panel(f, mid, b)))
         nodes += 2 * (order + 1)
-    panels.sort(key=lambda p: p.lo)
     return fourier.QuadratureResult(
-        value=math.fsum(p.value for p in panels), abs_error_estimate=math.fsum(
-            p.error for p in panels), nodes=nodes, scheme="adaptive-panel", domain=(lo, hi))
+        value=math.fsum(p[2] for p in panels), abs_error_estimate=math.fsum(
+            p[3] for p in panels), nodes=nodes, scheme="adaptive-panel", domain=(lo, hi))
 
 
 def _cosine_integrand(weights, z):
@@ -225,3 +238,66 @@ def test_adaptive_integral_matches_the_panel_list_loop(f, lo, hi, breakpoints, a
         except ToleranceError as exc:
             return ("tolerance", exc.best_value, exc.achieved_estimate, exc.nodes)
     assert outcome(fourier.adaptive_integral) == outcome(_adaptive_integral_reference)
+
+
+def _quadrature_fields(res):
+    return res.value, res.abs_error_estimate, res.nodes
+
+
+def _bit_identity_cases():
+    """(label, thunk) pairs whose results must not depend on batching."""
+    cases = []
+    for text in BATTERY_TEXTS:
+        spec = parse_spec(text)
+        for n in (10, 30, 50):
+            n = min(n, spec.max_index or n)
+            for z in (0, 1, -1, 5, -5):
+                cases.append((f"{text} n={n} z={z}",
+                              lambda s=spec, n=n, z=z: fourier.point_mass_fourier(s, n, z)))
+    linear, pow9 = Linear(), parse_spec("powfloor:0.9")
+    cases += [
+        ("linear n=100 z=2", lambda: fourier.point_mass_fourier(linear, 100, 2)),
+        ("linear n=100 abs", lambda: fourier.abs_integral(linear, 100)),
+        ("powfloor:0.9 n=300 z=0", lambda: fourier.point_mass_fourier(pow9, 300, 0)),
+        ("powfloor:0.9 n=300 abs", lambda: fourier.abs_integral(pow9, 300, rel_tol=1e-4)),
+        ("powfloor:0.9 n=2500 abs", lambda: fourier.abs_integral(pow9, 2500, rel_tol=1e-4)),
+        # tolerances tight enough to split panels, one of them past the budget
+        ("linear n=40 tight", lambda: fourier.point_mass_fourier(linear, 40, 0, abs_tol=1e-18)),
+        ("linear n=40 budget", lambda: fourier.point_mass_fourier(
+            linear, 40, 0, abs_tol=1e-19, max_nodes=12_000)),
+        ("powfloor:0.9 n=300 tight abs",
+         lambda: fourier.abs_integral(pow9, 300, rel_tol=0.0, abs_tol=1e-18)),
+    ]
+    return cases
+
+
+def _outcome(thunk):
+    try:
+        res = thunk()
+    except ToleranceError as exc:
+        return ("tolerance", exc.best_value, exc.achieved_estimate, exc.nodes)
+    if isinstance(res, fourier.TransienceReport):
+        return [(e.n, e.value, e.abs_error, e.nodes) for e in res.entries]
+    return _quadrature_fields(res)
+
+
+def test_batched_quadrature_equals_panel_at_a_time(panel_reference):
+    # batching the panels and chunking the profile change no bit of any result
+    cases = _bit_identity_cases() + [
+        ("transience linear 50", lambda: fourier.transience_report(Linear(), 50, 2))]
+    batched = [_outcome(thunk) for _, thunk in cases]
+    panel_reference()
+    reference = [_outcome(thunk) for _, thunk in cases]
+    for (label, _), got, want in zip(cases, batched, reference):
+        assert got == want, label
+
+
+def test_bit_identity_cases_split_panels():
+    # the tight cases exercise the split path, not only the initial mesh
+    thunks = dict(_bit_identity_cases())
+    mesh = fourier.point_mass_fourier(Linear(), 40, 0).nodes
+    abs_mesh = fourier.abs_integral(parse_spec("powfloor:0.9"), 300).nodes
+    assert _outcome(thunks["linear n=40 tight"])[-1] > mesh
+    assert _outcome(thunks["linear n=40 budget"])[0] == "tolerance"
+    assert _outcome(thunks["linear n=40 budget"])[-1] > mesh
+    assert _outcome(thunks["powfloor:0.9 n=300 tight abs"])[-1] > abs_mesh
