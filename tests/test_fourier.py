@@ -6,7 +6,7 @@ import pytest
 from awalk import exact, fourier
 from awalk.errors import PreconditionError, ToleranceError
 from awalk.sequences import Constant, Explicit, Linear, parse_spec
-from conftest import BATTERY_TEXTS, eval_panel
+from conftest import BATTERY_TEXTS, panel_adaptive_integral
 
 
 def test_cosine_profile_examples():
@@ -181,39 +181,6 @@ def test_adaptive_integral_polynomial_and_peak():
     assert res.value == pytest.approx(math.sqrt(math.pi) / 2000.0, rel=1e-8)
 
 
-def _adaptive_integral_reference(f, lo, hi, *, abs_tol=1e-12, rel_tol=0.0, breakpoints=(),
-                                 max_nodes=2_000_000):
-    """The panel loop before the heap: a max and a list.remove over all panels
-    and two math.fsum calls per split, one call of f per panel."""
-    order = fourier._CC_ORDER
-    pts = sorted({lo, hi, *(p for p in breakpoints if lo < p < hi)})
-    max_panels = max(1, max_nodes // (2 * (order + 1)))
-    if len(pts) - 1 > max_panels:
-        step = -(-(len(pts) - 1) // max_panels)
-        pts = pts[::step] + ([hi] if pts[::step][-1] != hi else [])
-    panels = [(a, b, *eval_panel(f, a, b)) for a, b in zip(pts, pts[1:])]  # (lo, hi, value, error)
-    nodes = (order + 1) * len(panels)
-    min_width = (hi - lo) * 1e-14
-    while True:
-        total = math.fsum(p[2] for p in panels)
-        err = math.fsum(p[3] for p in panels)
-        if err <= max(abs_tol, rel_tol * abs(total)):
-            break
-        splittable = [p for p in panels if p[1] - p[0] > min_width]
-        if not splittable or nodes + 2 * (order + 1) > max_nodes:
-            raise ToleranceError("budget", best_value=total, achieved_estimate=err, nodes=nodes)
-        worst = max(splittable, key=lambda p: (p[3], -p[0]))
-        panels.remove(worst)
-        a, b = worst[:2]
-        mid = 0.5 * (a + b)
-        panels.append((a, mid, *eval_panel(f, a, mid)))
-        panels.append((mid, b, *eval_panel(f, mid, b)))
-        nodes += 2 * (order + 1)
-    return fourier.QuadratureResult(
-        value=math.fsum(p[2] for p in panels), abs_error_estimate=math.fsum(
-            p[3] for p in panels), nodes=nodes, scheme="adaptive-panel", domain=(lo, hi))
-
-
 def _cosine_integrand(weights, z):
     return lambda t: np.cos(t * z) * np.prod([np.cos(t * w) for w in weights], axis=0)
 
@@ -237,7 +204,7 @@ def test_adaptive_integral_matches_the_panel_list_loop(f, lo, hi, breakpoints, a
                              max_nodes=max_nodes)
         except ToleranceError as exc:
             return ("tolerance", exc.best_value, exc.achieved_estimate, exc.nodes)
-    assert outcome(fourier.adaptive_integral) == outcome(_adaptive_integral_reference)
+    assert outcome(fourier.adaptive_integral) == outcome(panel_adaptive_integral)
 
 
 def _quadrature_fields(res):
