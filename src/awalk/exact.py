@@ -37,7 +37,6 @@ __all__ = [
     "DominanceReport",
     "AzumaReport",
     "distribution",
-    "signed_count",
     "zero_hit_probability",
     "expected_visits",
     "srw_point",
@@ -49,9 +48,10 @@ __all__ = [
     "pattern_free_counts",
 ]
 
-DEFAULT_MAX_CELLS = 50_000_000
-# The band DP refuses to start when its buffer is predicted to need more
-# bytes than this (see `_cell_bytes`).
+# The band DP refuses to start when its lattice has more cells than
+# MAX_CELLS, or when its buffer is predicted to need more bytes than
+# MAX_BUFFER_BYTES (see `_cell_bytes`).
+MAX_CELLS = 50_000_000
 MAX_BUFFER_BYTES = 2 << 30
 # Mode "auto" uses exact rationals while the denominator 2^steps stays below
 # this many decimal digits; beyond it the band DP runs on 256-bit floats.
@@ -143,22 +143,22 @@ def _integer_weights(spec: SequenceSpec, n: int) -> list[int]:
     return spec.int_terms(n)
 
 
-def distribution(spec: SequenceSpec, n: int, *, max_cells: int = DEFAULT_MAX_CELLS) -> LatticeDist:
+def distribution(spec: SequenceSpec, n: int) -> LatticeDist:
     """Exact pmf of S(n) by convolution, one shift-add per weight.
 
     Time and memory are O(steps * A) with A = sum of the weights.
     """
-    return _lattice(_integer_weights(spec, n), max_cells)
+    return _lattice(_integer_weights(spec, n))
 
 
-def _lattice(weights: list[int], max_cells: int = DEFAULT_MAX_CELLS) -> LatticeDist:
+def _lattice(weights: list[int]) -> LatticeDist:
     """Exact pmf of sum w_i x_i for a list of integer weights (zeros allowed)."""
-    _, counts = _band_masses(weights, None, False, 1, max_cells)
+    _, counts = _band_masses(weights, None, False, 1)
     return LatticeDist(n=len(weights), offset=-sum(weights), counts=counts.tolist())
 
 
-def _band_masses(weights: list[int], band: int | float | None, absorb: bool, one,
-                 max_cells: int = DEFAULT_MAX_CELLS) -> tuple[list, np.ndarray]:
+def _band_masses(weights: list[int], band: int | float | None, absorb: bool,
+                 one) -> tuple[list, np.ndarray]:
     """The band DP: (per-step masses with |S| <= band, final lattice buffer).
 
     Cell j of the buffer holds the mass at S = offset + 2j, offset being
@@ -169,9 +169,9 @@ def _band_masses(weights: list[int], band: int | float | None, absorb: bool, one
     records no masses; ``absorb`` removes each step's band mass from the walk.
     """
     span = sum(weights) + 1
-    if span > max_cells:
-        raise ResourceError(f"band DP needs {span} lattice cells (budget {max_cells})",
-                            required=span, budget=max_cells)
+    if span > MAX_CELLS:
+        raise ResourceError(f"band DP needs {span} lattice cells (budget {MAX_CELLS})",
+                            required=span, budget=MAX_CELLS)
     need = span * _cell_bytes(one, len(weights))
     if need > MAX_BUFFER_BYTES:
         raise ResourceError(f"band DP needs about {need} bytes for {span} lattice cells "
@@ -216,12 +216,6 @@ def _band_slice(offset: int, length: int, band: int | float) -> tuple[int, int]:
     return max(0, -((b + offset) // 2)), min(length, (b - offset) // 2 + 1)
 
 
-def signed_count(spec: SequenceSpec, n: int, target: int,
-                 *, max_cells: int = DEFAULT_MAX_CELLS) -> int:
-    """Number of sign vectors with sum exactly ``target``."""
-    return distribution(spec, n, max_cells=max_cells).count(target)
-
-
 @dataclass
 class HitReport:
     """First-hit / visit bookkeeping for the band |S(n)| <= c up to horizon N."""
@@ -244,8 +238,7 @@ def _pick_mode(spec: SequenceSpec, n: int, mode: str) -> str:
     return "exact-rational" if digits <= DIGIT_BUDGET else "float256"
 
 
-def _band_series(spec: SequenceSpec, n: int, band: int | float, absorb: bool,
-                 mode: str, max_cells: int):
+def _band_series(spec: SequenceSpec, n: int, band: int | float, absorb: bool, mode: str):
     """(report with the per-step band probabilities, their sum) in the chosen mode."""
     require_finite_nonnegative("band", band)
     weights = _integer_weights(spec, n)
@@ -253,36 +246,34 @@ def _band_series(spec: SequenceSpec, n: int, band: int | float, absorb: bool,
     report = HitReport(spec=spec.canonical(), horizon=n, band=band, mode=chosen)
     steps = range(spec.first_index, spec.first_index + len(weights))
     if chosen == "exact-rational":
-        masses, _ = _band_masses(weights, band, absorb, 1, max_cells)
+        masses, _ = _band_masses(weights, band, absorb, 1)
         probs = [Fraction(m, 1 << (i + 1)) for i, m in enumerate(masses)]
         report.per_n = list(zip(steps, probs))
         return report, sum(probs, Fraction(0))
     with mpmath.workprec(256):
-        masses, _ = _band_masses(weights, band, absorb, mpmath.mpf(1), max_cells)
+        masses, _ = _band_masses(weights, band, absorb, mpmath.mpf(1))
         probs = [mpmath.ldexp(m, -(i + 1)) for i, m in enumerate(masses)]
         report.per_n = [(k, float(p)) for k, p in zip(steps, probs)]
         return report, sum(probs, mpmath.mpf(0))  # 256-bit value, not downcast
 
 
 def zero_hit_probability(spec: SequenceSpec, n: int, band: int | float = 0,
-                         *, mode: str = "auto",
-                         max_cells: int = DEFAULT_MAX_CELLS) -> HitReport:
+                         *, mode: str = "auto") -> HitReport:
     """P(|S(m)| <= band for some m <= n), by a forward DP that absorbs mass
     on first entry into the band.
 
     Non-decreasing in both n and band.  The per_n series holds the first-hit
     mass at each step; its sum is the hit probability.
     """
-    report, total = _band_series(spec, n, band, True, mode, max_cells)
+    report, total = _band_series(spec, n, band, True, mode)
     report.hit_probability = total
     return report
 
 
 def expected_visits(spec: SequenceSpec, n: int, band: int | float = 0,
-                    *, mode: str = "auto",
-                    max_cells: int = DEFAULT_MAX_CELLS) -> HitReport:
+                    *, mode: str = "auto") -> HitReport:
     """Sum over m <= n of P(|S(m)| <= band), with the full per-m series."""
-    report, total = _band_series(spec, n, band, False, mode, max_cells)
+    report, total = _band_series(spec, n, band, False, mode)
     report.expected_visits = total
     return report
 
@@ -381,18 +372,18 @@ _CORE_ENTRIES = 1 << 17  # entries per temporary of the descent core (1 MB of fl
 
 def _descent_weights(lists) -> np.ndarray:
     """Weight lists of one length as a float64 array, checked for the descent
-    core: non-empty, positive and non-decreasing."""
+    core: non-empty, positive, finite and non-decreasing."""
     weights = np.asarray(lists, dtype=np.float64)
-    if weights.shape[1] == 0 or np.any(weights <= 0):
-        raise PreconditionError("tail weights must be positive")
+    if weights.shape[1] == 0 or not np.all((weights > 0) & np.isfinite(weights)):
+        raise PreconditionError("tail weights must be positive and finite")
     if np.any(weights[:, :-1] > weights[:, 1:]):
         raise PreconditionError("tail weights must be non-decreasing")
     return weights
 
 
 def _check_start(start: float) -> None:
-    if start <= 0:
-        raise DomainError(f"start must be positive, got {start}")
+    if not (start > 0 and math.isfinite(start)):
+        raise DomainError(f"start must be positive and finite, got {start}")
 
 
 def _descent_survivals(weights: np.ndarray, starts: Sequence[float]):
@@ -400,7 +391,7 @@ def _descent_survivals(weights: np.ndarray, starts: Sequence[float]):
     checked by `_descent_weights`, of length h) and every start: r[i][k] =
     ceil(start_k / a_1), and the counts of sign vectors with tau > j and with
     tau~ > j for j = 0..h, as nested lists indexed [row][start][j].  The
-    starts must be positive (`_check_start`).
+    starts must be positive and finite (`_check_start`).
 
     tau > j when start + C_i > 0 for every i <= j, C_i the partial sums of
     the signed weights.  A rounded sum keeps the sign of the exact one, so
@@ -432,8 +423,7 @@ def _descent_survivals(weights: np.ndarray, starts: Sequence[float]):
         for g in range(0, rows, per_group):
             c = signs * weights[g:g + per_group, None, :]
             np.cumsum(c, axis=2, out=c)
-            # fmin skips the nan of inf - inf, which a walk never counts as a hit
-            np.fmin.accumulate(c, axis=2, out=c)
+            np.minimum.accumulate(c, axis=2, out=c)
             for k, a in enumerate(starts):
                 weighted[g:g + per_group, k, 1:] += np.count_nonzero(c > -a, axis=1)
     return r, weighted.tolist(), unit[np.searchsorted(levels, capped)].tolist()
@@ -446,38 +436,26 @@ def _first_violation(surv_w: list[int], surv_u: list[int]) -> int | None:
 @dataclass
 class AzumaReport:
     threshold: float
-    tail: Fraction | float
+    tail: Fraction
     bound: float
     passed: bool
-    mode: str
-    paths: int | None = None
-    stderr: float | None = None
 
 
-def azuma_check(weights: Sequence[float], threshold: float, *, mode: str = "exact",
-                paths: int = 100_000, seed: int = 0) -> AzumaReport:
-    """Exact (or sampled) tail P(|S| >= A) against the sub-Gaussian bound
+def azuma_check(weights: Sequence[float], threshold: float) -> AzumaReport:
+    """Exact tail P(|S| >= A) against the sub-Gaussian bound
     2*exp(-A^2 / (2*sum(b^2))).
     """
     ws = [_nonneg_weight(w) for w in weights]
     if threshold <= 0:
         raise DomainError(f"threshold must be positive, got {threshold}")
+    if len(ws) > 24:
+        raise ResourceError(f"exact tail capped at 24 weights, got {len(ws)}",
+                            required=len(ws), budget=24)
     ssq = math.fsum(float(w) ** 2 for w in ws)
     bound = 2.0 * math.exp(-threshold * threshold / (2.0 * ssq)) if ssq > 0 else 0.0
-    if mode == "exact":
-        if len(ws) > 24:
-            raise ResourceError(f"exact mode capped at 24 weights, got {len(ws)}",
-                                required=len(ws), budget=24)
-        tail = _exact_tail(ws, threshold)
-        return AzumaReport(threshold=float(threshold), tail=tail, bound=bound,
-                           passed=tail <= bound, mode="exact")
-    if mode == "mc":
-        from .montecarlo import rademacher_tail_frequency
-        freq, se = rademacher_tail_frequency(ws, threshold, paths=paths, seed=seed)
-        return AzumaReport(threshold=float(threshold), tail=freq, bound=bound,
-                           passed=freq <= bound + 3.0 * se, mode="mc",
-                           paths=paths, stderr=se)
-    raise PreconditionError(f"mode must be exact|mc, got {mode!r}")
+    tail = _exact_tail(ws, threshold)
+    return AzumaReport(threshold=float(threshold), tail=tail, bound=bound,
+                       passed=tail <= bound)
 
 
 def _nonneg_weight(w):
@@ -491,7 +469,7 @@ def _exact_tail(ws: list, threshold: float) -> Fraction:
     """P(|sum w_i y_i| >= threshold) over all sign vectors, exact."""
     # integer weights use the lattice when it fits the cell budget; the
     # enumeration below is exact for them while |S| < 2^53
-    if all(isinstance(w, int) for w in ws) and sum(ws) < DEFAULT_MAX_CELLS:
+    if all(isinstance(w, int) for w in ws) and sum(ws) < MAX_CELLS:
         dist = _lattice(ws)
         hit = sum(c for z, c in zip(dist.support(), dist.counts) if abs(z) >= threshold)
         return Fraction(hit, dist.total)

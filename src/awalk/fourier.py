@@ -152,7 +152,6 @@ class QuadratureResult:
     value: float
     abs_error_estimate: float
     nodes: int
-    scheme: str  # "adaptive-panel" | "fixed-grid"
     domain: tuple[float, float]
 
 
@@ -235,12 +234,7 @@ def adaptive_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: floa
         mid = 0.5 * (a + b)
         add([a, mid], [mid, b])
     return QuadratureResult(value=total, abs_error_estimate=err, nodes=nodes,
-                            scheme="adaptive-panel", domain=(lo, hi))
-
-
-def _peak_scale(profile: CosineProfile) -> float:
-    ssq = profile.sum_squares
-    return 1.0 / math.sqrt(ssq) if ssq > 0 else 1.0
+                            domain=(lo, hi))
 
 
 def _geometric_ladder(start: float, stop: float) -> list[float]:
@@ -253,13 +247,18 @@ def _geometric_ladder(start: float, stop: float) -> list[float]:
     return out
 
 
-def _initial_breakpoints(profile: CosineProfile, z: int, hi: float) -> list[float]:
-    w = _peak_scale(profile)
-    total_freq = profile.total_freq + abs(z)
-    uniform = int(np.clip(total_freq / 4.0, 8, 4096))
+def _breakpoints(profile: CosineProfile, hi: float, uniform: int,
+                 mirrored: bool) -> list[float]:
+    """Initial mesh on [0, hi]: ``uniform`` equal panels, refined near 0 (and
+    near hi when ``mirrored``) by a doubling ladder from a quarter of the
+    central peak's width 1/sqrt(sum a_k^2) up to one panel width."""
+    ssq = profile.sum_squares
+    peak = 1.0 / math.sqrt(ssq) if ssq > 0 else 1.0
+    ladder = _geometric_ladder(peak / 4.0, hi / uniform)
     pts = set(np.linspace(0.0, hi, uniform + 1)[1:-1])
-    pts.update(_geometric_ladder(w / 4.0, hi / uniform))
-    pts.update(hi - p for p in _geometric_ladder(w / 4.0, hi / uniform))
+    pts.update(ladder)
+    if mirrored:
+        pts.update(hi - p for p in ladder)
     return sorted(pts)
 
 
@@ -284,7 +283,8 @@ def point_mass_fourier(spec: SequenceSpec, n: int, z: int, *,
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.cos(t * z) * profile.signed(t)
 
-    bps = _initial_breakpoints(profile, z, math.pi)
+    uniform = int(np.clip((profile.total_freq + abs(z)) / 4.0, 8, 4096))
+    bps = _breakpoints(profile, math.pi, uniform, mirrored=True)
     try:
         res = adaptive_integral(integrand, 0.0, math.pi, abs_tol=abs_tol * math.pi,
                                 breakpoints=bps, max_nodes=max_nodes)
@@ -294,7 +294,7 @@ def point_mass_fourier(spec: SequenceSpec, n: int, z: int, *,
                              nodes=exc.nodes) from exc
     return QuadratureResult(value=res.value / math.pi,
                             abs_error_estimate=res.abs_error_estimate / math.pi,
-                            nodes=res.nodes, scheme=res.scheme, domain=res.domain)
+                            nodes=res.nodes, domain=res.domain)
 
 
 def abs_integral(spec: SequenceSpec, n: int, *,
@@ -308,15 +308,13 @@ def abs_integral(spec: SequenceSpec, n: int, *,
     """
     profile = CosineProfile(spec, n)
     factor, hi = (4.0, math.pi / 2) if spec.is_integer_valued else (2.0, math.pi)
-    w = _peak_scale(profile)
-    pts = set(np.linspace(0.0, hi, 65)[1:-1])
-    pts.update(_geometric_ladder(w / 4.0, hi / 64))
     res = adaptive_integral(profile.absolute, 0.0, hi,
                             abs_tol=abs_tol / factor, rel_tol=rel_tol,
-                            breakpoints=sorted(pts), max_nodes=max_nodes)
+                            breakpoints=_breakpoints(profile, hi, 64, mirrored=False),
+                            max_nodes=max_nodes)
     return QuadratureResult(value=factor * res.value,
                             abs_error_estimate=factor * res.abs_error_estimate,
-                            nodes=res.nodes, scheme=res.scheme, domain=res.domain)
+                            nodes=res.nodes, domain=res.domain)
 
 
 @dataclass
@@ -395,13 +393,6 @@ class TransienceReport:
     summable_trend: bool | None
     fit_points: int
     note: str = ""
-
-    def envelope_constant(self, exponent: float) -> float | None:
-        """max over fitted entries of value * n^exponent."""
-        pts = _fit_entries(self.entries)
-        if not pts:
-            return None
-        return max(v * n ** exponent for n, v in pts)
 
 
 def _fit_entries(entries: list[TransienceEntry]) -> list[tuple[int, float]]:

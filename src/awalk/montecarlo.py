@@ -62,7 +62,6 @@ __all__ = [
     "growth_experiment",
     "tomaszewski_check",
     "bc_bound_propagation",
-    "rademacher_tail_frequency",
     "parse_rate",
     "worker_count",
 ]
@@ -1139,25 +1138,6 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
                                  probability=freq, passed=freq >= 0.5 - 3 * se,
                                  paths=paths, stderr=se)
     raise PreconditionError(f"mode must be exact|mc, got {mode!r}")
-
-
-def rademacher_tail_frequency(weights: Sequence[float], threshold: float, *,
-                              paths: int, seed: int) -> tuple[float, float]:
-    """Empirical P(|sum w_i y_i| >= threshold) and its binomial standard error."""
-    w = np.asarray([float(x) for x in weights], dtype=np.float64)
-    gen = RngSpec(seed, 0).generator()
-    hits = 0
-    chunk = max(1, min(paths, (1 << 22) // max(1, w.size)))
-    done = 0
-    while done < paths:
-        take = min(chunk, paths - done)
-        signs = gen.integers(0, 2, size=(take, w.size), dtype=np.int8) * 2 - 1
-        sums = signs @ w
-        hits += int(np.count_nonzero(np.abs(sums) >= threshold))
-        done += take
-    freq = hits / paths
-    se = math.sqrt(max(freq * (1 - freq), 1e-12) / paths)
-    return freq, se
 
 
 # --- conditional Borel-Cantelli recursion ----------------------------------------

@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "TcondViolation",
     "parse_spec",
     "register_length_rule",
-    "term",
     "prefix_sum_squares",
     "block_start",
     "checkpoint_index",
@@ -432,13 +431,6 @@ class GeneralBlocks(SequenceSpec):
             raise DomainError(f"length rule returned {length} < 1 at k={k}")
         return length
 
-    def _extend_starts(self, upto_index: int) -> None:
-        while self._starts[-1] <= upto_index:
-            k = len(self._starts)
-            if self.explicit_lengths is not None and k > len(self.explicit_lengths):
-                break
-            self._starts.append(self._starts[-1] + self.length(k))
-
     def start(self, k: int) -> int:
         """First index i_k = 1 + L_1 + ... + L_{k-1} of block k."""
         if k < 1:
@@ -450,7 +442,8 @@ class GeneralBlocks(SequenceSpec):
 
     def term(self, i):
         self._check_index(i)
-        self._extend_starts(i)
+        while self._starts[-1] <= i:  # i <= max_index, so the lengths reach past i
+            self.start(len(self._starts) + 1)
         return bisect.bisect_right(self._starts, i)
 
     def value_runs(self, n):
@@ -628,11 +621,6 @@ def _parse_scalar(text: str):
 
 # --- module-level operations -------------------------------------------------
 
-def term(spec: SequenceSpec, k: int):
-    """a_k for the given spec."""
-    return spec.term(k)
-
-
 def prefix_sum_squares(spec: SequenceSpec, n: int) -> float:
     """Sum of a_k**2 over k <= n; exact integer arithmetic when possible."""
     spec._check_horizon(n)
@@ -712,25 +700,12 @@ class TcondReport:
     indeterminate: list[tuple[int, int | None]]
 
 
-def _resolve_lengths(lengths) -> Callable[[int], int]:
-    if isinstance(lengths, GeneralBlocks):
-        return lengths.length
-    if isinstance(lengths, str):
-        return GeneralBlocks(lengths).length
-    if callable(lengths):
-        return lambda k: int(lengths(k))
-    seq = [int(v) for v in lengths]
-    def from_list(k: int) -> int:
-        if k < 1 or k > len(seq):
-            raise DomainError(f"length list has {len(seq)} entries, got label {k}")
-        return seq[k - 1]
-    return from_list
-
-
 def tcond_check(lengths, epsilon: float, r: float, k0: int, k_max: int) -> TcondReport:
     """Growth conditions on block lengths that make a block walk recurrent.
 
-    For every pair k0 <= k' < k <= k_max with k - k' >= k/ln(k) - 2, checks
+    ``lengths`` takes any form `GeneralBlocks` takes: a rule name, a callable
+    or a list of lengths.  For every pair k0 <= k' < k <= k_max with
+    k - k' >= k/ln(k) - 2, checks
 
         L_k / (L_1 + ... + L_{k'})          >= (2 + epsilon) * ln(k)
         L_k / (L_{k'+1} + ... + L_{k-1})    >= 2 * r
@@ -743,13 +718,11 @@ def tcond_check(lengths, epsilon: float, r: float, k0: int, k_max: int) -> Tcond
         raise DomainError(f"epsilon and r must be positive, got ({epsilon}, {r})")
     if k0 < 3 or k_max < k0:
         raise DomainError(f"need k_max >= k0 >= 3, got ({k0}, {k_max})")
-    L = _resolve_lengths(lengths)
+    L = GeneralBlocks(lengths).length  # raises DomainError for a length < 1
     lengths_cache = [0] * (k_max + 1)
     prefix = [0] * (k_max + 1)  # prefix[j] = L_1 + ... + L_j
     for j in range(1, k_max + 1):
         lengths_cache[j] = L(j)
-        if lengths_cache[j] < 1:
-            raise DomainError(f"block lengths must be positive, L_{j}={lengths_cache[j]}")
         prefix[j] = prefix[j - 1] + lengths_cache[j]
 
     pairs = 0

@@ -371,7 +371,7 @@ def panel_adaptive_integral(f, lo, hi, *, abs_tol=1e-12, rel_tol=0.0, breakpoint
         nodes += 2 * (order + 1)
     return fourier.QuadratureResult(
         value=math.fsum(p[2] for p in panels), abs_error_estimate=math.fsum(
-            p[3] for p in panels), nodes=nodes, scheme="adaptive-panel", domain=(lo, hi))
+            p[3] for p in panels), nodes=nodes, domain=(lo, hi))
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -419,3 +420,11 @@ def test_help_documents_every_flag(monkeypatch):
             for opt in action.option_strings:
                 assert opt in text, (name, opt)
             assert action.help, (name, action.dest)  # every flag has help text
+
+
+@pytest.mark.parametrize("module", ["exact", "fourier", "montecarlo", "reports", "sequences",
+                                    "verify"])
+def test_every_exported_name_exists(module):
+    # a stale __all__ entry breaks `from awalk.<module> import *`
+    mod = importlib.import_module(f"awalk.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

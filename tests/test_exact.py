@@ -58,22 +58,23 @@ def test_distribution_rejects_real_weights():
 
 
 def test_distribution_resource_budget():
+    # 1 + 10000*10001/2 = 50,005,001 cells: refused before any allocation
     with pytest.raises(ResourceError) as exc:
-        exact.distribution(Linear(), 100, max_cells=1000)
-    assert exc.value.required > exc.value.budget
+        exact.distribution(Linear(), 10_000)
+    assert exc.value.required == 50_005_001 > exc.value.budget == exact.MAX_CELLS
 
 
 def test_expected_visits_resource_budget():
     with pytest.raises(ResourceError) as exc:
-        exact.expected_visits(Linear(), 100, max_cells=1000)
-    assert exc.value.required > exc.value.budget
+        exact.expected_visits(Linear(), 10_000)
+    assert exc.value.required == 50_005_001 > exc.value.budget == exact.MAX_CELLS
 
 
-def test_signed_count_examples():
-    assert exact.signed_count(Linear(), 7, 0) == 8
-    assert exact.signed_count(Linear(), 5, 0) == 0
-    assert exact.signed_count(Explicit([2]), 1, 2) == 1
-    assert exact.signed_count(Linear(), 8, 1) == 0  # off-parity target
+def test_distribution_count_examples():
+    assert exact.distribution(Linear(), 7).count(0) == 8
+    assert exact.distribution(Linear(), 5).count(0) == 0
+    assert exact.distribution(Explicit([2]), 1).count(2) == 1
+    assert exact.distribution(Linear(), 8).count(1) == 0  # off-parity target
 
 
 def test_zero_hit_examples():
@@ -183,6 +184,13 @@ def test_dominance_examples():
         exact.dominance_check([2, 1], 1.0)
 
 
+@pytest.mark.parametrize("ws, start", [([math.nan, 1.0], 1.0), ([1.0], math.inf),
+                                       ([1.0, math.inf], 1.0)])
+def test_dominance_rejects_non_finite_input(ws, start):
+    with pytest.raises(PreconditionError):
+        exact.dominance_check(ws, start)
+
+
 def test_descent_core_equals_per_list_enumeration():
     # every list over these values with h <= 8 and every start, one core call
     # per length; at h = 8 the 165 lists go in three groups
@@ -251,11 +259,13 @@ def test_azuma_real_weights():
     assert rep.tail == want and rep.passed
 
 
-def test_azuma_mc_mode():
-    rep = exact.azuma_check([1, 2, 3, 4], 5, mode="mc", paths=20000, seed=3)
-    assert rep.mode == "mc" and rep.passed
-    assert rep.tail == pytest.approx(float(exact.azuma_check([1, 2, 3, 4], 5).tail),
-                                     abs=4 * rep.stderr)
+def test_azuma_tail_within_bound_off_the_sweep():
+    # [1, 1, 5] lies outside azuma_sweep's values (1, 2, 3)
+    for ws in ([1, 2, 3], [2, 2, 2, 2], [1, 1, 5]):
+        total = sum(ws)
+        for a in (1, total // 2, total):
+            rep = exact.azuma_check(ws, a)
+            assert rep.passed, (ws, a)
 
 
 def test_avoid_pattern_examples():

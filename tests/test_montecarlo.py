@@ -549,14 +549,6 @@ def test_rate_parser():
         mc.parse_rate("nope:1")
 
 
-def test_azuma_empirical_never_far_above_bound():
-    for ws in ([1, 2, 3], [2, 2, 2, 2], [1, 1, 5]):
-        total = sum(ws)
-        for a in (1, total // 2, total):
-            rep = exact.azuma_check(ws, a, mode="mc", paths=20_000, seed=a)
-            assert rep.passed, (ws, a)
-
-
 def test_rngspec_validation():
     with pytest.raises(DomainError):
         mc.RngSpec(-1, 0)

@@ -8,7 +8,7 @@ from awalk.errors import DomainError, PreconditionError, UnsupportedVariantError
 from awalk.sequences import (BlockIndex, Constant, Explicit, GeneralBlocks,
                              LogCeilBlocks, LogContinuous, Linear, PowerFloor,
                              block_start, checkpoint_index, integer_nth_root,
-                             parse_spec, prefix_sum_squares, term, tcond_check)
+                             parse_spec, prefix_sum_squares, tcond_check)
 
 ALL_TEXTS = ["constant:1", "constant:2.5", "linear", "powfloor:0.5", "powfloor:0.8",
              "logceil:2", "logceil:1.5", "blocks:pow2", "blocks:one", "blocks:1,2,4,8",
@@ -16,17 +16,17 @@ ALL_TEXTS = ["constant:1", "constant:2.5", "linear", "powfloor:0.5", "powfloor:0
 
 
 def test_term_examples():
-    assert term(PowerFloor(0.5), 4) == 2
-    assert term(GeneralBlocks("pow2"), 5) == 2  # matches floor(log2(5+1))
-    assert term(Linear(), 7) == 7
+    assert PowerFloor(0.5).term(4) == 2
+    assert GeneralBlocks("pow2").term(5) == 2  # matches floor(log2(5+1))
+    assert Linear().term(7) == 7
 
 
 def test_powfloor_exact_boundaries():
     # 32**0.8 = 16 and 243**0.8 = 81 exactly; float pow must not spoil them
-    assert term(PowerFloor(0.8), 32) == 16
-    assert term(PowerFloor(0.8), 243) == 81
-    assert term(PowerFloor(0.8), 31) == 15
-    assert term(PowerFloor(0.5), 10 ** 12) == 10 ** 6
+    assert PowerFloor(0.8).term(32) == 16
+    assert PowerFloor(0.8).term(243) == 81
+    assert PowerFloor(0.8).term(31) == 15
+    assert PowerFloor(0.5).term(10 ** 12) == 10 ** 6
 
 
 def test_integer_nth_root():
@@ -186,6 +186,14 @@ def test_tcond_log_blocks_pass():
     # lengths of the value-m run of floor(log2 k): L_m = 2^m
     rep = tcond_check(lambda m: 2 ** m, 0.1, 0.4, 25, 120)
     assert rep.passed
+
+
+@pytest.mark.parametrize("lengths", [[1, 2, 0, 5, 6],  # a non-positive length
+                                     [1, 2, 3],  # fewer lengths than k_max
+                                     lambda k: 0])  # a rule that returns 0
+def test_tcond_rejects_bad_lengths(lengths):
+    with pytest.raises(DomainError):
+        tcond_check(lengths, 0.1, 0.4, 3, 5)
 
 
 def test_tcond_extensible_rule():
