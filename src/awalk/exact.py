@@ -389,9 +389,10 @@ def _check_start(start: float) -> None:
 def _descent_survivals(weights: np.ndarray, starts: Sequence[float]):
     """(r, weighted counts, unit counts) for every row of ``weights`` (as
     checked by `_descent_weights`, of length h) and every start: r[i][k] =
-    ceil(start_k / a_1), and the counts of sign vectors with tau > j and with
-    tau~ > j for j = 0..h, as nested lists indexed [row][start][j].  The
-    starts must be positive and finite (`_check_start`).
+    ceil(start_k / a_1), in exact rationals, and the counts of sign vectors
+    with tau > j and with tau~ > j for j = 0..h, as nested lists indexed
+    [row][start][j].  The starts must be positive and finite
+    (`_check_start`).
 
     tau > j when start + C_i > 0 for every i <= j, C_i the partial sums of
     the signed weights.  A rounded sum keeps the sign of the exact one, so
@@ -403,7 +404,8 @@ def _descent_survivals(weights: np.ndarray, starts: Sequence[float]):
     if h > 24:
         raise ResourceError(f"exhaustive enumeration capped at 24 steps, got {h}",
                             required=h, budget=24)
-    r = [[math.ceil(a / w) for a in starts] for w in weights[:, 0].tolist()]
+    r = [[math.ceil(Fraction(a) / Fraction(w)) for a in starts]
+         for w in weights[:, 0].tolist()]
     # a unit walk never reaches below -h, so every r > h counts alike
     capped = np.array([[min(x, h + 1) for x in row] for row in r], dtype=np.int64)
     levels = np.unique(capped)

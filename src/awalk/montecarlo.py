@@ -27,13 +27,13 @@ pass can walk several paths at once.  The kernel walks in one of two ways:
   steps reads one refill, so the paths of a 64-path work unit are walked
   together, as many as fit in one 2^15-byte chunk, as one array of
   (paths, sign bytes);
-- step by step, one path at a time, for real weights (and for integer
-  weights that are not all positive): one cumsum per step, in int64 for
-  integer weights (exact) and in extended precision for real weights, with
-  the carry propagated across segments, which keeps the drift of a
-  million-step sum far below the 1e-9 zero-detection tolerance.
+- step by step, one path at a time, for real weights: one cumsum per step
+  in extended precision, with the carry propagated across segments, which
+  keeps the drift of a million-step sum far below the 1e-9 zero-detection
+  tolerance.
 
-Both ways give the same statistics, bit for bit.
+The weights' type alone picks the way; `_weights_for` refuses a weight
+that is not positive.
 """
 
 from __future__ import annotations
@@ -249,6 +249,9 @@ class PathStats:
 
 def _weights_for(spec: SequenceSpec, n: int) -> np.ndarray:
     w = spec.terms(n)
+    if w.size and not w.min() > 0:  # nan fails too
+        raise DomainError(f"walk weights must be positive; {spec.canonical()} "
+                          f"has weight {w.min()}")
     if w.dtype == np.int64 and w.size and int(w.max()) * w.size >= 1 << 62:
         total = int(np.sum(w, dtype=object))  # the bound failed: sum exactly
         if total >= 1 << 62:
@@ -260,16 +263,16 @@ class _PathKernel:
     """The one path kernel: partial sums S of one or several paths, fed to a
     reducer.
 
-    The byte path (`bytewise`) takes every walk with positive integer
-    weights.  It reads whole sign bytes, in chunks of up to 2^15 bytes over
-    all the paths of a pass, and forms each byte's sum from the tables
-    (`_byte_sums`); a byte whose weights are not affine takes an exact row
-    sum.  The last byte of a walk of n steps, n mod 8 > 0, gets weight 0 on
-    its missing steps, so S stays at S(n) there and reducers skip them.  One
-    cumsum per path gives S at the chunk's byte ends, which
-    reducer.update_bytes reads; it expands only the bytes that end within
-    their reach (`reach`, from the tables A and B) of what it looks for,
-    to exact per-step sums (`expand`).
+    The byte path (`bytewise`) takes every walk with integer weights, which
+    `_weights_for` checked to be positive.  It reads whole sign bytes, in
+    chunks of up to 2^15 bytes over all the paths of a pass, and forms each
+    byte's sum from the tables (`_byte_sums`); a byte whose weights are not
+    affine takes an exact row sum.  The last byte of a walk of n steps,
+    n mod 8 > 0, gets weight 0 on its missing steps, so S stays at S(n)
+    there and reducers skip them.  One cumsum per path gives S at the
+    chunk's byte ends, which reducer.update_bytes reads; it expands only the
+    bytes that end within their reach (`reach`, from the tables A and B) of
+    what it looks for, to exact per-step sums (`expand`).
 
     Pass rule: a walk of at most 2^16 steps reads one refill per path, so
     `run_rows` walks `paths_per_pass` paths together, as many whole paths
@@ -278,20 +281,17 @@ class _PathKernel:
 
     The step path walks one path in segments that end at every multiple of
     2^16 steps, at each checkpoint and at the horizon, and calls
-    reducer.update with the segment's partial sums.  Integer weights
-    accumulate exactly in int64.  Real weights take a long-double cumsum per
-    segment and then add the carry, so the cut positions fix the rounding:
-    keep them where they are, or reports move.
+    reducer.update with the segment's partial sums.  It takes the real
+    weights: a long-double cumsum per segment, then the carry added, so the
+    cut positions fix the rounding: keep them where they are, or reports
+    move.  A walk of no steps takes it too and returns at once.
     """
 
-    def __init__(self, weights: np.ndarray, checkpoint_steps: Sequence[int] = (),
-                 bytewise: bool = True):
-        """`bytewise` False forces the step path, the byte path's reference."""
+    def __init__(self, weights: np.ndarray, checkpoint_steps: Sequence[int] = ()):
         self.weights = weights
         self.steps = int(weights.size)
-        self.integer = weights.dtype == np.int64
         self.checkpoints = frozenset(checkpoint_steps)
-        self.bytewise = bool(bytewise and self.integer and self.steps and weights.min() > 0)
+        self.bytewise = bool(self.steps) and weights.dtype == np.int64
         self.paths_per_pass = 1
         if self.bytewise:
             self.nbytes = -(-self.steps // 8)
@@ -310,7 +310,7 @@ class _PathKernel:
         self.segments = list(zip([0] + ends[:-1], ends))
         size = min(_CHUNK, self.steps)
         self._signs = np.empty(size, dtype=np.uint8)
-        self._sums = np.empty(size, dtype=np.int64 if self.integer else np.longdouble)
+        self._sums = np.empty(size, dtype=np.longdouble)
 
     def _padded_blocks(self):
         """(first byte, weights) for blocks of 2^13 bytes; the last byte's
@@ -458,8 +458,7 @@ class _PathKernel:
     def run(self, stream, reducer=None) -> np.ndarray:
         """Walk one path read from `stream` (`take` bits, `take_bytes` bytes)
         into the reducer until it returns True; return the last partial sum
-        formed, as a one-entry array.  Without a reducer an integer walk only
-        sums S(n)."""
+        formed, as a one-entry array."""
         if self.bytewise:
             return self._run_bytes(stream.take_bytes, reducer, 1)
         return np.asarray([self._run_steps(stream.take, reducer)])
@@ -492,32 +491,20 @@ class _PathKernel:
         """Feed each segment to reducer.update(pos, s, at_checkpoint) until it
         returns True; return the last partial sum formed."""
         w = self.weights
-        carry = 0 if self.integer else np.longdouble(0)
+        carry = np.longdouble(0)
         for pos, end in self.segments:
             m = end - pos
             bits = take(m)
             signs = np.add(bits, bits, out=self._signs[:m])
             signs -= 1  # 0/1 -> 255/1, which is -1/+1 as int8
             signs = signs.view(np.int8)
-            if self.integer:
-                s = self._sums[:m]
-                np.copyto(s, signs)
-                if reducer is None:
-                    carry += int(np.dot(w[pos:end], s))
-                    continue
-                s *= w[pos:end]
-                s[0] += carry  # exact in int64
-                np.add.accumulate(s, out=s)
-                carry = int(s[-1])
-            else:
-                s_ld = np.multiply(w[pos:end], signs, out=self._sums[:m])
-                np.add.accumulate(s_ld, out=s_ld)  # the cumsum
-                s_ld += carry
-                carry = s_ld[-1]
-                if reducer is None:
-                    continue
-                s = s_ld.astype(np.float64)
-            if reducer.update(pos, s, end in self.checkpoints):
+            s_ld = np.multiply(w[pos:end], signs, out=self._sums[:m])
+            np.add.accumulate(s_ld, out=s_ld)  # the cumsum
+            s_ld += carry
+            carry = s_ld[-1]
+            if reducer is None:
+                continue
+            if reducer.update(pos, s_ld.astype(np.float64), end in self.checkpoints):
                 break
         return carry
 
@@ -551,15 +538,12 @@ class _PathTally:
     positions, max |S| and S(n).  A missing last hit is -1.
     """
 
-    def __init__(self, first: int, integer: bool, bands: Sequence[float], zero_tol: float,
+    def __init__(self, first: int, bands: Sequence[float], zero_tol: float,
                  full: bool = True, paths: int = 1):
         self.first = first
-        self.integer = integer
         self.bands = [float(c) if not float(c).is_integer() else int(c) for c in bands]
         self.zero_tol = zero_tol
         self.full = full
-        # an integer walk needs |S| only for nonzero bands; band 0 is the zero mask
-        self.need_abs = not integer or any(c != 0 for c in self.bands)
         self.widest = math.floor(max(self.bands, default=0))  # |S| <= c iff |S| <= floor(c)
         self.zero_hits = np.zeros(paths, dtype=np.int64)
         self.sign_changes = np.zeros(paths, dtype=np.int64)
@@ -577,24 +561,20 @@ class _PathTally:
                                self.band_hits + band_hits))
 
     def update(self, pos: int, s: np.ndarray, at_checkpoint: bool) -> bool:
-        """Step-path update of a one-path tally: S at steps pos, pos+1, ..."""
-        abs_s = np.abs(s) if self.need_abs else None
-        zmask = s == 0 if self.integer else abs_s <= self.zero_tol
+        """Step-path update of a one-path tally: S at steps pos, pos+1, ...,
+        a real walk's, so a zero is |S| <= zero_tol."""
+        abs_s = np.abs(s)
+        zmask = abs_s <= self.zero_tol
         zeros = int(np.count_nonzero(zmask))
-        last_zero = -1
         if zeros:
             self.zero_hits += zeros
             if self.full:
-                last_zero = self.first + pos + _last_true(zmask)
-                self.last_zero[0] = last_zero
+                self.last_zero[0] = self.first + pos + _last_true(zmask)
         for b, c in enumerate(self.bands):
-            if self.integer and c == 0:
-                hits, last = zeros, last_zero
-            else:
-                bmask = abs_s <= c
-                hits = int(np.count_nonzero(bmask))
-                last = self.first + pos + _last_true(bmask) if hits and self.full else -1
+            bmask = abs_s <= c
+            hits = int(np.count_nonzero(bmask))
             if hits:
+                last = self.first + pos + _last_true(bmask) if self.full else -1
                 self.band_hits[b] += hits
                 self.last_band[b] = last
         # sign changes among the nonzero S; a zero never counts as a sign
@@ -606,8 +586,7 @@ class _PathTally:
             self.sign_changes += int(np.count_nonzero(up[1:] != up[:-1]))
             self.last_sign[0] = 1 if up[-1] else -1
         if self.full:
-            top = abs_s.max() if abs_s is not None else max(s.max(), -s.min())
-            self.max_abs[0] = max(self.max_abs[0], float(top))
+            self.max_abs[0] = max(self.max_abs[0], float(abs_s.max()))
             self.final[0] = float(s[-1])
         if at_checkpoint:
             self._snapshot(self.first + pos + s.size - 1, 0, 0, 0)
@@ -754,21 +733,12 @@ class _GrowthTest:
         self.ok = np.ones(1, dtype=bool)
         self._tops: dict[int, int] = {}  # chunk -> its largest threshold, rounded up
 
-    def update(self, pos: int, s: np.ndarray, at_checkpoint: bool) -> bool:
-        end = pos + s.size
-        if end <= self.window_start:
-            return False
-        a = max(self.window_start, pos)
-        if np.any(np.abs(s[a - pos:]) <= self.thresholds[a:end]):
-            self.ok[0] = False
-            return True  # the rest of the path cannot change the verdict
-        return False
-
     def update_bytes(self, kernel: _PathKernel, lo: int, index: np.ndarray,
                      ends: np.ndarray, cps: np.ndarray) -> bool:
-        """Byte-path `update`: only a byte that ends within its reach plus its
-        largest threshold in the chunk can hold a failing step, so only those
-        are expanded."""
+        """Only a byte that ends within its reach plus its largest threshold
+        in the chunk can hold a failing step, so only those are expanded.
+        The growth experiment's weights are integers, so the byte path
+        always runs it."""
         k = ends.shape[1]
         start = max(lo, self.window_start // 8)
         if start >= lo + k:
@@ -817,7 +787,7 @@ def _path_stats(spec, weights, horizon, stream, bands, zero_tol, checkpoints) ->
     first = spec.first_index
     cps = {int(c) for c in checkpoints if first <= c <= horizon}
     kernel = _PathKernel(weights, [c - first + 1 for c in cps])
-    tally = _PathTally(first, kernel.integer, bands, zero_tol)
+    tally = _PathTally(first, bands, zero_tol)
     kernel.run(stream, tally)
     return tally.stats(horizon, kernel.steps)
 
@@ -833,14 +803,22 @@ def _init_worker(kind, spec, horizon, seed, bands, zero_tol, checkpoints, extra)
 
     Each worker builds its own weights, byte tables and growth thresholds
     after the fork; built once in the parent, they would stay resident there
-    for the whole pool and raise the peak memory of every job."""
+    for the whole pool and raise the peak memory of every job.
+
+    An error raised here is kept and raised by `_path_block`: a pool
+    replaces a worker whose initializer raises with another that raises
+    too, and never returns."""
     _CTX.clear()
     first = spec.first_index
-    kernel = _PathKernel(_weights_for(spec, horizon), [c - first + 1 for c in checkpoints])
+    try:
+        weights = _weights_for(spec, horizon)
+    except Exception as exc:  # raised again by _path_block
+        _CTX.update(error=exc)
+        return
+    kernel = _PathKernel(weights, [c - first + 1 for c in checkpoints])
     if kind in ("stats", "counts"):
         def reducer(paths):
-            return _PathTally(first, kernel.integer, bands, zero_tol, full=kind == "stats",
-                              paths=paths)
+            return _PathTally(first, bands, zero_tol, full=kind == "stats", paths=paths)
 
         def columns(tally, last):
             return tally.columns()
@@ -868,6 +846,8 @@ def _init_worker(kind, spec, horizon, seed, bands, zero_tol, checkpoints, extra)
 
 def _path_block(block: tuple[int, int]) -> np.ndarray:
     """The columns of paths lo..hi-1, `paths_per_pass` of them per pass."""
+    if "error" in _CTX:
+        raise _CTX["error"]
     lo, hi = block
     seed, kernel, stream = _CTX["seed"], _CTX["kernel"], _CTX["stream"]
     per_pass = kernel.paths_per_pass

@@ -93,17 +93,14 @@ class SignSource:
         return self.packed[at:at + m]
 
 
-def simulate_signs(spec, signs, bands=(), zero_tol=1e-9, checkpoints=(),
-                   bytewise=False) -> mc.PathStats:
+def simulate_signs(spec, signs, bands=(), zero_tol=1e-9, checkpoints=()) -> mc.PathStats:
     """Statistics of the walk driven by an explicit +-1 array, through the
-    kernel's step path or, with ``bytewise``, its byte path at any length."""
+    kernel: its byte path for integer weights, its step path for real ones."""
     first = spec.first_index
     n = first + len(signs) - 1
     cps = {int(c) for c in checkpoints if first <= c <= n}
-    kernel = mc._PathKernel(mc._weights_for(spec, n), [c - first + 1 for c in cps],
-                            bytewise=bytewise)
-    assert kernel.bytewise == bytewise
-    tally = mc._PathTally(first, kernel.integer, bands, zero_tol)
+    kernel = mc._PathKernel(mc._weights_for(spec, n), [c - first + 1 for c in cps])
+    tally = mc._PathTally(first, bands, zero_tol)
     kernel.run(SignSource(signs), tally)
     return tally.stats(n, kernel.steps)
 

@@ -180,6 +180,8 @@ def test_dominance_examples():
     rep = exact.dominance_check([2, 2, 2, 2, 2], 3.0)
     assert rep.passed and rep.r == 2
     assert rep.survival_weighted == rep.survival_unit  # scaled unit walk
+    rep = exact.dominance_check([5e-324], 1.0)  # the float ratio overflows
+    assert rep.passed and rep.r == 2 ** 1074
     with pytest.raises(PreconditionError):
         exact.dominance_check([2, 1], 1.0)
 

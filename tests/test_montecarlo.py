@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from awalk import exact, montecarlo as mc
+from awalk.cli import main
 from awalk.errors import DomainError, PreconditionError
 from awalk.reports import write_json
-from awalk.sequences import (Constant, Explicit, GeneralBlocks, Linear, PowerFloor, parse_spec,
+from awalk.sequences import (Constant, Explicit, GeneralBlocks, Linear, PowerFloor,
+                             SequenceSpec, parse_spec,
                              sum_squares_exact)
 from conftest import (SignSource, band_avoidance_block_estimate, bridge_touch,
                       enumerate_sign_change_counts, first_hit_probability,
@@ -87,10 +89,11 @@ def test_logcont_walk_uses_compensated_accumulation():
     assert st.final_value == pytest.approx(want, abs=1e-9)
 
 
-def _step_loop_stats(spec, signs, bands, checkpoints):
-    """The statistics of `PathStats`, one step at a time in Python integers."""
+def _step_loop_stats(spec, signs, bands, checkpoints, number=int):
+    """The statistics of `PathStats`, one step at a time in Python integers
+    (or in `number`, such as `Fraction`, for real weights)."""
     first = spec.first_index
-    weights = [int(w) for w in spec.terms(first + len(signs) - 1)]
+    weights = [number(w) for w in spec.terms(first + len(signs) - 1).tolist()]
     s = zero_hits = changes = last_sign = max_abs = 0
     last_zero = None
     hits = {c: 0 for c in bands}
@@ -145,14 +148,43 @@ def test_integer_kernel_matches_step_loop(text, signs, bands, offsets):
     spec = parse_spec(text)
     first = spec.first_index
     checkpoints = {first + o % len(signs) for o in offsets}
-    want = _step_loop_stats(spec, signs, bands, checkpoints)
-    for bytewise in (False, True):
-        got = simulate_signs(spec, np.array(signs, dtype=np.int8), bands=bands,
-                             checkpoints=sorted(checkpoints), bytewise=bytewise)
-        assert (got.zero_hits, got.sign_changes, got.last_zero_hit, got.max_abs,
-                got.final_value, got.band_hits, got.last_band_hit) == want[:7], bytewise
-        assert [(c.at, c.zero_hits, c.sign_changes, c.band_hits)
-                for c in got.checkpoints] == want[7], bytewise
+    got = simulate_signs(spec, np.array(signs, dtype=np.int8), bands=bands,
+                         checkpoints=sorted(checkpoints))
+    _assert_stats_equal(got, _step_loop_stats(spec, signs, bands, checkpoints))
+
+
+def _assert_stats_equal(got, want):
+    """A `PathStats` against the fields of `_step_loop_stats`."""
+    assert (got.zero_hits, got.sign_changes, got.last_zero_hit, got.max_abs,
+            got.final_value, got.band_hits, got.last_band_hit) == want[:7]
+    assert [(c.at, c.zero_hits, c.sign_changes, c.band_hits)
+            for c in got.checkpoints] == want[7]
+
+
+_REAL_SPECS = ["constant:0.5", "constant:0.25",
+               # a cycle of halves and quarters
+               "explicit:" + ",".join(str([0.25, 0.5, 1.75, 0.75, 1.5][k % 5])
+                                      for k in range(2000))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.sampled_from(_REAL_SPECS), _SIGN_RUNS,
+       strategies.lists(strategies.sampled_from([0, 0.25, 1, 2.5, 7]), max_size=3,
+                        unique=True),
+       strategies.lists(strategies.integers(0, 1999), max_size=6))
+@example("constant:0.5", _sign_runs(70_001, 5), [0, 2.5],
+         [0, 65_534, 65_535, 65_536, 70_000])
+def test_real_kernel_matches_exact_step_loop(text, signs, bands, offsets):
+    # dyadic weights keep every partial sum exact, in float64 and in the
+    # step path's long double, so the statistics must equal those of a walk
+    # in rationals; 70,001 steps cross the carry at the 2^16-step segment end
+    spec = parse_spec(text)
+    first = spec.first_index
+    assert not mc._PathKernel(spec.terms(first)).bytewise
+    checkpoints = {first + o % len(signs) for o in offsets}
+    got = simulate_signs(spec, np.array(signs, dtype=np.int8), bands=bands,
+                         checkpoints=sorted(checkpoints))
+    _assert_stats_equal(got, _step_loop_stats(spec, signs, bands, checkpoints, Fraction))
 
 
 def _step_loop_columns(spec, signs, bands, checkpoints, full):
@@ -190,7 +222,7 @@ def test_block_pass_matches_single_paths(text, length, seeds, bands, offsets, fu
     checkpoints = sorted({first + o % length for o in offsets})
     kernel = mc._PathKernel(weights, [c - first + 1 for c in checkpoints])
     assert kernel.bytewise
-    tally = mc._PathTally(first, True, bands, 1e-9, full=full, paths=len(paths))
+    tally = mc._PathTally(first, bands, 1e-9, full=full, paths=len(paths))
     last = kernel.run_rows(codes, tally)
     assert tally.columns().tolist() == [
         _step_loop_columns(spec, p, bands, set(checkpoints), full) for p in paths]
@@ -225,44 +257,39 @@ def test_reach_tables_bound_every_suffix():
 @pytest.mark.parametrize("kind", ["stats", "counts", "growth", "final"])
 def test_path_blocks_match_step_path_runs(kind, monkeypatch):
     # real Philox streams: 70 paths (a 64-path unit of three passes and a
-    # unit of 6) of 1003 steps, against each path on its own through the step path
+    # unit of 6) of 1003 steps, against each path's own bits through the
+    # Python step loop, the window test on np.cumsum and np.dot
     monkeypatch.setenv("AWALK_THREADS", "1")
     spec, n, paths, seed = parse_spec("powfloor:0.5"), 1003, 70, 17
     bands, cps = [0.0, 2.5], [8, 9, 500, 1003]
     extra = (100, 0.3) if kind == "growth" else None
     rows = mc._run_blocks(kind, spec, n, paths, seed, bands, 1e-9, cps, extra, None)
     weights = mc._weights_for(spec, n)
-    kernel = mc._PathKernel(weights, cps, bytewise=False)
-    stream = mc._BitStream()
+    thresholds = np.arange(1, n + 1, dtype=np.float64) ** 0.3
     for p in range(paths):
-        stream.start(seed, p, n)
-        if kind == "growth":
-            reducer = mc._GrowthTest(100, np.arange(1, n + 1, dtype=np.float64) ** 0.3)
-        elif kind != "final":
-            reducer = mc._PathTally(1, True, bands, 1e-9, full=kind == "stats")
+        signs = mc._BitStream(mc.RngSpec(seed, p), n).take(n).astype(np.int64) * 2 - 1
+        if kind in ("stats", "counts"):
+            want = _step_loop_columns(spec, signs, bands, set(cps), kind == "stats")
+        elif kind == "growth":
+            want = [float(np.all(np.abs(np.cumsum(weights * signs)[100:]) > thresholds[100:]))]
         else:
-            reducer = None
-        last = kernel.run(stream, reducer)
-        want = (reducer.columns()[0] if kind in ("stats", "counts")
-                else reducer.ok.astype(float) if kind == "growth" else last.astype(float))
-        assert rows[p].tolist() == want.tolist(), p
+            want = [float(np.dot(weights, signs))]
+        assert rows[p].tolist() == want, p
 
 
 def test_byte_path_places_change_at_first_nonzero_step():
     # powfloor:0.5 weights 1,1,1,2,2,2,2,2 | 3,3,...: S(8) = 3, S(9) = 0, S(10) = -3,
     # so the change between the two bytes happens at index 10, after checkpoint 9
     signs = [-1, 1, 1, -1, -1, 1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1]
-    for bytewise in (False, True):
-        st = simulate_signs(PowerFloor(0.5), np.array(signs, dtype=np.int8), bands=(0,),
-                            checkpoints=(9, 10), bytewise=bytewise)
-        assert [(c.at, c.zero_hits, c.sign_changes) for c in st.checkpoints] == \
-            [(9, 2, 3), (10, 2, 4)]
-        # ending at that zero, the walk's last byte holds one step: the seven
-        # steps that pad it repeat S(9) = 0 and count neither as zeros nor as a change
-        st = simulate_signs(PowerFloor(0.5), np.array(signs[:9], dtype=np.int8), bands=(0, 1),
-                            bytewise=bytewise)
-        assert (st.zero_hits, st.sign_changes, st.band_hits, st.last_zero_hit) == \
-            (2, 3, {0: 2, 1: 7}, 9)
+    st = simulate_signs(PowerFloor(0.5), np.array(signs, dtype=np.int8), bands=(0,),
+                        checkpoints=(9, 10))
+    assert [(c.at, c.zero_hits, c.sign_changes) for c in st.checkpoints] == \
+        [(9, 2, 3), (10, 2, 4)]
+    # ending at that zero, the walk's last byte holds one step: the seven
+    # steps that pad it repeat S(9) = 0 and count neither as zeros nor as a change
+    st = simulate_signs(PowerFloor(0.5), np.array(signs[:9], dtype=np.int8), bands=(0, 1))
+    assert (st.zero_hits, st.sign_changes, st.band_hits, st.last_zero_hit) == \
+        (2, 3, {0: 2, 1: 7}, 9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -275,10 +302,9 @@ def test_byte_path_growth_test_matches_step_loop(text, signs, exponent, window_s
     thresholds = np.arange(first, first + len(signs), dtype=np.float64) ** exponent
     partial = np.cumsum(weights * np.array(signs))
     want = bool(np.all(np.abs(partial[window_start:]) > thresholds[window_start:]))
-    for bytewise in (False, True):
-        test = mc._GrowthTest(window_start, thresholds)
-        mc._PathKernel(weights, bytewise=bytewise).run(SignSource(signs), test)
-        assert test.ok == want, bytewise
+    test = mc._GrowthTest(window_start, thresholds)
+    mc._PathKernel(weights).run(SignSource(signs), test)
+    assert test.ok == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,9 +312,7 @@ def test_byte_path_growth_test_matches_step_loop(text, signs, exponent, window_s
 def test_byte_path_final_value_matches_dot_product(text, signs):
     spec = parse_spec(text)
     weights = mc._weights_for(spec, spec.first_index + len(signs) - 1)
-    want = int(np.dot(weights, signs))
-    for bytewise in (False, True):
-        assert mc._PathKernel(weights, bytewise=bytewise).run(SignSource(signs)) == want
+    assert mc._PathKernel(weights).run(SignSource(signs)) == int(np.dot(weights, signs))
 
 
 @pytest.mark.parametrize("text", ["logceil:2", "linear", "powfloor:0.5"])
@@ -297,22 +321,20 @@ def test_byte_path_spans_chunks_of_a_philox_stream(text):
     spec, n, rng = parse_spec(text), 1_100_005, mc.RngSpec(31, 4)
     first = spec.first_index
     weights = mc._weights_for(spec, n)
-    cps = [1, 8 * mc._BYTE_CHUNK, 8 * mc._BYTE_CHUNK + 3, 1_000_003, n - first + 1]
+    signs = mc._BitStream(rng, n).take(weights.size).astype(np.int64) * 2 - 1
+    checkpoints = [first + c - 1 for c in (1, 8 * mc._BYTE_CHUNK, 8 * mc._BYTE_CHUNK + 3,
+                                           1_000_003, n - first + 1)]
+    got = mc.simulate(spec, n, rng, (0, 2, 2.5), checkpoints=checkpoints)
+    _assert_stats_equal(got, _step_loop_stats(spec, signs, (0, 2, 2.5), set(checkpoints)))
+    partial = np.cumsum(weights * signs)
     window = n // 10 - first
     thresholds = np.arange(first, n + 1, dtype=np.float64) ** 0.05
-    results = []
-    for bytewise in (False, True):
-        kernel = mc._PathKernel(weights, cps, bytewise=bytewise)
-        assert kernel.bytewise == bytewise
-        tally = mc._PathTally(first, True, (0, 2, 2.5), 1e-9)
-        kernel.run(mc._BitStream(rng, n), tally)
-        test = mc._GrowthTest(window, thresholds)
-        kernel.run(mc._BitStream(rng, n), test)
-        results.append((tally.columns().tolist(), test.ok.tolist(),
-                        kernel.run(mc._BitStream(rng, n)).tolist()))
-    assert results[0] == results[1]
-    assert mc.simulate(spec, n, rng, (0, 2, 2.5)) == simulate_signs(
-        spec, mc._BitStream(rng, n).take(n - first + 1).astype(np.int8) * 2 - 1, (0, 2, 2.5))
+    kernel = mc._PathKernel(weights)
+    assert kernel.bytewise
+    test = mc._GrowthTest(window, thresholds)
+    kernel.run(mc._BitStream(rng, n), test)
+    assert test.ok.tolist() == [bool(np.all(np.abs(partial[window:]) > thresholds[window:]))]
+    assert kernel.run(mc._BitStream(rng, n)).tolist() == [int(partial[-1])]
 
 
 def test_truncated_refill_reads_the_same_bits():
@@ -397,6 +419,59 @@ def test_experiments_accept_a_callable_block_rule(tmp_path, monkeypatch):
     assert tz.probability == np.count_nonzero(np.abs(finals[:, 0]) <= root) / paths
 
 
+def test_zero_step_walks(tmp_path, monkeypatch):
+    # logceil:2 starts at index 2, so horizon 1 has no step
+    spec = parse_spec("logceil:2")
+    assert mc.simulate(spec, 1, mc.RngSpec(3), bands=(0, 2)) == mc.PathStats(
+        horizon=1, steps=0, zero_hits=0, sign_changes=0, last_zero_hit=None, max_abs=0.0,
+        final_value=0.0, band_hits={0: 0, 2: 0}, last_band_hit={0: None, 2: None})
+    assert mc.tomaszewski_check(spec, 1, "mc", paths=200).probability == 1.0
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--spec", "logceil:2", "--n", "1", "--seed", "3",
+                 "--out", "z.json"]) == 0
+    assert json.loads((tmp_path / "z.json").read_text())["path"]["steps"] == 0
+
+
+class _ZeroThird(SequenceSpec):
+    """A user spec, unlike the built-in ones, with a weight that is not
+    positive: `unit` at every index but 3, where it is 0."""
+
+    kind = "zerothird"
+    is_non_decreasing = False
+
+    def __init__(self, unit):
+        self.unit = unit
+
+    @property
+    def is_integer_valued(self):
+        return isinstance(self.unit, int)
+
+    def canonical(self):
+        return f"zerothird:{self.unit}"
+
+    def term(self, k):
+        self._check_index(k)
+        return 0 * self.unit if k == 3 else self.unit
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_bad_weights_are_refused_at_any_worker_count(threads, monkeypatch):
+    # the pool workers build the weights; their refusal reaches the caller
+    # instead of leaving the pool to replace failed workers forever
+    monkeypatch.setenv("AWALK_THREADS", threads)
+    for spec in (_ZeroThird(1), _ZeroThird(0.5)):
+        with pytest.raises(DomainError, match="must be positive"):
+            mc.simulate(spec, 10, mc.RngSpec(1))
+        with pytest.raises(DomainError, match="must be positive"):
+            mc.recurrence_experiment(spec, 10, [0], 200, 1)
+        with pytest.raises(DomainError, match="must be positive"):
+            mc.tomaszewski_check(spec, 10, "mc", paths=200)
+    with pytest.raises(DomainError, match="has only 3 terms"):
+        mc.recurrence_experiment(Explicit([1, 2, 3]), 10, [0], 200, 1)
+    with pytest.raises(DomainError, match="overflows int64"):
+        mc.tomaszewski_check(Constant(2 ** 61), 4, "mc", paths=200)
+
+
 def test_env_thread_cap(monkeypatch):
     monkeypatch.setenv("AWALK_THREADS", "1")
     assert mc.worker_count() == 1
@@ -464,12 +539,19 @@ def test_strict_sign_change_law_matches_enumeration():
         assert law[len(hist)] == 0.0
         for r, count in enumerate(hist):
             assert abs(law[r] - count / 2 ** steps) <= 1e-12, (steps, r)
-    # the program's strict counter agrees path by path in distribution
+    # the program's strict counter agrees path by path in distribution, the
+    # paths walked together in the kernel's block passes
     for steps in (13, 14):
-        counts = np.bincount([
-            simulate_signs(Constant(1), np.array(signs, dtype=np.int8)).sign_changes
-            for signs in itertools.product((-1, 1), repeat=steps)])
-        assert counts.tolist() == enumerate_sign_change_counts(steps)
+        codes = np.packbits(np.array(list(itertools.product((False, True), repeat=steps))),
+                            axis=1, bitorder="little")
+        kernel = mc._PathKernel(Constant(1).terms(steps))
+        changes = []
+        for lo in range(0, len(codes), kernel.paths_per_pass):
+            rows = codes[lo:lo + kernel.paths_per_pass]
+            tally = mc._PathTally(1, (), 1e-9, full=False, paths=len(rows))
+            kernel.run_rows(rows, tally)
+            changes += tally.sign_changes.tolist()
+        assert np.bincount(changes).tolist() == enumerate_sign_change_counts(steps)
 
 
 def test_bridge_touch_matches_enumeration():
