@@ -22,7 +22,7 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import mpmath
 import numpy as np
@@ -72,7 +72,7 @@ class LatticeDist:
     n: int
     offset: int
     counts: list[int]
-    stride: int = 2
+    stride: ClassVar[int] = 2  # the format keeps a stride byte, always 2
 
     @property
     def total(self) -> int:
@@ -118,6 +118,8 @@ class LatticeDist:
         version, n, offset, stride = struct.unpack_from("<BqqB", blob, 4)
         if version != _FORMAT_VERSION:
             raise PreconditionError(f"unsupported format version {version}")
+        if stride != cls.stride:
+            raise PreconditionError(f"unsupported lattice stride {stride}, expected 2")
         (m,) = struct.unpack_from("<Q", blob, 22)
         pos = 30
         counts = []
@@ -126,7 +128,7 @@ class LatticeDist:
             pos += 4
             counts.append(int.from_bytes(blob[pos:pos + ln], "little"))
             pos += ln
-        return cls(n=n, offset=offset, counts=counts, stride=stride)
+        return cls(n=n, offset=offset, counts=counts)
 
     def csv_rows(self):
         """(z, count, prob) rows over the support."""

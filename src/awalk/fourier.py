@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -269,6 +269,18 @@ def _check_tol(abs_tol: float) -> None:
         raise DomainError(f"abs_tol must be finite and > 0, got {abs_tol}")
 
 
+def _scaled(scale: Callable[[float], float], *args, **kwargs) -> QuadratureResult:
+    """adaptive_integral(*args, **kwargs) with its value and error estimate,
+    and those that a ToleranceError carries, mapped through scale."""
+    try:
+        res = adaptive_integral(*args, **kwargs)
+    except ToleranceError as exc:
+        raise ToleranceError(str(exc), best_value=scale(exc.best_value),
+                             achieved_estimate=scale(exc.achieved_estimate),
+                             nodes=exc.nodes) from exc
+    return replace(res, value=scale(res.value), abs_error_estimate=scale(res.abs_error_estimate))
+
+
 def point_mass_fourier(spec: SequenceSpec, n: int, z: int, *,
                        abs_tol: float = 1e-10,
                        max_nodes: int = 2_000_000) -> QuadratureResult:
@@ -285,16 +297,9 @@ def point_mass_fourier(spec: SequenceSpec, n: int, z: int, *,
 
     uniform = int(np.clip((profile.total_freq + abs(z)) / 4.0, 8, 4096))
     bps = _breakpoints(profile, math.pi, uniform, mirrored=True)
-    try:
-        res = adaptive_integral(integrand, 0.0, math.pi, abs_tol=abs_tol * math.pi,
-                                breakpoints=bps, max_nodes=max_nodes)
-    except ToleranceError as exc:
-        raise ToleranceError(str(exc), best_value=exc.best_value / math.pi,
-                             achieved_estimate=exc.achieved_estimate / math.pi,
-                             nodes=exc.nodes) from exc
-    return QuadratureResult(value=res.value / math.pi,
-                            abs_error_estimate=res.abs_error_estimate / math.pi,
-                            nodes=res.nodes, domain=res.domain)
+    # a division, not a product with 1/pi, which moves the last bit
+    return _scaled(lambda x: x / math.pi, integrand, 0.0, math.pi,
+                   abs_tol=abs_tol * math.pi, breakpoints=bps, max_nodes=max_nodes)
 
 
 def abs_integral(spec: SequenceSpec, n: int, *,
@@ -308,13 +313,9 @@ def abs_integral(spec: SequenceSpec, n: int, *,
     """
     profile = CosineProfile(spec, n)
     factor, hi = (4.0, math.pi / 2) if spec.is_integer_valued else (2.0, math.pi)
-    res = adaptive_integral(profile.absolute, 0.0, hi,
-                            abs_tol=abs_tol / factor, rel_tol=rel_tol,
-                            breakpoints=_breakpoints(profile, hi, 64, mirrored=False),
-                            max_nodes=max_nodes)
-    return QuadratureResult(value=factor * res.value,
-                            abs_error_estimate=factor * res.abs_error_estimate,
-                            nodes=res.nodes, domain=res.domain)
+    return _scaled(lambda x: factor * x, profile.absolute, 0.0, hi, abs_tol=abs_tol / factor,
+                   rel_tol=rel_tol, breakpoints=_breakpoints(profile, hi, 64, mirrored=False),
+                   max_nodes=max_nodes)
 
 
 @dataclass

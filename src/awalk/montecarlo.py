@@ -98,17 +98,14 @@ PROXY_NOTE = ("finite-horizon diagnostic with frozen seeds; asymptotic and "
               "almost-sure behavior is not established by simulation")
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Worker pool size: explicit argument, else AWALK_THREADS, else CPU count."""
-    if requested is not None:
-        n = int(requested)
-    else:
-        env = os.environ.get("AWALK_THREADS", "")
-        try:
-            n = int(env) if env.strip() else (os.cpu_count() or 1)
-        except ValueError:
-            raise PreconditionError(
-                f"AWALK_THREADS must be an integer >= 1, got {env!r}") from None
+def worker_count() -> int:
+    """Worker pool size: AWALK_THREADS, the one worker setting, else the CPU count."""
+    env = os.environ.get("AWALK_THREADS", "")
+    try:
+        n = int(env) if env.strip() else (os.cpu_count() or 1)
+    except ValueError:
+        raise PreconditionError(
+            f"AWALK_THREADS must be an integer >= 1, got {env!r}") from None
     if n < 1:
         raise PreconditionError(f"worker count must be >= 1, got {n}")
     return min(n, 64)
@@ -267,9 +264,9 @@ class _PathKernel:
     `_weights_for` checked to be positive.  It reads whole sign bytes, in
     chunks of up to 2^15 bytes over all the paths of a pass, and forms each
     byte's sum from the tables (`_byte_sums`); a byte whose weights are not
-    affine takes an exact row sum.  The last byte of a walk of n steps,
-    n mod 8 > 0, gets weight 0 on its missing steps, so S stays at S(n)
-    there and reducers skip them.  One cumsum per path gives S at the
+    affine with the walk's one delta takes an exact row sum.  The last byte
+    of a walk of n steps, n mod 8 > 0, gets weight 0 on its missing steps,
+    so S stays at S(n) there and reducers skip them.  One cumsum per path gives S at the
     chunk's byte ends, which reducer.update_bytes reads; it expands only the
     bytes that end within their reach (`reach`, from the tables A and B) of
     what it looks for, to exact per-step sums (`expand`).
@@ -322,15 +319,15 @@ class _PathKernel:
             yield lo, w
 
     def _init_bytes(self) -> None:
-        """Per-byte tables: w0, delta and which bytes are affine; the weights
-        and reach (w_1 + ... + w_7) of the others.
-
-        Built in blocks of 2^16 steps, so no temporary is larger than the
-        step path's buffers."""
+        """Per-byte tables: w0 and which bytes are affine with the walk's one
+        delta, w1 - w0 of its first unbent byte (0 for run-constant weights,
+        1 for `linear`); the weights and reach (w_1 + ... + w_7) of the
+        others.  Built in blocks of 2^16 steps, so no temporary is larger
+        than the step path's buffers."""
         nb = self.nbytes
         self._w0 = np.empty(nb, dtype=np.int64)
         self._affine = np.ones(nb, dtype=bool)
-        odd, deltas = [], set()
+        odd, delta = [], None
         for lo, w in self._padded_blocks():
             hi = lo + w.size // 8
             d = np.diff(w)
@@ -338,21 +335,16 @@ class _PathKernel:
             bent = np.flatnonzero(d[1:] != d[:-1])
             affine = self._affine[lo:hi]
             affine[bent[bent % 8 <= 5] // 8] = False
+            if affine.any():
+                if delta is None:
+                    delta = int(d[8 * affine.argmax()])
+                affine &= d[::8] == delta  # another delta: not affine
             self._w0[lo:hi] = w[::8]
             odd.append(w.reshape(-1, 8)[~affine])
-            steps = d[::8][affine]  # delta = w1 - w0 of the affine bytes
-            if steps.size:
-                deltas.update({int(steps.min()), int(steps.max())})
+        self._delta = delta or 0
         self._nonaffine = np.flatnonzero(~self._affine)
         self._odd = np.concatenate(odd)
         self._odd_reach = self._odd @ _REACH_LANES
-        # one common delta (0 for run-constant weights, 1 for linear) stays a scalar
-        if len(deltas) > 1:
-            self._delta = np.concatenate([np.diff(w)[::8] for _, w in self._padded_blocks()])
-            self._abs_delta = np.abs(self._delta)
-        else:
-            self._delta = deltas.pop() if deltas else 0
-            self._abs_delta = abs(self._delta)
         self._byte_cps = np.asarray(sorted(self.checkpoints), dtype=np.int64)
 
     def _odd_cols(self, lo: int, hi: int) -> tuple[slice, np.ndarray]:
@@ -373,11 +365,8 @@ class _PathKernel:
         if self._bound_at != (lo, hi):
             self._bound_at = (lo, hi)
             np.multiply(self._w0[lo:hi], 7, out=bound)
-            delta = self._abs_delta
-            if isinstance(delta, np.ndarray):
-                bound += delta[lo:hi] * 28
-            elif delta:
-                bound += delta * 28
+            if self._delta:
+                bound += abs(self._delta) * 28
             odd, cols = self._odd_cols(lo, hi)
             bound[cols] = self._odd_reach[odd]
         return bound
@@ -388,11 +377,8 @@ class _PathKernel:
         byte with code c, `reach_bound` for the others."""
         at, code = self._at(lo, index, flat)
         reach = _REACH_SUM[code] * self._w0[at]
-        delta = self._abs_delta
-        if isinstance(delta, np.ndarray) or delta:
-            moment = _REACH_MOMENT[code]
-            moment *= delta[at] if isinstance(delta, np.ndarray) else delta
-            reach += moment
+        if self._delta:
+            reach += _REACH_MOMENT[code] * abs(self._delta)
         odd = ~self._affine[at]
         if odd.any():
             reach[odd] = self._odd_reach[np.searchsorted(self._nonaffine, at[odd])]
@@ -422,14 +408,11 @@ class _PathKernel:
         sums = np.take(_BYTE_SUM, index, out=_shaped(self._work[0], index.shape),
                        mode="clip")
         sums *= self._w0[lo:hi]
-        delta = self._delta
-        if isinstance(delta, np.ndarray) or delta:
+        if self._delta:
             moment = np.take(_BYTE_MOMENT, index, out=_shaped(self._work[1], index.shape),
                              mode="clip")
-            if isinstance(delta, np.ndarray):
-                moment *= delta[lo:hi]
-            elif delta != 1:
-                moment *= delta
+            if self._delta != 1:
+                moment *= self._delta
             sums += moment
         odd, cols = self._odd_cols(lo, hi)
         if cols.size:
@@ -443,11 +426,8 @@ class _PathKernel:
         at, code = self._at(lo, index, near)
         rows = np.take(_BYTE_PREFIX, code, axis=0)
         rows *= self._w0[at][:, None]
-        delta = self._delta
-        if isinstance(delta, np.ndarray) or delta:
-            moment = np.take(_BYTE_JPREFIX, code, axis=0)
-            moment *= delta[at][:, None] if isinstance(delta, np.ndarray) else delta
-            rows += moment
+        if self._delta:
+            rows += np.take(_BYTE_JPREFIX, code, axis=0) * self._delta
         odd = ~self._affine[at]
         if odd.any():
             w = self._odd[np.searchsorted(self._nonaffine, at[odd])]
@@ -721,39 +701,43 @@ class _PathTally:
 
 
 class _GrowthTest:
-    """Reducer: does |S(m)| exceed threshold[m] at every step of the window?
+    """Reducer: does |S(m)| exceed m^exponent at every step of the window?
 
-    `ok` holds one flag per path; set it to a fresh all-True array to test
-    the next paths with the same kernel.
+    Thresholds are computed for the expanded steps only, always by numpy's
+    array power, whose last bit can differ from its scalar power.  `ok`
+    holds one flag per path; set it to a fresh all-True array to test the
+    next paths with the same kernel.
     """
 
-    def __init__(self, window_start: int, thresholds: np.ndarray):
+    def __init__(self, window_start: int, first: int, exponent: float):
         self.window_start = window_start
-        self.thresholds = thresholds
+        self.first = first
+        self.exponent = exponent
         self.ok = np.ones(1, dtype=bool)
-        self._tops: dict[int, int] = {}  # chunk -> its largest threshold, rounded up
+
+    def _thresholds(self, steps: np.ndarray) -> np.ndarray:
+        return np.power((self.first + steps).astype(np.float64), self.exponent)
 
     def update_bytes(self, kernel: _PathKernel, lo: int, index: np.ndarray,
                      ends: np.ndarray, cps: np.ndarray) -> bool:
-        """Only a byte that ends within its reach plus its largest threshold
-        in the chunk can hold a failing step, so only those are expanded.
-        The growth experiment's weights are integers, so the byte path
-        always runs it."""
+        """Only a byte that ends within its reach plus the chunk's largest
+        threshold, its last one rounded up, can hold a failing step, so
+        only those are expanded.  The growth experiment's weights are
+        integers, so the byte path always runs it."""
         k = ends.shape[1]
         start = max(lo, self.window_start // 8)
         if start >= lo + k:
             return False
-        if lo not in self._tops:
-            self._tops[lo] = math.ceil(self.thresholds[8 * start:8 * (lo + k)].max())
-        near = kernel.near(lo, index, np.abs(ends, out=kernel.buffer(ends.shape)),
-                           self._tops[lo])
+        last = min(8 * (lo + k), kernel.steps) - 1
+        top = math.ceil(self._thresholds(np.array([last]))[0])
+        near = kernel.near(lo, index, np.abs(ends, out=kernel.buffer(ends.shape)), top)
         near = near[near % k >= start - lo]
         if near.size:
             row = near // k
             # a padded step stands for step n, whose S it repeats
             step = np.minimum((8 * (lo + near % k))[:, None] + _LANES, kernel.steps - 1)
             s = kernel.expand(lo, near, index, ends)
-            fail = (np.abs(s) <= self.thresholds[step]) & (step >= self.window_start)
+            fail = (np.abs(s) <= self._thresholds(step)) & (step >= self.window_start)
             self.ok[row[fail.any(axis=1)]] = False
             return not self.ok.any()
         return False
@@ -801,9 +785,9 @@ def _init_worker(kind, spec, horizon, seed, bands, zero_tol, checkpoints, extra)
     """Per-process state: the kernel, one bit stream and, for `kind`, the
     reducer of a pass over some paths and the columns it gives them.
 
-    Each worker builds its own weights, byte tables and growth thresholds
-    after the fork; built once in the parent, they would stay resident there
-    for the whole pool and raise the peak memory of every job.
+    Each worker builds its own weights and byte tables after the fork;
+    built once in the parent, they would stay resident there for the whole
+    pool and raise the peak memory of every job.
 
     An error raised here is kept and raised by `_path_block`: a pool
     replaces a worker whose initializer raises with another that raises
@@ -823,10 +807,7 @@ def _init_worker(kind, spec, horizon, seed, bands, zero_tol, checkpoints, extra)
         def columns(tally, last):
             return tally.columns()
     elif kind == "growth":
-        window_start, exponent = extra
-        thresholds = np.arange(first, horizon + 1, dtype=np.float64)
-        thresholds **= exponent  # in place: one array of n floats, not two
-        test = _GrowthTest(window_start, thresholds)
+        test = _GrowthTest(*extra)
 
         def reducer(paths):
             test.ok = np.ones(paths, dtype=bool)
@@ -865,7 +846,7 @@ def _path_block(block: tuple[int, int]) -> np.ndarray:
 
 
 def _run_blocks(kind: str, spec: SequenceSpec, horizon: int, paths: int, seed: int,
-                bands, zero_tol, checkpoints, extra, threads: int | None) -> np.ndarray:
+                bands, zero_tol, checkpoints, extra) -> np.ndarray:
     """Run the per-path kernel over fixed path blocks; row order is path order.
 
     `kind` picks the reducer: "stats" (`_PathTally.columns`), "counts" (the
@@ -880,7 +861,7 @@ def _run_blocks(kind: str, spec: SequenceSpec, horizon: int, paths: int, seed: i
     blocks = [(lo, min(lo + _BLOCK, paths)) for lo in range(0, paths, _BLOCK)]
     args = (kind, spec, horizon, seed, tuple(bands), zero_tol,
             tuple(checkpoints), extra)
-    workers = min(worker_count(threads), len(blocks))
+    workers = min(worker_count(), len(blocks))
     if workers <= 1:
         _init_worker(*args)
         parts = [_path_block(b) for b in blocks]
@@ -966,8 +947,7 @@ def _experiment_checkpoints(spec: SequenceSpec, n: int,
 
 def recurrence_experiment(spec: SequenceSpec, n: int, bands: Sequence[float],
                           paths: int, seed: int, *, checkpoints: Sequence[int] | None = None,
-                          zero_tol: float = 1e-9,
-                          threads: int | None = None) -> ExperimentReport:
+                          zero_tol: float = 1e-9) -> ExperimentReport:
     """Band-hit counts across checkpoints over many paths.
 
     Per band (and for exact zeros): mean hits at each checkpoint, the share
@@ -981,7 +961,7 @@ def recurrence_experiment(spec: SequenceSpec, n: int, bands: Sequence[float],
     if not cps:
         raise PreconditionError("recurrence experiment needs at least one checkpoint")
     bands = _checked_bands(bands, zero_tol)
-    rows = _run_blocks("stats", spec, n, paths, seed, bands, zero_tol, cps, None, threads)
+    rows = _run_blocks("stats", spec, n, paths, seed, bands, zero_tol, cps, None)
     nb = len(bands)
     cols_fixed = 5 + 2 * nb
     per_cp = 2 + nb
@@ -1019,8 +999,7 @@ def recurrence_experiment(spec: SequenceSpec, n: int, bands: Sequence[float],
 
 def sign_change_experiment(spec: SequenceSpec, n: int, paths: int, seed: int, *,
                            checkpoints: Sequence[int] | None = None,
-                           zero_tol: float = 1e-9,
-                           threads: int | None = None) -> ExperimentReport:
+                           zero_tol: float = 1e-9) -> ExperimentReport:
     """Empirical CDF of strict sign-change counts at each checkpoint:
     the fraction of paths with at least k changes, for k = 1..20."""
     if not spec.is_non_decreasing:
@@ -1028,7 +1007,7 @@ def sign_change_experiment(spec: SequenceSpec, n: int, paths: int, seed: int, *,
             f"sign-change experiment requires non-decreasing weights, got {spec.canonical()}")
     cps = _experiment_checkpoints(spec, n, checkpoints)
     _checked_bands((), zero_tol)
-    rows = _run_blocks("counts", spec, n, paths, seed, (), zero_tol, cps, None, threads)
+    rows = _run_blocks("counts", spec, n, paths, seed, (), zero_tol, cps, None)
     per_cp = 2
     aggregates: dict = {"fraction_at_least": {}, "mean_sign_changes": float(rows[:, 1].mean()),
                         "sign_change_quantiles": _quantiles(rows[:, 1])}
@@ -1043,8 +1022,8 @@ def sign_change_experiment(spec: SequenceSpec, n: int, paths: int, seed: int, *,
                             notes=[PROXY_NOTE])
 
 
-def growth_experiment(spec: SequenceSpec, n: int, delta: float, paths: int, seed: int, *,
-                      threads: int | None = None) -> ExperimentReport:
+def growth_experiment(spec: SequenceSpec, n: int, delta: float, paths: int,
+                      seed: int) -> ExperimentReport:
     """Fraction of paths with |S(m)| > m^(beta/2 - delta) for every m in [n/10, n]."""
     from .sequences import PowerFloor
     if not isinstance(spec, PowerFloor):
@@ -1058,7 +1037,7 @@ def growth_experiment(spec: SequenceSpec, n: int, delta: float, paths: int, seed
     win_lo = max(spec.first_index, n // 10)
     win_lo_step = win_lo - spec.first_index  # 0-based step offset of the window start
     rows = _run_blocks("growth", spec, n, paths, seed, (), 0.0, (),
-                       (win_lo_step, exponent), threads)
+                       (win_lo_step, spec.first_index, exponent))
     frac = float(rows[:, 0].mean())
     aggregates = {"fraction_maintaining": frac, "window": [win_lo, n],
                   "exponent": exponent}
@@ -1111,7 +1090,7 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
         if n < 1:
             raise DomainError(f"horizon must be >= 1, got {n}")
         root = math.sqrt(float(np.sum(spec.terms(n).astype(np.float64) ** 2)))
-        finals = _run_blocks("final", spec, n, paths, seed, (), 0.0, (), None, None)
+        finals = _run_blocks("final", spec, n, paths, seed, (), 0.0, (), None)
         freq = int(np.count_nonzero(np.abs(finals[:, 0]) <= root)) / paths
         se = math.sqrt(max(freq * (1 - freq), 1e-12) / paths)
         return TomaszewskiReport(spec=spec.canonical(), horizon=n, mode="mc",

@@ -290,6 +290,15 @@ def test_lattice_serialization_roundtrip():
     assert rows[0][0] == d.offset and len(rows) == len(d.counts)
 
 
+def test_lattice_blob_refuses_a_stride_other_than_2():
+    blob = bytearray(exact.distribution(Linear(), 5).to_bytes())
+    assert blob[21] == 2  # magic, version, n and offset come first
+    for stride in (1, 3):
+        blob[21] = stride
+        with pytest.raises(PreconditionError, match="stride"):
+            exact.LatticeDist.from_bytes(bytes(blob))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=9))
 def test_distribution_random_explicit(ws):

@@ -67,6 +67,17 @@ def test_point_mass_tolerance_error_carries_best():
     assert exc.value.achieved_estimate > 0
 
 
+def test_tolerance_errors_carry_scaled_values():
+    # the best value of a run out of nodes is on the scale of the result:
+    # P(S(n) = z) for point masses, the full-range integral for abs_integral
+    for integrate, z, tols in ((fourier.point_mass_fourier, (1,), {"abs_tol": 1e-19}),
+                               (fourier.abs_integral, (), {"rel_tol": 1e-14, "abs_tol": 1e-30})):
+        want = integrate(Linear(), 30, *z).value
+        with pytest.raises(ToleranceError) as exc:
+            integrate(Linear(), 30, *z, max_nodes=2000, **tols)
+        assert want > 1e-3 and exc.value.best_value == pytest.approx(want, rel=1e-6)
+
+
 def test_abs_integral_examples():
     assert fourier.abs_integral(Constant(1), 1).value == pytest.approx(4.0, rel=1e-9)
     assert fourier.abs_integral(Constant(1), 2).value == pytest.approx(math.pi, rel=1e-9)

@@ -230,7 +230,7 @@ def test_block_pass_matches_single_paths(text, length, seeds, bands, offsets, fu
     assert kernel.run_rows(codes).tolist() == last.tolist()  # the S(n) sum alone
     window = length // 3
     thresholds = np.arange(first, first + length, dtype=np.float64) ** exponent
-    test = mc._GrowthTest(window, thresholds)
+    test = mc._GrowthTest(window, first, exponent)
     test.ok = np.ones(len(paths), dtype=bool)
     kernel.run_rows(codes, test)
     assert test.ok.tolist() == [
@@ -262,8 +262,8 @@ def test_path_blocks_match_step_path_runs(kind, monkeypatch):
     monkeypatch.setenv("AWALK_THREADS", "1")
     spec, n, paths, seed = parse_spec("powfloor:0.5"), 1003, 70, 17
     bands, cps = [0.0, 2.5], [8, 9, 500, 1003]
-    extra = (100, 0.3) if kind == "growth" else None
-    rows = mc._run_blocks(kind, spec, n, paths, seed, bands, 1e-9, cps, extra, None)
+    extra = (100, spec.first_index, 0.3) if kind == "growth" else None
+    rows = mc._run_blocks(kind, spec, n, paths, seed, bands, 1e-9, cps, extra)
     weights = mc._weights_for(spec, n)
     thresholds = np.arange(1, n + 1, dtype=np.float64) ** 0.3
     for p in range(paths):
@@ -302,9 +302,50 @@ def test_byte_path_growth_test_matches_step_loop(text, signs, exponent, window_s
     thresholds = np.arange(first, first + len(signs), dtype=np.float64) ** exponent
     partial = np.cumsum(weights * np.array(signs))
     want = bool(np.all(np.abs(partial[window_start:]) > thresholds[window_start:]))
-    test = mc._GrowthTest(window_start, thresholds)
+    test = mc._GrowthTest(window_start, first, exponent)
     mc._PathKernel(weights).run(SignSource(signs), test)
     assert test.ok == want
+
+
+# walks whose sign bytes have affine weights with more than one step
+# w1 - w0, and checkpoints in each stretch: 1..16 then 17 forty times, and
+# 1..16, 20 sixteen times, then 3, 6, ..., 39
+_MIXED_DELTA = [
+    ("blocks:" + ",".join(["1"] * 16 + ["40"]), [5, 16, 17, 30, 56]),
+    ("explicit:" + ",".join(map(str, [*range(1, 17), *[20] * 16, *range(3, 40, 3)])),
+     [3, 12, 20, 33, 40])]
+
+
+@pytest.mark.parametrize("text, checkpoints", _MIXED_DELTA)
+def test_mixed_delta_walks_match_step_loop(text, checkpoints):
+    spec = parse_spec(text)
+    first = spec.first_index
+    weights = mc._weights_for(spec, spec.max_index)
+    n, bands = weights.size, (0, 3)
+    steps = np.diff(weights[:n - n % 8].reshape(-1, 8), axis=1)
+    assert len({int(d[0]) for d in steps if (d == d[0]).all()}) > 1
+    gen = np.random.default_rng(3)
+    paths = [gen.choice([-1, 1], size=n).tolist() for _ in range(48)]
+    paths += [_sign_runs(n, seed) for seed in range(16)]
+    want = [_step_loop_stats(spec, p, bands, set(checkpoints)) for p in paths]
+    assert sum(w[0] for w in want) > 0 and sum(w[5][3] for w in want) > 0
+    for p, w in zip(paths, want):
+        _assert_stats_equal(simulate_signs(spec, np.array(p, dtype=np.int8), bands=bands,
+                                           checkpoints=checkpoints), w)
+    codes = np.stack([np.packbits(np.array(p) > 0, bitorder="little") for p in paths])
+    kernel = mc._PathKernel(weights, [c - first + 1 for c in checkpoints])
+    tally = mc._PathTally(first, bands, 1e-9, paths=len(paths))
+    kernel.run_rows(codes, tally)
+    assert tally.columns().tolist() == [
+        _step_loop_columns(spec, p, bands, set(checkpoints), True) for p in paths]
+    window, exponent = 5, 0.45
+    thresholds = np.arange(first, first + n, dtype=np.float64) ** exponent
+    test = mc._GrowthTest(window, first, exponent)
+    test.ok = np.ones(len(paths), dtype=bool)
+    kernel.run_rows(codes, test)
+    want_ok = [bool(np.all(np.abs(np.cumsum(weights * p)[window:]) > thresholds[window:]))
+               for p in map(np.array, paths)]
+    assert test.ok.tolist() == want_ok and any(want_ok) and not all(want_ok)
 
 
 @settings(max_examples=100, deadline=None)
@@ -331,7 +372,7 @@ def test_byte_path_spans_chunks_of_a_philox_stream(text):
     thresholds = np.arange(first, n + 1, dtype=np.float64) ** 0.05
     kernel = mc._PathKernel(weights)
     assert kernel.bytewise
-    test = mc._GrowthTest(window, thresholds)
+    test = mc._GrowthTest(window, first, 0.05)
     kernel.run(mc._BitStream(rng, n), test)
     assert test.ok.tolist() == [bool(np.all(np.abs(partial[window:]) > thresholds[window:]))]
     assert kernel.run(mc._BitStream(rng, n)).tolist() == [int(partial[-1])]
@@ -386,10 +427,12 @@ def test_consistency_with_exact_visits():
     assert abs(got - want) <= 3 * se
 
 
-def test_recurrence_report_structure_and_determinism():
+def test_recurrence_report_structure_and_determinism(monkeypatch):
     spec = Linear()
-    r1 = mc.recurrence_experiment(spec, 4000, [0, 3], 128, 9, threads=1)
-    r2 = mc.recurrence_experiment(spec, 4000, [0, 3], 128, 9, threads=2)
+    monkeypatch.setenv("AWALK_THREADS", "1")
+    r1 = mc.recurrence_experiment(spec, 4000, [0, 3], 128, 9)
+    monkeypatch.setenv("AWALK_THREADS", "2")
+    r2 = mc.recurrence_experiment(spec, 4000, [0, 3], 128, 9)
     assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(r2.to_dict(), sort_keys=True)
     assert r1.schema == "awalk-report/1"
     zero = r1.aggregates["per_band"]["zero"]
@@ -410,7 +453,7 @@ def test_experiments_accept_a_callable_block_rule(tmp_path, monkeypatch):
         path = tmp_path / f"reports-{threads}.json"
         write_json(str(path), {"recurrence": rec.to_dict(), "tomaszewski": asdict(tz)})
         written.append(path.read_bytes())
-        finals = mc._run_blocks("final", spec, n, paths, seed, (), 0.0, (), None, None)
+        finals = mc._run_blocks("final", spec, n, paths, seed, (), 0.0, (), None)
         assert finals[:, 0].tolist() == [mc.simulate(spec, n, mc.RngSpec(seed, p)).final_value
                                          for p in range(paths)]
     assert written[0] == written[1]
@@ -477,7 +520,6 @@ def test_env_thread_cap(monkeypatch):
     assert mc.worker_count() == 1
     monkeypatch.setenv("AWALK_THREADS", "3")
     assert mc.worker_count() == 3
-    assert mc.worker_count(2) == 2  # explicit argument wins
     monkeypatch.setenv("AWALK_THREADS", "abc")
     with pytest.raises(PreconditionError, match="AWALK_THREADS"):
         mc.worker_count()
