@@ -35,15 +35,10 @@ __all__ = [
     "LatticeDist",
     "HitReport",
     "DominanceReport",
-    "AzumaReport",
     "distribution",
     "zero_hit_probability",
     "expected_visits",
-    "srw_point",
-    "srw_mod",
-    "two_scale_point",
     "dominance_check",
-    "azuma_check",
     "avoid_pattern_count",
     "pattern_free_counts",
 ]
@@ -280,40 +275,7 @@ def expected_visits(spec: SequenceSpec, n: int, band: int | float = 0,
     return report
 
 
-# --- simple-random-walk oracles ------------------------------------------------
-
-def srw_point(m: int, z: int) -> Fraction:
-    """P(T_m = z) for the simple symmetric walk T_m = y_1 + ... + y_m."""
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
-    if abs(z) > m or (m + z) % 2 != 0:
-        return Fraction(0)
-    return Fraction(math.comb(m, (m + z) // 2), 1 << m)
-
-
-def srw_mod(m: int, k: int, u: int) -> Fraction:
-    """P(T_m = u mod k), summed over the residue class within [-m, m]."""
-    if k < 1:
-        raise DomainError(f"modulus must be >= 1, got {k}")
-    u = u % k
-    count = sum(math.comb(m, (m + z) // 2)
-                for z in range(-m, m + 1, 2) if z % k == u)  # T_m = m (mod 2)
-    return Fraction(count, 1 << m)
-
-
-def two_scale_point(k: int, n: int, j: int) -> Fraction:
-    """P(T = j) for T = (k-1)*(x_1+...+x_n) + k*(y_1+...+y_n).
-
-    Exact convolution of two scaled symmetric binomials; parity forces
-    T = n (mod 2), so off-parity j returns 0.
-    """
-    if k < 1 or n < 1:
-        raise DomainError(f"need k >= 1 and n >= 1, got ({k}, {n})")
-    if (j - n) % 2 != 0:
-        return Fraction(0)
-    row = [math.comb(n, w) for w in range(n + 1)]
-    return Fraction(_two_scale_count(k, n, j, row), 1 << (2 * n))
-
+# --- two-scale point counts ---------------------------------------------------
 
 def _two_scale_count(k: int, n: int, j: int, row: list[int]) -> int:
     """Number of sign vectors (x, y) in {-1,1}^n x {-1,1}^n with
@@ -435,50 +397,6 @@ def _descent_survivals(weights: np.ndarray, starts: Sequence[float]):
 
 def _first_violation(surv_w: list[int], surv_u: list[int]) -> int | None:
     return next((j for j, (w, u) in enumerate(zip(surv_w, surv_u)) if w > u), None)
-
-
-@dataclass
-class AzumaReport:
-    threshold: float
-    tail: Fraction
-    bound: float
-    passed: bool
-
-
-def azuma_check(weights: Sequence[float], threshold: float) -> AzumaReport:
-    """Exact tail P(|S| >= A) against the sub-Gaussian bound
-    2*exp(-A^2 / (2*sum(b^2))).
-    """
-    ws = [_nonneg_weight(w) for w in weights]
-    if threshold <= 0:
-        raise DomainError(f"threshold must be positive, got {threshold}")
-    if len(ws) > 24:
-        raise ResourceError(f"exact tail capped at 24 weights, got {len(ws)}",
-                            required=len(ws), budget=24)
-    ssq = math.fsum(float(w) ** 2 for w in ws)
-    bound = 2.0 * math.exp(-threshold * threshold / (2.0 * ssq)) if ssq > 0 else 0.0
-    tail = _exact_tail(ws, threshold)
-    return AzumaReport(threshold=float(threshold), tail=tail, bound=bound,
-                       passed=tail <= bound)
-
-
-def _nonneg_weight(w):
-    f = float(w)
-    if f < 0 or not math.isfinite(f):
-        raise DomainError(f"weights must be non-negative finite, got {w!r}")
-    return int(f) if f == int(f) else f
-
-
-def _exact_tail(ws: list, threshold: float) -> Fraction:
-    """P(|sum w_i y_i| >= threshold) over all sign vectors, exact."""
-    # integer weights use the lattice when it fits the cell budget; the
-    # enumeration below is exact for them while |S| < 2^53
-    if all(isinstance(w, int) for w in ws) and sum(ws) < MAX_CELLS:
-        dist = _lattice(ws)
-        hit = sum(c for z, c in zip(dist.support(), dist.counts) if abs(z) >= threshold)
-        return Fraction(hit, dist.total)
-    sums = _sign_sums(ws)
-    return Fraction(int(np.count_nonzero(np.abs(sums) >= threshold)), sums.size)
 
 
 def _sign_sums(weights) -> np.ndarray:

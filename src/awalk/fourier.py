@@ -181,6 +181,11 @@ def _fixed(x: float) -> int:
     return num * (_FIXED_ONE // den)
 
 
+def _tolerance_error(best_value: float, estimate: float, nodes: int) -> ToleranceError:
+    return ToleranceError(f"error estimate {estimate:.3e} above tolerance after {nodes} nodes",
+                          best_value=best_value, achieved_estimate=estimate, nodes=nodes)
+
+
 def adaptive_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, *,
                       abs_tol: float = 1e-12, rel_tol: float = 0.0,
                       breakpoints: Sequence[float] = (),
@@ -225,9 +230,7 @@ def adaptive_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: floa
         if err <= max(abs_tol, rel_tol * abs(total)):
             break
         if not heap or nodes + 2 * (_CC_ORDER + 1) > max_nodes:
-            raise ToleranceError(
-                f"error estimate {err:.3e} above tolerance after {nodes} nodes",
-                best_value=total, achieved_estimate=err, nodes=nodes)
+            raise _tolerance_error(total, err, nodes)
         neg_error, a, b, worst = heapq.heappop(heap)
         value -= _fixed(worst)
         error -= _fixed(-neg_error)
@@ -271,13 +274,12 @@ def _check_tol(abs_tol: float) -> None:
 
 def _scaled(scale: Callable[[float], float], *args, **kwargs) -> QuadratureResult:
     """adaptive_integral(*args, **kwargs) with its value and error estimate,
-    and those that a ToleranceError carries, mapped through scale."""
+    and those that a ToleranceError carries and states, mapped through scale."""
     try:
         res = adaptive_integral(*args, **kwargs)
     except ToleranceError as exc:
-        raise ToleranceError(str(exc), best_value=scale(exc.best_value),
-                             achieved_estimate=scale(exc.achieved_estimate),
-                             nodes=exc.nodes) from exc
+        raise _tolerance_error(scale(exc.best_value), scale(exc.achieved_estimate),
+                               exc.nodes) from exc
     return replace(res, value=scale(res.value), abs_error_estimate=scale(res.abs_error_estimate))
 
 

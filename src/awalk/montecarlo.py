@@ -47,22 +47,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, require_finite_nonnegative
+from .errors import DomainError, PreconditionError, ResourceError, require_finite_nonnegative
+from .exact import MAX_BUFFER_BYTES
 from .sequences import SequenceSpec, sum_squares_exact
 
 __all__ = [
     "RngSpec",
     "PathStats",
     "ExperimentReport",
-    "BCReport",
     "TomaszewskiReport",
     "simulate",
     "recurrence_experiment",
     "sign_change_experiment",
     "growth_experiment",
     "tomaszewski_check",
-    "bc_bound_propagation",
-    "parse_rate",
     "worker_count",
 ]
 
@@ -242,6 +240,18 @@ class PathStats:
     band_hits: dict[float, int]
     last_band_hit: dict[float, int | None]
     checkpoints: list[CheckpointSnapshot] = field(default_factory=list)
+
+
+def _check_memory(spec: SequenceSpec, n: int) -> None:
+    """Refuse a walk whose n-sized arrays are predicted above the band DP's
+    byte budget, before they are built: 8 bytes per step for the weights
+    and, for integer weights, 9 per sign byte for `_w0` and `_affine`."""
+    steps = spec.steps(n)
+    need = 8 * steps + (9 * -(-steps // 8) if spec.is_integer_valued else 0)
+    if need > MAX_BUFFER_BYTES:
+        raise ResourceError(f"walk needs about {need} bytes for {steps} steps per process "
+                            f"(budget {MAX_BUFFER_BYTES})",
+                            required=need, budget=MAX_BUFFER_BYTES)
 
 
 def _weights_for(spec: SequenceSpec, n: int) -> np.ndarray:
@@ -749,6 +759,7 @@ def simulate(spec: SequenceSpec, n: int, rng: RngSpec, bands: Sequence[float] = 
     if n < 1:
         raise DomainError(f"horizon must be >= 1, got {n}")
     bands = _checked_bands(bands, zero_tol)
+    _check_memory(spec, n)
     weights = _weights_for(spec, n)
     return _path_stats(spec, weights, n, _BitStream(rng, weights.size), bands,
                        zero_tol, checkpoints)
@@ -858,6 +869,7 @@ def _run_blocks(kind: str, spec: SequenceSpec, horizon: int, paths: int, seed: i
     if paths < 1:
         raise PreconditionError(f"paths must be >= 1, got {paths}")
     RngSpec(seed)  # validates the seed before any worker starts
+    _check_memory(spec, horizon)
     blocks = [(lo, min(lo + _BLOCK, paths)) for lo in range(0, paths, _BLOCK)]
     args = (kind, spec, horizon, seed, tuple(bands), zero_tol,
             tuple(checkpoints), extra)
@@ -1089,6 +1101,7 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
     if mode == "mc":
         if n < 1:
             raise DomainError(f"horizon must be >= 1, got {n}")
+        _check_memory(spec, n)
         root = math.sqrt(float(np.sum(spec.terms(n).astype(np.float64) ** 2)))
         finals = _run_blocks("final", spec, n, paths, seed, (), 0.0, (), None)
         freq = int(np.count_nonzero(np.abs(finals[:, 0]) <= root)) / paths
@@ -1097,73 +1110,3 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
                                  probability=freq, passed=freq >= 0.5 - 3 * se,
                                  paths=paths, stderr=se)
     raise PreconditionError(f"mode must be exact|mc, got {mode!r}")
-
-
-# --- conditional Borel-Cantelli recursion ----------------------------------------
-
-def parse_rate(text_or_fn) -> Callable[[int], float]:
-    """Rate sequences for the bound recursion.
-
-    Named forms: ``harmonic`` (1/k), ``geometric:q`` (q^k), ``constant:c``,
-    ``zero``, ``explicit:v1,v2,...`` (then constant 0 past the end).
-    Callables pass through.
-    """
-    if callable(text_or_fn):
-        return text_or_fn
-    text = str(text_or_fn).strip()
-    head, _, payload = text.partition(":")
-    if head == "harmonic":
-        return lambda k: 1.0 / k
-    if head == "geometric":
-        q = float(payload)
-        if not (0.0 <= q < 1.0):
-            raise DomainError(f"geometric ratio must lie in [0,1), got {q}")
-        return lambda k: q ** k
-    if head == "constant":
-        c = float(payload)
-        return lambda k: c
-    if head == "zero":
-        return lambda k: 0.0
-    if head == "explicit":
-        vals = [float(v) for v in payload.split(",")]
-        return lambda k: vals[k - 1] if 1 <= k <= len(vals) else 0.0
-    raise PreconditionError(
-        f"unknown rate {text!r}; expected harmonic, geometric:q, constant:c, zero, explicit:...")
-
-
-@dataclass
-class BCReport:
-    ell: int
-    m: int
-    bound: float
-    trajectory: list[float]
-    non_increasing: bool
-
-
-def bc_bound_propagation(alpha, eps, ell: int, m: int) -> BCReport:
-    """Iterate P_j <= (1 - alpha_j) P_{j-1} + eps_{j-1} from P_ell = 1.
-
-    With sum(alpha) = inf and sum(eps) < inf the bound tends to zero, which
-    is the numeric core of the conditional Borel-Cantelli argument.
-    """
-    if ell < 1 or m < ell:
-        raise DomainError(f"need m >= ell >= 1, got ({ell}, {m})")
-    a = parse_rate(alpha)
-    e = parse_rate(eps)
-    value = 1.0
-    traj = [value]
-    non_increasing = True
-    for j in range(ell + 1, m + 1):
-        aj = float(a(j))
-        ej = float(e(j - 1))
-        if not (0.0 <= aj <= 1.0):
-            raise DomainError(f"alpha_{j}={aj} outside [0,1]")
-        if ej < 0.0:
-            raise DomainError(f"eps_{j-1}={ej} negative")
-        nxt = (1.0 - aj) * value + ej
-        if nxt > value:
-            non_increasing = False
-        value = nxt
-        traj.append(value)
-    return BCReport(ell=ell, m=m, bound=value, trajectory=traj,
-                    non_increasing=non_increasing)

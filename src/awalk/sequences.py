@@ -6,9 +6,9 @@ L_k times), continuous logarithm (a_k = c*ln(k)), and explicit finite lists.
 
 Every term is positive.  Because ceil(log_gamma(1)) = 0 and c*ln(1) = 0, the
 two logarithmic variants start at index 2; their walks simply have one fewer
-step per horizon.  Block-structured variants expose their run structure
-(label, first index, run length), which the spectral layer uses to evaluate
-cosine products over distinct values instead of individual terms.
+step per horizon.  Every variant lists its terms as (value, multiplicity)
+runs (`value_runs`), which the spectral layer uses to evaluate cosine
+products over distinct values instead of individual terms.
 
 Integer-valued variants do all index/boundary arithmetic in exact integer or
 rational form, so term values are reproducible bit-for-bit and run boundaries
@@ -20,7 +20,6 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -37,15 +36,8 @@ __all__ = [
     "GeneralBlocks",
     "LogContinuous",
     "Explicit",
-    "BlockIndex",
-    "TcondReport",
-    "TcondViolation",
     "parse_spec",
     "register_length_rule",
-    "prefix_sum_squares",
-    "block_start",
-    "checkpoint_index",
-    "tcond_check",
     "integer_nth_root",
 ]
 
@@ -496,19 +488,6 @@ class LogContinuous(SequenceSpec):
         self._check_horizon(n)
         return [(self.c * math.log(k), 1) for k in range(2, n + 1)]
 
-    def level_start(self, m: int) -> int:
-        """First index i with a_i >= m, i.e. ceil(gamma**m) up to float rounding.
-
-        Exact integer powers of gamma are snapped within 1e-9 relative error.
-        """
-        if m < 1:
-            raise DomainError(f"level must be >= 1, got {m}")
-        x = math.exp(m / self.c)
-        i = math.ceil(x - 1e-9 * max(1.0, x))
-        while i > 2 and self.c * math.log(i - 1) >= m - 1e-9 * m:
-            i -= 1
-        return max(i, 2)
-
 
 class Explicit(SequenceSpec):
     """A finite list of positive weights, given verbatim."""
@@ -621,17 +600,6 @@ def _parse_scalar(text: str):
 
 # --- module-level operations -------------------------------------------------
 
-def prefix_sum_squares(spec: SequenceSpec, n: int) -> float:
-    """Sum of a_k**2 over k <= n; exact integer arithmetic when possible."""
-    spec._check_horizon(n)
-    if spec.is_integer_valued:
-        return float(sum_squares_exact(spec, n))
-    if n < spec.first_index:
-        return 0.0
-    vals = spec.terms(n)
-    return math.fsum(float(v) * float(v) for v in vals)
-
-
 def sum_squares_exact(spec: SequenceSpec, n: int) -> int:
     """Exact integer sum of a_k**2 over k <= n (integer-valued specs only)."""
     if not spec.is_integer_valued:
@@ -639,130 +607,3 @@ def sum_squares_exact(spec: SequenceSpec, n: int) -> int:
     if n < spec.first_index:
         return 0
     return sum(int(v) * int(v) * int(c) for v, c in spec.value_runs(n))
-
-
-@dataclass(frozen=True)
-class BlockIndex:
-    """A block of equal weights: label k, first index i_k, run length L_k."""
-
-    k: int
-    first: int
-    length: int
-
-
-def block_start(spec: SequenceSpec, k: int) -> BlockIndex:
-    """Block bookkeeping for block-structured and continuous-log variants."""
-    if isinstance(spec, GeneralBlocks):
-        return BlockIndex(k, spec.start(k), spec.length(k))
-    if isinstance(spec, LogCeilBlocks):
-        first, length = spec.block(k)
-        return BlockIndex(k, first, length)
-    if isinstance(spec, LogContinuous):
-        first = spec.level_start(k)
-        return BlockIndex(k, first, spec.level_start(k + 1) - first)
-    raise UnsupportedVariantError(
-        f"block_start needs a block or continuous-log variant, got {spec.canonical()}")
-
-
-def checkpoint_index(m: int, parity: str) -> int:
-    """floor(m*ln(m)) pushed to the requested parity.
-
-    ``odd``: +1 when even.  ``even``: -1 when odd.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise DomainError(f"m must be an integer >= 2, got {m!r}")
-    base = math.floor(m * math.log(m))
-    if parity == "odd":
-        return base if base % 2 == 1 else base + 1
-    if parity == "even":
-        return base if base % 2 == 0 else base - 1
-    raise PreconditionError(f"parity must be 'odd' or 'even', got {parity!r}")
-
-
-@dataclass(frozen=True)
-class TcondViolation:
-    k: int
-    k_prime: int | None
-    condition: str  # "min-length" | "prefix-ratio" | "gap-ratio"
-    lhs: float
-    rhs: float
-
-
-@dataclass
-class TcondReport:
-    passed: bool
-    k0: int
-    k_max: int
-    epsilon: float
-    r: float
-    pairs_checked: int
-    first_violation: TcondViolation | None
-    indeterminate: list[tuple[int, int | None]]
-
-
-def tcond_check(lengths, epsilon: float, r: float, k0: int, k_max: int) -> TcondReport:
-    """Growth conditions on block lengths that make a block walk recurrent.
-
-    ``lengths`` takes any form `GeneralBlocks` takes: a rule name, a callable
-    or a list of lengths.  For every pair k0 <= k' < k <= k_max with
-    k - k' >= k/ln(k) - 2, checks
-
-        L_k / (L_1 + ... + L_{k'})          >= (2 + epsilon) * ln(k)
-        L_k / (L_{k'+1} + ... + L_{k-1})    >= 2 * r
-
-    and, for every k in range, L_k >= k**4.  All sums are exact big integers;
-    the ratio comparisons are exact rational comparisons against the float
-    bound, with ties within 1e-12 relative reported as indeterminate.
-    """
-    if epsilon <= 0 or r <= 0:
-        raise DomainError(f"epsilon and r must be positive, got ({epsilon}, {r})")
-    if k0 < 3 or k_max < k0:
-        raise DomainError(f"need k_max >= k0 >= 3, got ({k0}, {k_max})")
-    L = GeneralBlocks(lengths).length  # raises DomainError for a length < 1
-    lengths_cache = [0] * (k_max + 1)
-    prefix = [0] * (k_max + 1)  # prefix[j] = L_1 + ... + L_j
-    for j in range(1, k_max + 1):
-        lengths_cache[j] = L(j)
-        prefix[j] = prefix[j - 1] + lengths_cache[j]
-
-    pairs = 0
-    indeterminate: list[tuple[int, int | None]] = []
-
-    def compare(num: int, den: int, bound: float) -> int:
-        """Sign of num/den - bound with a 1e-12 relative tie band (0 = tie)."""
-        ratio = Fraction(num, den)
-        b = Fraction(bound)
-        if abs(ratio - b) <= Fraction(1e-12) * abs(b):
-            return 0
-        return 1 if ratio > b else -1
-
-    for k in range(k0, k_max + 1):
-        lk = lengths_cache[k]
-        if lk < k ** 4:
-            return TcondReport(False, k0, k_max, epsilon, r, pairs,
-                               TcondViolation(k, None, "min-length", float(lk), float(k ** 4)),
-                               indeterminate)
-        cutoff = k / math.log(k) - 2.0
-        for kp in range(k0, k):
-            if k - kp < cutoff:
-                break  # larger kp only shrinks the gap
-            pairs += 1
-            bound1 = (2.0 + epsilon) * math.log(k)
-            s1 = prefix[kp]
-            c1 = compare(lk, s1, bound1)
-            if c1 == 0:
-                indeterminate.append((k, kp))
-            elif c1 < 0:
-                return TcondReport(False, k0, k_max, epsilon, r, pairs,
-                                   TcondViolation(k, kp, "prefix-ratio", lk / s1, bound1),
-                                   indeterminate)
-            s2 = prefix[k - 1] - prefix[kp]
-            if s2 > 0:
-                c2 = compare(lk, s2, 2.0 * r)
-                if c2 == 0:
-                    indeterminate.append((k, kp))
-                elif c2 < 0:
-                    return TcondReport(False, k0, k_max, epsilon, r, pairs,
-                                       TcondViolation(k, kp, "gap-ratio", lk / s2, 2.0 * r),
-                                       indeterminate)
-    return TcondReport(True, k0, k_max, epsilon, r, pairs, None, indeterminate)

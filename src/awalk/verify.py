@@ -16,10 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 from . import exact
 from .sequences import parse_spec, sum_squares_exact
 
@@ -35,6 +36,8 @@ __all__ = [
     "enumeration_oracle_suite",
     "fourier_agreement_suite",
     "pattern_suite",
+    "BCReport",
+    "bc_bound_propagation",
     "bc_suite",
     "run_suite",
     "SUITES",
@@ -347,14 +350,51 @@ def pattern_suite(enum_max: int = 20, ratio_kappa: int = 30,
                         "mismatches": mismatches})
 
 
-# --- bound recursion ---------------------------------------------------------------
+# --- conditional Borel-Cantelli recursion -----------------------------------------
+
+@dataclass
+class BCReport:
+    ell: int
+    m: int
+    bound: float
+    trajectory: list[float]
+    non_increasing: bool
+
+
+def bc_bound_propagation(alpha: Callable[[int], float], eps: Callable[[int], float],
+                         ell: int, m: int) -> BCReport:
+    """Iterate P_j <= (1 - alpha_j) P_{j-1} + eps_{j-1} from P_ell = 1, for
+    rates alpha(j) in [0, 1] and eps(j) >= 0.
+
+    With sum(alpha) = inf and sum(eps) < inf the bound tends to zero, which
+    is the numeric core of the conditional Borel-Cantelli argument.
+    """
+    if ell < 1 or m < ell:
+        raise DomainError(f"need m >= ell >= 1, got ({ell}, {m})")
+    value = 1.0
+    traj = [value]
+    non_increasing = True
+    for j in range(ell + 1, m + 1):
+        aj = float(alpha(j))
+        ej = float(eps(j - 1))
+        if not (0.0 <= aj <= 1.0):
+            raise DomainError(f"alpha_{j}={aj} outside [0,1]")
+        if ej < 0.0:
+            raise DomainError(f"eps_{j-1}={ej} negative")
+        nxt = (1.0 - aj) * value + ej
+        if nxt > value:
+            non_increasing = False
+        value = nxt
+        traj.append(value)
+    return BCReport(ell=ell, m=m, bound=value, trajectory=traj,
+                    non_increasing=non_increasing)
+
 
 def bc_suite() -> CheckResult:
     """Borel-Cantelli style recursion: canonical bound and monotonicity."""
-    from .montecarlo import bc_bound_propagation
-    rep = bc_bound_propagation("harmonic", "geometric:0.5", 1, 10_000)
-    mono = bc_bound_propagation("harmonic", "zero", 1, 10_000)
-    step = bc_bound_propagation("constant:1", "zero", 1, 10)
+    rep = bc_bound_propagation(lambda k: 1.0 / k, lambda k: 0.5 ** k, 1, 10_000)
+    mono = bc_bound_propagation(lambda k: 1.0 / k, lambda k: 0.0, 1, 10_000)
+    step = bc_bound_propagation(lambda k: 1.0, lambda k: 0.0, 1, 10)
     passed = rep.bound <= 0.01 and mono.non_increasing and step.bound == 0.0
     return CheckResult("bound-recursion", passed,
                        {"harmonic_geometric_bound": rep.bound,

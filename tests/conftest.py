@@ -232,6 +232,21 @@ def killed_walk_survival(weights, window: tuple[int, int], band: int) -> float:
 
 # --- exhaustive references for the simple-random-walk sweeps --------------------
 
+def srw_point(m: int, z: int) -> Fraction:
+    """P(T_m = z) for the simple symmetric walk T_m = y_1 + ... + y_m."""
+    if abs(z) > m or (m + z) % 2 != 0:
+        return Fraction(0)
+    return Fraction(math.comb(m, (m + z) // 2), 1 << m)
+
+
+def srw_mod(m: int, k: int, u: int) -> Fraction:
+    """P(T_m = u mod k), summed over the residue class within [-m, m]."""
+    u = u % k
+    count = sum(math.comb(m, (m + z) // 2)
+                for z in range(-m, m + 1, 2) if z % k == u)  # T_m = m (mod 2)
+    return Fraction(count, 1 << m)
+
+
 def lemld_reference(m_max: int, scale: int = 100) -> CheckResult:
     """`verify.lemld_sweep` checked at every admissible z of every m.
 

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from awalk import exact
-from awalk.errors import DomainError, PreconditionError, ResourceError, UnsupportedVariantError
+from awalk import exact, verify
+from awalk.errors import PreconditionError, ResourceError, UnsupportedVariantError
 from awalk.sequences import Constant, Explicit, Linear, LogContinuous, parse_spec
 
 from conftest import (descent_survival_reference, enumerate_int_sums,
-                      first_hit_probability, visit_expectation)
+                      first_hit_probability, srw_mod, srw_point, visit_expectation)
 
 
 def brute_counts(weights):
@@ -140,19 +140,19 @@ def test_expected_visits_matches_path_enumeration(battery):
 
 
 def test_srw_point_examples():
-    assert exact.srw_point(4, 2) == Fraction(4, 16)
-    assert exact.srw_point(4, 1) == 0
-    assert exact.srw_point(0, 0) == 1
-    assert exact.srw_point(6, 8) == 0
+    assert srw_point(4, 2) == Fraction(4, 16)
+    assert srw_point(4, 1) == 0
+    assert srw_point(0, 0) == 1
+    assert srw_point(6, 8) == 0
 
 
 def test_srw_mod_examples():
-    assert exact.srw_mod(2, 2, 0) == 1
-    assert exact.srw_mod(1, 5, 0) == 0
+    assert srw_mod(2, 2, 0) == 1
+    assert srw_mod(1, 5, 0) == 0
     # exhaustive oracle over all 2^9 paths
     sums = enumerate_int_sums([1] * 9)
     want = Fraction(int(np.count_nonzero(sums % 3 == 0)), 512)
-    assert exact.srw_mod(9, 3, 0) == want
+    assert srw_mod(9, 3, 0) == want
 
 
 def test_two_scale_point_examples():
@@ -164,11 +164,11 @@ def test_two_scale_point_examples():
     for sx in xs:
         for sy in xs:
             target[(k - 1) * sx + k * sy] = target.get((k - 1) * sx + k * sy, 0) + 1
+    row = [math.comb(n, w) for w in range(n + 1)]
     for j in (0, 2, 4, 6, 3):
-        want = Fraction(target.get(j, 0), 4 ** n)
-        assert exact.two_scale_point(k, n, j) == want
-    assert exact.two_scale_point(2, 1, 3) == Fraction(1, 4)
-    assert exact.two_scale_point(2, 4, 1) == 0  # parity-forbidden
+        assert exact._two_scale_count(k, n, j, row) == target.get(j, 0)
+    assert exact._two_scale_count(2, 1, 3, [1, 1]) == 1  # of 4 sign vectors
+    assert exact._two_scale_count(2, 4, 1, row) == 0  # parity-forbidden
 
 
 def test_dominance_examples():
@@ -238,36 +238,23 @@ def test_dominance_survival_by_enumeration():
         assert rep.survival_weighted[j] == Fraction(survive, 2 ** len(ws))
 
 
+def sweep_tail(ws, a) -> Fraction:
+    """`verify.azuma_sweep`'s tail P(|S| >= a): all sign vectors but those
+    with |S| <= a - 1, on the integer lattice."""
+    dist = exact._lattice(list(ws))
+    return Fraction(dist.total - dist.band_count(a - 1), dist.total)
+
+
 def test_azuma_examples():
-    rep = exact.azuma_check([1], 1)
-    assert rep.tail == 1 and rep.passed
-    assert rep.bound == pytest.approx(2 * math.exp(-0.5))
-    rep = exact.azuma_check([1, 1], 2)
-    assert rep.tail == Fraction(1, 2)
-    assert rep.bound == pytest.approx(0.7357588823428847)
-    assert rep.passed
-    rep = exact.azuma_check([1, 2, 3], 7)
-    assert rep.tail == 0 and rep.passed
-    with pytest.raises(DomainError):
-        exact.azuma_check([1, 1], 0)
-
-
-def test_azuma_real_weights():
-    rep = exact.azuma_check([0.5, 1.25, 2.0], 1.0)
-    sums = np.zeros(1)
-    for w in (0.5, 1.25, 2.0):
-        sums = np.concatenate([sums - w, sums + w])
-    want = Fraction(int(np.count_nonzero(np.abs(sums) >= 1.0)), 8)
-    assert rep.tail == want and rep.passed
+    assert sweep_tail([1], 1) == 1
+    assert sweep_tail([1, 1], 2) == Fraction(1, 2)
+    assert sweep_tail([1, 2, 3], 7) == 0
 
 
 def test_azuma_tail_within_bound_off_the_sweep():
-    # [1, 1, 5] lies outside azuma_sweep's values (1, 2, 3)
-    for ws in ([1, 2, 3], [2, 2, 2, 2], [1, 1, 5]):
-        total = sum(ws)
-        for a in (1, total // 2, total):
-            rep = exact.azuma_check(ws, a)
-            assert rep.passed, (ws, a)
+    # 5 lies outside azuma_sweep's default values (1, 2, 3)
+    check = verify.azuma_sweep(max_len=4, values=(1, 2, 3, 5))
+    assert check.passed and check.details["weight_lists"] == 69
 
 
 def test_avoid_pattern_examples():
@@ -352,7 +339,7 @@ def test_float256_agrees_with_exact(ws, band):
 def test_azuma_integer_tail_matches_enumeration(ws, threshold):
     sums = enumerate_int_sums(ws)
     want = Fraction(int(np.count_nonzero(np.abs(sums) >= threshold)), sums.size)
-    assert exact.azuma_check(ws, threshold).tail == want
+    assert sweep_tail(ws, threshold) == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -76,6 +76,8 @@ def test_tolerance_errors_carry_scaled_values():
         with pytest.raises(ToleranceError) as exc:
             integrate(Linear(), 30, *z, max_nodes=2000, **tols)
         assert want > 1e-3 and exc.value.best_value == pytest.approx(want, rel=1e-6)
+        # and the message states the scaled error estimate it carries
+        assert f"error estimate {exc.value.achieved_estimate:.3e} " in str(exc.value)
 
 
 def test_abs_integral_examples():

@@ -10,10 +10,10 @@ from hypothesis import example, given, settings, strategies
 
 from awalk import exact, montecarlo as mc
 from awalk.cli import main
-from awalk.errors import DomainError, PreconditionError
+from awalk.errors import DomainError, PreconditionError, ResourceError
 from awalk.reports import write_json
-from awalk.sequences import (Constant, Explicit, GeneralBlocks, Linear, PowerFloor,
-                             SequenceSpec, parse_spec,
+from awalk.sequences import (Constant, Explicit, GeneralBlocks, Linear, LogCeilBlocks,
+                             LogContinuous, PowerFloor, SequenceSpec, parse_spec,
                              sum_squares_exact)
 from conftest import (SignSource, band_avoidance_block_estimate, bridge_touch,
                       enumerate_sign_change_counts, first_hit_probability,
@@ -645,32 +645,38 @@ def test_tomaszewski_real_weights_and_mc():
     assert rep.mode == "mc" and rep.passed
 
 
-def test_bc_bound_examples():
-    rep = mc.bc_bound_propagation("constant:1", "zero", 1, 10)
-    assert rep.bound == 0.0
-    rep = mc.bc_bound_propagation("harmonic", "geometric:0.5", 1, 10_000)
-    assert rep.bound <= 0.01
-    rep = mc.bc_bound_propagation("zero", "zero", 1, 100)
-    assert rep.bound == 1.0 and rep.non_increasing
-    with pytest.raises(DomainError):
-        mc.bc_bound_propagation("constant:2", "zero", 1, 10)
+def test_walks_over_the_byte_budget_are_refused_before_their_arrays(monkeypatch, tmp_path,
+                                                                   capsys):
+    # The weights take 8 bytes per step and integer walks 9 more per sign
+    # byte; the guard refuses above exact.MAX_BUFFER_BYTES (2 GiB) before
+    # any n-entry array is built, so `terms` must never be called here.
+    def fail(self, n):
+        raise AssertionError(f"terms({n}) called")
 
-
-def test_bc_bound_liminf_zero_on_grid():
-    # divergent sum(alpha), summable eps: the bound must sink toward 0
-    for alpha in ("harmonic", "constant:0.01"):
-        for eps in ("geometric:0.5", "zero", "explicit:0.125,0.25"):
-            rep = mc.bc_bound_propagation(alpha, eps, 2, 20_000)
-            assert min(rep.trajectory) < 1e-2
-
-
-def test_rate_parser():
-    assert mc.parse_rate("harmonic")(4) == 0.25
-    assert mc.parse_rate("geometric:0.5")(3) == 0.125
-    assert mc.parse_rate("explicit:0.5,0.25")(2) == 0.25
-    assert mc.parse_rate("explicit:0.5")(9) == 0.0
-    with pytest.raises(PreconditionError):
-        mc.parse_rate("nope:1")
+    monkeypatch.setattr(SequenceSpec, "terms", fail)
+    monkeypatch.setattr(LogContinuous, "terms", fail)
+    logceil, logcont = LogCeilBlocks(2), LogContinuous(1.0)
+    steps = 10 ** 9 - 1  # logceil:2 starts at index 2
+    for refuse in (lambda: mc.simulate(logceil, 10 ** 9, mc.RngSpec(1)),
+                   lambda: mc.simulate(logceil, 236_000_001, mc.RngSpec(1)),
+                   lambda: mc.simulate(logcont, 269_000_001, mc.RngSpec(1)),
+                   lambda: mc.recurrence_experiment(logceil, 10 ** 9, [0], 4, 1),
+                   lambda: mc.tomaszewski_check(logceil, 10 ** 9, "mc", paths=4)):
+        with pytest.raises(ResourceError) as exc:
+            refuse()
+        assert exc.value.budget == exact.MAX_BUFFER_BYTES < exc.value.required
+    assert exc.value.required == 8 * steps + 9 * -(-steps // 8)  # the last, at n = 10^9
+    # just under the budget the guard lets the walk through to its weights:
+    # 2.14e9 bytes for 235M integer steps, 2.08e9 for 260M real ones
+    for spec, n in ((logceil, 235_000_001), (logcont, 260_000_001)):
+        with pytest.raises(AssertionError, match="terms"):
+            mc.simulate(spec, n, mc.RngSpec(1))
+    for command in (["simulate", "--seed", "1"],
+                    ["recurrence", "--seed", "1", "--paths", "4", "--bands", "0"]):
+        out = str(tmp_path / f"{command[0]}.json")
+        assert main([*command, "--spec", "logceil:2", "--n", str(10 ** 9), "--out", out]) == 3
+        assert "awalk: resource limit: walk needs about" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_rngspec_validation():

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awalk.errors import DomainError, PreconditionError, UnsupportedVariantError
-from awalk.sequences import (BlockIndex, Constant, Explicit, GeneralBlocks,
-                             LogCeilBlocks, LogContinuous, Linear, PowerFloor,
-                             block_start, checkpoint_index, integer_nth_root,
-                             parse_spec, prefix_sum_squares, tcond_check)
+from awalk.errors import DomainError, PreconditionError
+from awalk.montecarlo import default_checkpoints
+from awalk.sequences import (Constant, Explicit, GeneralBlocks, LogCeilBlocks,
+                             LogContinuous, Linear, PowerFloor, integer_nth_root,
+                             parse_spec, register_length_rule, sum_squares_exact)
 
 ALL_TEXTS = ["constant:1", "constant:2.5", "linear", "powfloor:0.5", "powfloor:0.8",
              "logceil:2", "logceil:1.5", "blocks:pow2", "blocks:one", "blocks:1,2,4,8",
@@ -38,20 +38,19 @@ def test_integer_nth_root():
 
 
 def test_prefix_sum_squares_examples():
-    assert prefix_sum_squares(Constant(1), 4) == 4
-    assert prefix_sum_squares(Linear(), 3) == 14
+    assert sum_squares_exact(Constant(1), 4) == 4
+    assert sum_squares_exact(Linear(), 3) == 14
     # direct summation oracle
     spec = PowerFloor(0.5)
-    assert prefix_sum_squares(spec, 5) == sum(spec.term(k) ** 2 for k in range(1, 6)) == 11
+    assert sum_squares_exact(spec, 5) == sum(spec.term(k) ** 2 for k in range(1, 6)) == 11
 
 
 def test_block_start_examples():
-    assert block_start(GeneralBlocks("pow2"), 3) == BlockIndex(3, 7, 8)
-    assert block_start(GeneralBlocks("one"), 5) == BlockIndex(5, 5, 1)
-    bi = block_start(LogContinuous(1.4426950408889634), 4)
-    assert bi.first == 16
-    with pytest.raises(UnsupportedVariantError):
-        block_start(Linear(), 1)
+    spec = GeneralBlocks("pow2")
+    assert (spec.start(3), spec.length(3)) == (7, 8)
+    spec = GeneralBlocks("one")
+    assert (spec.start(5), spec.length(5)) == (5, 1)
+    assert LogCeilBlocks(2).block(4) == (9, 8)
 
 
 def test_logceil_structure():
@@ -73,23 +72,24 @@ def test_logcont_start_index():
         spec.term(1)
     assert spec.term(2) == pytest.approx(2.0 * math.log(2))
     assert spec.terms(5).shape == (4,)
-    assert prefix_sum_squares(spec, 1) == 0.0
 
+
+# The checkpoint indices an experiment snapshots when none are given: n/100,
+# n/10 and n, each raised to the walk's first index.
 
 def test_checkpoint_index_examples():
-    assert checkpoint_index(2, "odd") == 1
-    assert checkpoint_index(3, "even") == 2
-    assert checkpoint_index(10, "odd") == 23
+    assert default_checkpoints(1000, 1) == [10, 100, 1000]
+    assert default_checkpoints(50, 2) == [2, 5, 50]
+    assert default_checkpoints(5, 1) == [1, 5]
+    assert default_checkpoints(2, 2) == [2]
 
 
 @pytest.mark.parametrize("m", range(2, 400))
 def test_checkpoint_index_invariants(m):
-    # the odd form rounds up (within 1 of m*ln m); the even form rounds down
-    # and can land up to 2 below
-    for parity, rem, slack in (("odd", 1, 1.0), ("even", 0, 2.0)):
-        k = checkpoint_index(m, parity)
-        assert k % 2 == rem
-        assert abs(k - m * math.log(m)) <= slack + 1e-9
+    for first in (1, 2):
+        cps = default_checkpoints(m, first)
+        assert cps == sorted(set(cps)) and len(cps) <= 3 and cps[-1] == m
+        assert first <= cps[0] <= max(first, m // 10)
 
 
 def test_explicit_bounds():
@@ -148,62 +148,47 @@ def test_monotone_variants(text, k):
                         "logceil:1.5"]),
        st.integers(1, 8))
 def test_block_consistency(text, k):
+    # the run bookkeeping behind value_runs: run k ends where run k + 1 starts
     spec = parse_spec(text)
     try:
-        bi = block_start(spec, k)
-        nxt = block_start(spec, k + 1)
+        if isinstance(spec, LogCeilBlocks):
+            (first, length), (nxt, _) = spec.block(k), spec.block(k + 1)
+        else:
+            first, length, nxt = spec.start(k), spec.length(k), spec.start(k + 1)
     except DomainError:
         return
-    assert nxt.first == bi.first + bi.length
-    if bi.length > 0:  # narrow growth bases can skip a value entirely
-        assert spec.term(bi.first) == k
-        assert spec.term(bi.first + bi.length - 1) == k
+    assert nxt == first + length
+    if length > 0:  # narrow growth bases can skip a value entirely
+        assert spec.term(first) == k
+        assert spec.term(first + length - 1) == k
+
+
+INTEGER_TEXTS = [t for t in ALL_TEXTS if parse_spec(t).is_integer_valued]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(ALL_TEXTS), st.integers(1, 60))
+@given(st.sampled_from(INTEGER_TEXTS), st.integers(1, 60))
 def test_prefix_sum_squares_increasing(text, n):
     spec = parse_spec(text)
     if spec.max_index is not None and n + 1 > spec.max_index:
         return
     n = max(n, spec.first_index)
-    assert prefix_sum_squares(spec, n + 1) > prefix_sum_squares(spec, n)
-
-
-def test_tcond_pow2_passes():
-    rep = tcond_check("pow2", 0.1, 0.4, 20, 200)
-    assert rep.passed and rep.first_violation is None and rep.pairs_checked > 0
-
-
-def test_tcond_unit_lengths_fail_fast():
-    rep = tcond_check("one", 0.1, 0.4, 20, 50)
-    assert not rep.passed
-    v = rep.first_violation
-    assert v.k == 20 and v.condition == "min-length" and v.k_prime is None
-
-
-def test_tcond_log_blocks_pass():
-    # lengths of the value-m run of floor(log2 k): L_m = 2^m
-    rep = tcond_check(lambda m: 2 ** m, 0.1, 0.4, 25, 120)
-    assert rep.passed
+    assert sum_squares_exact(spec, n + 1) > sum_squares_exact(spec, n)
 
 
 @pytest.mark.parametrize("lengths", [[1, 2, 0, 5, 6],  # a non-positive length
-                                     [1, 2, 3],  # fewer lengths than k_max
+                                     [1, 2, 3],  # fewer lengths than asked for
                                      lambda k: 0])  # a rule that returns 0
-def test_tcond_rejects_bad_lengths(lengths):
+def test_block_lengths_must_be_positive(lengths):
     with pytest.raises(DomainError):
-        tcond_check(lengths, 0.1, 0.4, 3, 5)
+        spec = GeneralBlocks(lengths)
+        for k in range(1, 6):
+            spec.length(k)
 
 
-def test_tcond_extensible_rule():
-    from awalk.sequences import register_length_rule
+def test_registered_length_rule():
     register_length_rule("testquartic", lambda k: k ** 4 + 1)
-    spec = GeneralBlocks("testquartic")
-    assert spec.length(3) == 82
-    rep = tcond_check("testquartic", 0.1, 0.4, 20, 60)
-    # prefix sums of k^4 grow like k^5/5, so the prefix-ratio condition fails
-    assert not rep.passed
+    assert parse_spec("blocks:testquartic").length(3) == 82
 
 
 @settings(max_examples=80, deadline=None)

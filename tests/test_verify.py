@@ -1,8 +1,8 @@
 import pytest
 
 from awalk import exact, verify
-from awalk.errors import PreconditionError
-from conftest import cordiv_reference, lemld_reference
+from awalk.errors import DomainError, PreconditionError
+from conftest import cordiv_reference, lemld_reference, srw_mod, srw_point
 
 
 def test_one_pass_pattern_counts_match_enumeration():
@@ -27,6 +27,29 @@ def test_bc_suite_passes():
     check = verify.bc_suite()
     assert check.passed
     assert check.details["harmonic_geometric_bound"] <= 0.01
+
+
+def test_bc_bound_examples():
+    rep = verify.bc_bound_propagation(lambda k: 1.0, lambda k: 0.0, 1, 10)
+    assert rep.bound == 0.0
+    rep = verify.bc_bound_propagation(lambda k: 1.0 / k, lambda k: 0.5 ** k, 1, 10_000)
+    assert rep.bound <= 0.01
+    rep = verify.bc_bound_propagation(lambda k: 0.0, lambda k: 0.0, 1, 100)
+    assert rep.bound == 1.0 and rep.non_increasing
+    with pytest.raises(DomainError):
+        verify.bc_bound_propagation(lambda k: 2.0, lambda k: 0.0, 1, 10)
+    with pytest.raises(DomainError):
+        verify.bc_bound_propagation(lambda k: 0.5, lambda k: -1e-3, 1, 10)
+
+
+def test_bc_bound_liminf_zero_on_grid():
+    # divergent sum(alpha), summable eps: the bound must sink toward 0
+    explicit = [0.125, 0.25]
+    for alpha in (lambda k: 1.0 / k, lambda k: 0.01):
+        for eps in (lambda k: 0.5 ** k, lambda k: 0.0,
+                    lambda k: explicit[k - 1] if k <= len(explicit) else 0.0):
+            rep = verify.bc_bound_propagation(alpha, eps, 2, 20_000)
+            assert min(rep.trajectory) < 1e-2
 
 
 def test_azuma_sweep_small():
@@ -75,7 +98,7 @@ def test_lemld_checks_the_smallest_point_mass():
         z = verify._largest_admissible_z(m)
         admissible = [y for y in range(-m, m + 1) if (m + y) % 2 == 0 and y * y <= 4 * m]
         assert z in admissible
-        assert exact.srw_point(m, z) == min(exact.srw_point(m, y) for y in admissible)
+        assert srw_point(m, z) == min(srw_point(m, y) for y in admissible)
 
 
 def test_smallest_residue_mass_never_decreases():
@@ -84,7 +107,7 @@ def test_smallest_residue_mass_never_decreases():
         prev = 0
         for m in range(0, 301):
             admissible = [u for u in range(k) if k % 2 or (m - u) % 2 == 0]
-            low = min(exact.srw_mod(m, k, u) for u in admissible)
+            low = min(srw_mod(m, k, u) for u in admissible)
             assert low >= prev, (k, m)
             prev = low
 
