@@ -7,7 +7,7 @@ depend on how paths are partitioned over workers, on chunk or refill sizes,
 or on which other paths run, and experiment reports are byte-identical for a
 fixed seed no matter how many workers run (AWALK_THREADS caps the pool).
 Philox is counter-based, so each process re-keys one generator per path and
-draws only the words the path reads.
+draws only the words the path reads, refill by refill.
 
 Every experiment streams its paths through one kernel, `_PathKernel`, in
 O(2^16) memory.  A reducer per experiment reads the partial sums: the path
@@ -27,13 +27,19 @@ pass can walk several paths at once.  The kernel walks in one of two ways:
   steps reads one refill, so the paths of a 64-path work unit are walked
   together, as many as fit in one 2^15-byte chunk, as one array of
   (paths, sign bytes);
-- step by step, one path at a time, for real weights: one cumsum per step
-  in extended precision, with the carry propagated across segments, which
-  keeps the drift of a million-step sum far below the 1e-9 zero-detection
-  tolerance.
+- a segment at a time, for real weights: the 64 paths of a work unit walk
+  each segment together, and each path takes one cumsum per step in
+  extended precision (long double), with its carry propagated across
+  segments, which keeps the drift of a million-step sum far below the 1e-9
+  zero-detection tolerance.  A path's steps are its weights in long double
+  with the sign bit set where x_j = -1, and its float64 partial sums are
+  rounded from the cumsum and the carry apart, except where a comparison
+  could tell them from the rounded sum of the two; a reducer reads only
+  the steps where |S| is within the largest weight or level, and their
+  neighbours (`_PathKernel._decisive`).
 
 The weights' type alone picks the way; `_weights_for` refuses a weight
-that is not positive.
+that is not positive and a walk whose partial sums could overflow.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing import get_context
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,6 +95,25 @@ _BYTE_MOMENT = _BYTE_JPREFIX[:, -1].copy()
 _REACH_SUM = np.abs(_BYTE_SUM[:, None] - _BYTE_PREFIX).max(axis=1)
 _REACH_MOMENT = np.abs(_BYTE_MOMENT[:, None] - _BYTE_JPREFIX).max(axis=1)
 _BOOTSTRAP_SALT = 0xB00575A9
+# Real weights summing to this or more are refused: then |S|, the float64
+# partial sums and the real walk's rounding margin all stay finite.
+_REAL_LIMIT = 2.0 ** 1020
+
+
+def _sign_byte() -> int:
+    """The byte of a long double that holds its sign bit (0x80): the one
+    byte where 1 and -1 differ.  Found at import, so that the real walk
+    sets signs the same way for 64-, 80- and 128-bit long doubles."""
+    pair = np.zeros(2, dtype=np.longdouble)  # zeroed, so padding bytes agree
+    pair[0], pair[1] = 1, -1
+    one, minus = pair.view(np.uint8).reshape(2, -1)
+    at = np.flatnonzero(one != minus)
+    if at.size != 1 or one[at[0]] ^ minus[at[0]] != 0x80:
+        raise ImportError("long double has no sign bit at 0x80 of one byte")
+    return int(at[0])
+
+
+_SIGN_BYTE = _sign_byte()
 
 # Attached to every experiment report: simulation evidence is finite-horizon
 # only and never establishes an almost-sure / asymptotic claim.
@@ -127,93 +152,75 @@ class RngSpec:
 
 
 class _BitStream:
-    """Sign bits of one path at a time, from one re-keyed Philox generator.
+    """Sign bytes of the paths of a pass, refill by refill, from one re-keyed
+    Philox generator.
 
     Path (seed, stream) reads the words ``RngSpec(seed, stream).generator()
-    .integers(0, 2**64, dtype=np.uint64)`` returns, in refills of at most
-    1024 words.  Re-keying through the ``state`` setter costs a fraction of
-    building a new generator.  When the path's length is known, its last
-    refill draws only the words the path reads; refill sizes never change
-    which bit a step reads.  `take` gives bits and `take_bytes` whole sign
-    bytes of the same stream; a refill is unpacked only when bits are read.
-    `rows` gives the sign bytes of several short paths, one row each.
+    .integers(0, 2**64, dtype=np.uint64)`` returns; byte b holds its steps
+    8b..8b+7.  Refill r of a path is its words 1024r..1024r+1023.  Philox
+    makes 4 words per counter value, so re-keying the generator and setting
+    its counter to 256r draws them, and the refills of all the paths of a
+    pass are drawn together and kept packed: at most (64, 1024) words.
+    Re-keying through the ``state`` setter costs a fraction of building a
+    new generator.  A path's last refill draws only the words the path
+    reads; refill sizes never change which bit a step reads.
     """
 
-    __slots__ = ("_philox", "_state", "_raw", "_bits", "_pos", "_left")
+    __slots__ = ("_philox", "_state", "_seed", "_streams", "_nbits", "_raw", "_pos",
+                 "_refill")
 
     def __init__(self, rng: RngSpec | None = None, nbits: int = 0):
         self._philox = np.random.Philox(0)
         self._state = self._philox.state  # counter 0, empty buffer; key set per path
-        self._raw = np.empty(0, dtype=np.uint8)
-        self._bits = None
-        self._pos = 0  # in bits
-        self._left = 0
+        self.start(0, range(0), 0)
         if rng is not None:
-            self.start(rng.seed, rng.stream, nbits)
+            self.start(rng.seed, range(rng.stream, rng.stream + 1), nbits)
 
-    def _rekey(self, seed: int, stream: int) -> None:
-        self._state["state"]["key"] = np.array([stream, seed], dtype=np.uint64)
-        self._philox.state = self._state
+    def start(self, seed: int, streams: range, nbits: int) -> None:
+        """Read the paths (seed, s), s in streams, of `nbits` bits each."""
+        self._seed, self._streams, self._nbits = seed, streams, nbits
+        self._raw = np.empty((len(streams), 0), dtype=np.uint8)
+        self._pos = 0  # in bytes
+        self._refill = 0  # the next refill
 
-    def start(self, seed: int, stream: int, nbits: int = 0) -> None:
-        """Re-key for path (seed, stream), which reads `nbits` bits (0: unknown)."""
-        self._rekey(seed, stream)
-        self._raw = self._raw[:0]
-        self._bits = None
+    @property
+    def paths(self) -> int:
+        return len(self._streams)
+
+    def _draw(self) -> None:
+        """Draw the next refill of every path."""
+        bits = min(64 * _WORDS, self._nbits - 64 * _WORDS * self._refill)
+        words = -(-bits // 64)
+        if self.paths == 1 and self._refill:  # its generator has just drawn the refill before
+            raw = self._philox.random_raw(words)[None]
+        else:
+            raw = np.empty((self.paths, words), dtype=np.uint64)
+            state = self._state["state"]
+            state["counter"] = np.array([_WORDS // 4 * self._refill, 0, 0, 0], dtype=np.uint64)
+            for row, stream in zip(raw, self._streams):
+                state["key"] = np.array([stream, self._seed], dtype=np.uint64)
+                self._philox.state = self._state
+                row[:] = self._philox.random_raw(words)
+        self._raw = raw.view(np.uint8)[:, :-(-bits // 8)]
         self._pos = 0
-        self._left = -(-nbits // 64)  # words still to draw; 0 draws full refills
-
-    def _next(self) -> int:
-        """Bits left in the current refill, after refilling an exhausted one."""
-        if self._pos == 8 * self._raw.size:
-            words = min(_WORDS, self._left) if self._left else _WORDS
-            self._left = max(0, self._left - words)
-            self._raw = self._philox.random_raw(words).view(np.uint8)
-            self._bits = None
-            self._pos = 0
-        return 8 * self._raw.size - self._pos
-
-    def _unpacked(self) -> np.ndarray:
-        if self._bits is None:
-            self._bits = np.unpackbits(self._raw, bitorder="little")
-        return self._bits
-
-    def take(self, n: int) -> np.ndarray:
-        """The next n sign bits, 0 or 1, as uint8 (a view while within a refill)."""
-        if n <= self._next():
-            self._pos += n
-            return self._unpacked()[self._pos - n:self._pos]
-        out = np.empty(n, dtype=np.uint8)
-        filled = 0
-        while filled < n:
-            k = min(n - filled, self._next())
-            out[filled:filled + k] = self._unpacked()[self._pos:self._pos + k]
-            self._pos += k
-            filled += k
-        return out
-
-    def rows(self, seed: int, streams: range, nbits: int) -> np.ndarray:
-        """The first ceil(nbits/8) sign bytes of each path (seed, s), s in
-        streams, as one uint8 row per path.  A path of nbits <= 2^16 bits
-        reads one refill of ceil(nbits/64) words, as `start` and `take_bytes`
-        would draw it.  Call `start` before reading a single path again."""
-        words = -(-nbits // 64)
-        out = np.empty((len(streams), words), dtype=np.uint64)
-        for row, stream in zip(out, streams):
-            self._rekey(seed, stream)
-            row[:] = self._philox.random_raw(words)
-        return out.view(np.uint8)[:, :-(-nbits // 8)]
+        self._refill += 1
 
     def take_bytes(self, n: int) -> np.ndarray:
-        """The next n sign bytes (8 steps each, bit j little-endian is step j),
-        read from a byte-aligned position."""
-        out = np.empty(n, dtype=np.uint8)
+        """The next n sign bytes of each path, one row per path (bit j
+        little-endian of a byte is its step j); a view within a refill."""
+        if self._pos == self._raw.shape[1]:
+            self._draw()
+        if self._pos + n <= self._raw.shape[1]:
+            self._pos += n
+            return self._raw[:, self._pos - n:self._pos]
+        out = np.empty((self.paths, n), dtype=np.uint8)
         filled = 0
         while filled < n:
-            k = min(n - filled, self._next() >> 3)
-            at = self._pos >> 3
-            out[filled:filled + k] = self._raw[at:at + k]
-            self._pos += 8 * k
+            if self._pos == self._raw.shape[1]:
+                self._draw()
+            k = min(n - filled, self._raw.shape[1] - self._pos)
+            out[:, filled:filled + k] = self._raw[:, self._pos:self._pos + k]
+            self._pos += k
             filled += k
         return out
 
@@ -263,6 +270,14 @@ def _weights_for(spec: SequenceSpec, n: int) -> np.ndarray:
         total = int(np.sum(w, dtype=object))  # the bound failed: sum exactly
         if total >= 1 << 62:
             raise DomainError(f"integer walk range {total} overflows int64 accumulation")
+    elif w.dtype == np.float64 and w.size and float(w.max()) * w.size >= _REAL_LIMIT:
+        try:  # the bound failed: sum exactly
+            total = math.fsum(w)
+        except OverflowError:
+            total = math.inf
+        if total >= _REAL_LIMIT:
+            raise DomainError(f"real walk range {total:g} is not below 2^1020: "
+                              f"its partial sums could overflow float64")
     return w
 
 
@@ -281,17 +296,22 @@ class _PathKernel:
     bytes that end within their reach (`reach`, from the tables A and B) of
     what it looks for, to exact per-step sums (`expand`).
 
-    Pass rule: a walk of at most 2^16 steps reads one refill per path, so
-    `run_rows` walks `paths_per_pass` paths together, as many whole paths
-    of a 64-path work unit as fit in one chunk; a longer walk goes one path
-    per pass (`run`), a chunk at a time.
+    Pass rule (`paths_per_pass`): a walk of at most 2^16 steps reads one
+    refill per path, so the byte path walks as many whole paths of a
+    64-path work unit together as fit in one chunk; a longer integer walk
+    goes one path per pass, a chunk at a time.  The real walk takes the
+    whole unit in one pass.
 
-    The step path walks one path in segments that end at every multiple of
-    2^16 steps, at each checkpoint and at the horizon, and calls
-    reducer.update with the segment's partial sums.  It takes the real
-    weights: a long-double cumsum per segment, then the carry added, so the
-    cut positions fix the rounding: keep them where they are, or reports
-    move.  A walk of no steps takes it too and returns at once.
+    The real walk (`_run_real`) cuts the walk into segments that end at
+    every multiple of 2^16 steps, at each checkpoint and at the horizon.
+    In each segment every path of the pass copies the segment's long-double
+    weights, sets the sign bit (byte `_SIGN_BYTE`, bit 0x80) where x_j = -1,
+    which is exact, and takes one long-double cumsum, to which its carry
+    is added; reducer.update reads the steps that decide its statistics
+    (`_decisive`) path by path, and reducer.snapshot follows a segment that
+    ends at a checkpoint.
+    The cut positions fix the rounding: keep them where they are, or
+    reports move.  A walk of no steps takes it too and returns at once.
     """
 
     def __init__(self, weights: np.ndarray, checkpoint_steps: Sequence[int] = ()):
@@ -315,9 +335,13 @@ class _PathKernel:
         ends = sorted(set(range(_CHUNK, self.steps, _CHUNK)) | self.checkpoints
                       | ({self.steps} if self.steps else set()))
         self.segments = list(zip([0] + ends[:-1], ends))
+        self.paths_per_pass = _BLOCK
         size = min(_CHUNK, self.steps)
-        self._signs = np.empty(size, dtype=np.uint8)
-        self._sums = np.empty(size, dtype=np.longdouble)
+        self._long = np.empty(size, dtype=np.longdouble)  # the segment's weights
+        self._sums = np.empty(size, dtype=np.longdouble)  # one path's cumsum
+        self._signs = self._sums.view(np.uint8).reshape(size, self._sums.itemsize)[:, _SIGN_BYTE]
+        self._rounded = np.empty(size)
+        self._abs = np.empty(size)
 
     def _padded_blocks(self):
         """(first byte, weights) for blocks of 2^13 bytes; the last byte's
@@ -333,7 +357,7 @@ class _PathKernel:
         delta, w1 - w0 of its first unbent byte (0 for run-constant weights,
         1 for `linear`); the weights and reach (w_1 + ... + w_7) of the
         others.  Built in blocks of 2^16 steps, so no temporary is larger
-        than the step path's buffers."""
+        than the real walk's buffers."""
         nb = self.nbytes
         self._w0 = np.empty(nb, dtype=np.int64)
         self._affine = np.ones(nb, dtype=bool)
@@ -446,17 +470,13 @@ class _PathKernel:
         return rows
 
     def run(self, stream, reducer=None) -> np.ndarray:
-        """Walk one path read from `stream` (`take` bits, `take_bytes` bytes)
-        into the reducer until it returns True; return the last partial sum
-        formed, as a one-entry array."""
+        """Walk the `paths` paths of `stream`, whose sign bytes its
+        `take_bytes` gives one row per path, into the reducer (the byte path
+        stops once reducer.update_bytes returns True); return the last
+        partial sum formed, one per path."""
         if self.bytewise:
-            return self._run_bytes(stream.take_bytes, reducer, 1)
-        return np.asarray([self._run_steps(stream.take, reducer)])
-
-    def run_rows(self, codes: np.ndarray, reducer=None) -> np.ndarray:
-        """`run` for the paths whose sign bytes are the rows of `codes`,
-        walked together; one last partial sum per path."""
-        return self._run_bytes(_reader(codes), reducer, codes.shape[0])
+            return self._run_bytes(stream.take_bytes, reducer, stream.paths)
+        return self._run_real(stream.take_bytes, reducer, stream.paths)
 
     def _run_bytes(self, take_bytes, reducer, paths):
         carry = np.zeros(paths, dtype=np.int64)
@@ -477,42 +497,81 @@ class _PathKernel:
                 break
         return carry
 
-    def _run_steps(self, take, reducer):
-        """Feed each segment to reducer.update(pos, s, at_checkpoint) until it
-        returns True; return the last partial sum formed."""
-        w = self.weights
-        carry = np.longdouble(0)
+    def _run_real(self, take_bytes, reducer, paths):
+        """Feed each path's segments to reducer.update (see `_decisive`);
+        return the last partial sum of each path, in long double."""
+        carry = np.zeros(paths, dtype=np.longdouble)
         for pos, end in self.segments:
-            m = end - pos
-            bits = take(m)
-            signs = np.add(bits, bits, out=self._signs[:m])
-            signs -= 1  # 0/1 -> 255/1, which is -1/+1 as int8
-            signs = signs.view(np.int8)
-            s_ld = np.multiply(w[pos:end], signs, out=self._sums[:m])
-            np.add.accumulate(s_ld, out=s_ld)  # the cumsum
-            s_ld += carry
-            carry = s_ld[-1]
-            if reducer is None:
-                continue
-            if reducer.update(pos, s_ld.astype(np.float64), end in self.checkpoints):
-                break
+            m, at = end - pos, pos % _CHUNK
+            if not at:  # segments never cross a refill
+                codes = take_bytes(-(-min(_CHUNK, self.steps - pos) // 8))
+            sums, signs = self._sums[:m], self._signs[:m]
+            weights = self.weights[pos:end]
+            if reducer is not None:
+                reach = max(float(weights.max()), *reducer.levels)
+            if paths > 1:  # in long double once for all paths (exact)
+                self._long[:m] = weights
+                weights = self._long[:m]
+            lo, hi, skip = at // 8, -(-(at + m) // 8), at % 8  # the segment's sign bytes
+            for p in range(paths):
+                np.copyto(sums, weights)
+                neg = np.unpackbits(~codes[p, lo:hi], bitorder="little")[skip:skip + m]
+                neg <<= 7
+                signs |= neg  # -w_j where x_j = -1
+                np.add.accumulate(sums, out=sums)  # the cumsum
+                if reducer is not None:
+                    reducer.update(p, pos, *self._decisive(sums, carry[p], reducer.levels, reach))
+                carry[p] += sums[-1]
+            if reducer is not None and end in self.checkpoints:
+                reducer.snapshot(end)
         return carry
+
+    def _decisive(self, sums: np.ndarray, carry, levels, reach: float):
+        """The steps of a segment that a reducer reads, their partial sums
+        S = RN64(sums + carry) (the cumsum and the carry added in long
+        double, then rounded to float64) and the segment's largest |S|.
+
+        a = RN64(sums) + RN64(carry) in float64 lies within a few units of
+        roundoff, u = 2^-53, times |a| + |carry| of S, plus a few 2^-1075
+        for subnormals (Higham, Accuracy and Stability of Numerical
+        Algorithms, ch. 2), so within M = 2^-50 (max|a| + 2|carry|) + 2^-1070.
+        Call a step low if |a| <= reach + M, where reach is the largest of
+        the reducer's levels and of the segment's weights.  A step that is
+        not low is no zero and no band hit.  S moves by one weight per
+        step, give or take a rounding far below reach (the segment holds at
+        most 2^16 weights), so two steps in a row that are not low have one
+        sign.  The reducer therefore reads only the low steps, the step
+        after each, the first and the last: the sign changes among them are
+        those of the segment.  Of these, the steps with |a| within M of 0
+        or of a level, and the last, take S itself; every other one has
+        the sign and the side of every level of its S.  The largest |S| is
+        that of a step with |a| >= max|a| - 2M, where S is taken too."""
+        m = sums.size
+        a = self._rounded[:m]
+        np.copyto(a, sums)
+        carry64 = float(carry)
+        a += carry64
+        x = np.abs(a, out=self._abs[:m])
+        top = float(x.max())
+        margin = 2.0 ** -50 * (top + 2 * abs(carry64)) + 2.0 ** -1070
+        read = x <= reach + margin  # the low steps
+        read[1:] |= read[:-1]  # and the step after each (numpy reads before it writes)
+        read[0] = read[-1] = True
+        steps = np.flatnonzero(read)
+        s, x_s = a[steps], x[steps]
+        exact = x_s <= margin
+        for level in levels:
+            exact |= np.abs(x_s - level) <= margin
+        exact[-1] = True
+        s[exact] = (sums[steps[exact]] + carry).astype(np.float64)
+        tops = np.flatnonzero(x >= top - 2 * margin)
+        peak = float(np.abs((sums[tops] + carry).astype(np.float64)).max())
+        return steps, s, peak
 
 
 def _shaped(buf: np.ndarray, shape) -> np.ndarray:
     """The first entries of a flat buffer, viewed in this shape."""
     return buf[:math.prod(shape)].reshape(shape)
-
-
-def _reader(data: np.ndarray) -> Callable[[int], np.ndarray]:
-    """take(m) over a fixed array: its next m entries along the last axis."""
-    pos = 0
-
-    def take(m):
-        nonlocal pos
-        pos += m
-        return data[..., pos - m:pos]
-    return take
 
 
 def _last_true(mask: np.ndarray) -> int:
@@ -533,6 +592,7 @@ class _PathTally:
         self.first = first
         self.bands = [float(c) if not float(c).is_integer() else int(c) for c in bands]
         self.zero_tol = zero_tol
+        self.levels = (zero_tol, *self.bands)  # what the real walk's rounding must keep
         self.full = full
         self.widest = math.floor(max(self.bands, default=0))  # |S| <= c iff |S| <= floor(c)
         self.zero_hits = np.zeros(paths, dtype=np.int64)
@@ -550,37 +610,41 @@ class _PathTally:
         self.snapshots.append((at, self.zero_hits + zeros, self.sign_changes + changes,
                                self.band_hits + band_hits))
 
-    def update(self, pos: int, s: np.ndarray, at_checkpoint: bool) -> bool:
-        """Step-path update of a one-path tally: S at steps pos, pos+1, ...,
-        a real walk's, so a zero is |S| <= zero_tol."""
+    def update(self, row: int, pos: int, steps: np.ndarray, s: np.ndarray,
+               peak: float) -> None:
+        """Real-walk update of path `row` from a segment that starts at step
+        pos: S at its `steps` (every one that can be a zero, |S| <= zero_tol,
+        or a band hit, enough others that the sign changes among them are
+        the segment's, and the last one) and the segment's largest |S|."""
         abs_s = np.abs(s)
         zmask = abs_s <= self.zero_tol
         zeros = int(np.count_nonzero(zmask))
         if zeros:
-            self.zero_hits += zeros
+            self.zero_hits[row] += zeros
             if self.full:
-                self.last_zero[0] = self.first + pos + _last_true(zmask)
+                self.last_zero[row] = self.first + pos + steps[_last_true(zmask)]
         for b, c in enumerate(self.bands):
             bmask = abs_s <= c
             hits = int(np.count_nonzero(bmask))
             if hits:
-                last = self.first + pos + _last_true(bmask) if self.full else -1
-                self.band_hits[b] += hits
-                self.last_band[b] = last
+                self.band_hits[b, row] += hits
+                if self.full:
+                    self.last_band[b, row] = self.first + pos + steps[_last_true(bmask)]
         # sign changes among the nonzero S; a zero never counts as a sign
         live = s[~zmask] if zeros else s
         if live.size:
             up = live > 0
-            if self.last_sign[0] and (1 if up[0] else -1) != self.last_sign[0]:
-                self.sign_changes += 1
-            self.sign_changes += int(np.count_nonzero(up[1:] != up[:-1]))
-            self.last_sign[0] = 1 if up[-1] else -1
+            if self.last_sign[row] and (1 if up[0] else -1) != self.last_sign[row]:
+                self.sign_changes[row] += 1
+            self.sign_changes[row] += int(np.count_nonzero(up[1:] != up[:-1]))
+            self.last_sign[row] = 1 if up[-1] else -1
         if self.full:
-            self.max_abs[0] = max(self.max_abs[0], float(abs_s.max()))
-            self.final[0] = float(s[-1])
-        if at_checkpoint:
-            self._snapshot(self.first + pos + s.size - 1, 0, 0, 0)
-        return False
+            self.max_abs[row] = max(self.max_abs[row], peak)
+            self.final[row] = float(s[-1])
+
+    def snapshot(self, steps: int) -> None:
+        """The real walk's checkpoint: every path has walked `steps` steps."""
+        self._snapshot(self.first + steps - 1, 0, 0, 0)
 
     def update_bytes(self, kernel: _PathKernel, lo: int, index: np.ndarray,
                      ends: np.ndarray, cps: np.ndarray) -> bool:
@@ -847,12 +911,8 @@ def _path_block(block: tuple[int, int]) -> np.ndarray:
     for a in range(lo, hi, per_pass):
         paths = range(a, min(a + per_pass, hi))
         reducer = _CTX["reducer"](len(paths))
-        if per_pass > 1:
-            last = kernel.run_rows(stream.rows(seed, paths, kernel.steps), reducer)
-        else:
-            stream.start(seed, a, kernel.steps)
-            last = kernel.run(stream, reducer)
-        out.append(_CTX["columns"](reducer, last))
+        stream.start(seed, paths, kernel.steps)
+        out.append(_CTX["columns"](reducer, kernel.run(stream, reducer)))
     return np.concatenate(out, axis=0)
 
 
@@ -1102,7 +1162,7 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
         if n < 1:
             raise DomainError(f"horizon must be >= 1, got {n}")
         _check_memory(spec, n)
-        root = math.sqrt(float(np.sum(spec.terms(n).astype(np.float64) ** 2)))
+        root = math.sqrt(float(np.sum(_weights_for(spec, n).astype(np.float64) ** 2)))
         finals = _run_blocks("final", spec, n, paths, seed, (), 0.0, (), None)
         freq = int(np.count_nonzero(np.abs(finals[:, 0]) <= root)) / paths
         se = math.sqrt(max(freq * (1 - freq), 1e-12) / paths)

@@ -75,27 +75,30 @@ def visit_expectation(weights, band) -> Fraction:
 # --- driving the Monte Carlo path kernel with given signs ----------------------
 
 class SignSource:
-    """`take` and `take_bytes` of `montecarlo._BitStream`, over given +-1 signs."""
+    """`paths` and `take_bytes` of `montecarlo._BitStream`, over given +-1
+    signs: one path's, or one row per path."""
 
     def __init__(self, signs):
-        self.bits = (np.asarray(signs) > 0).astype(np.uint8)
-        self.packed = np.packbits(self.bits, bitorder="little")
+        self.packed = np.atleast_2d(np.packbits(np.asarray(signs) > 0, axis=-1,
+                                                bitorder="little"))
+        self.paths = self.packed.shape[0]
         self.pos = 0
 
-    def take(self, m):
-        self.pos += m
-        return self.bits[self.pos - m:self.pos]
-
     def take_bytes(self, m):
-        assert self.pos % 8 == 0, "sign bytes start at a multiple of 8 steps"
-        at = self.pos // 8
-        self.pos += 8 * m
-        return self.packed[at:at + m]
+        self.pos += m
+        return self.packed[:, self.pos - m:self.pos]
+
+
+def path_signs(rng, steps):
+    """The +-1 steps of path `rng`, from its generator's words directly."""
+    words = rng.generator().integers(0, 1 << 64, size=-(-steps // 64), dtype=np.uint64)
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")[:steps]
+    return bits.astype(np.int64) * 2 - 1
 
 
 def simulate_signs(spec, signs, bands=(), zero_tol=1e-9, checkpoints=()) -> mc.PathStats:
     """Statistics of the walk driven by an explicit +-1 array, through the
-    kernel: its byte path for integer weights, its step path for real ones."""
+    kernel: its byte path for integer weights, its real walk for real ones."""
     first = spec.first_index
     n = first + len(signs) - 1
     cps = {int(c) for c in checkpoints if first <= c <= n}

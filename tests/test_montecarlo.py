@@ -17,7 +17,7 @@ from awalk.sequences import (Constant, Explicit, GeneralBlocks, Linear, LogCeilB
                              sum_squares_exact)
 from conftest import (SignSource, band_avoidance_block_estimate, bridge_touch,
                       enumerate_sign_change_counts, first_hit_probability,
-                      floor_sqrt_runs, killed_walk_survival, simulate_signs,
+                      floor_sqrt_runs, killed_walk_survival, path_signs, simulate_signs,
                       strict_sign_change_law)
 
 
@@ -82,8 +82,7 @@ def test_logcont_walk_uses_compensated_accumulation():
     spec = parse_spec("logcont:1.4426950408889634")
     st = mc.simulate(spec, 200_000, mc.RngSpec(5, 1), bands=(3,))
     # signed sum recomputed in exact-ish fsum order for the same signs
-    stream = mc._BitStream(mc.RngSpec(5, 1))
-    signs = stream.take(st.steps).astype(np.int64) * 2 - 1
+    signs = path_signs(mc.RngSpec(5, 1), st.steps)
     ws = spec.terms(200_000)
     want = math.fsum((ws * signs).tolist())
     assert st.final_value == pytest.approx(want, abs=1e-9)
@@ -176,7 +175,7 @@ _REAL_SPECS = ["constant:0.5", "constant:0.25",
          [0, 65_534, 65_535, 65_536, 70_000])
 def test_real_kernel_matches_exact_step_loop(text, signs, bands, offsets):
     # dyadic weights keep every partial sum exact, in float64 and in the
-    # step path's long double, so the statistics must equal those of a walk
+    # real walk's long double, so the statistics must equal those of a walk
     # in rationals; 70,001 steps cross the carry at the 2^16-step segment end
     spec = parse_spec(text)
     first = spec.first_index
@@ -185,6 +184,188 @@ def test_real_kernel_matches_exact_step_loop(text, signs, bands, offsets):
     got = simulate_signs(spec, np.array(signs, dtype=np.int8), bands=bands,
                          checkpoints=sorted(checkpoints))
     _assert_stats_equal(got, _step_loop_stats(spec, signs, bands, checkpoints, Fraction))
+
+
+def _long_double_sums(spec, signs, checkpoints, rounded_apart=False):
+    """The float64 partial sums of the walk in the real walk's arithmetic:
+    the float64 weights times int8 signs into long double, one cumsum per
+    segment (cut at every multiple of 2^16 steps, at each checkpoint and at
+    the horizon), the long-double carry added, then the cast to float64.
+    With `rounded_apart`, each sum is RN64(cumsum) + RN64(carry) instead,
+    which is within a few ulps of it."""
+    first = spec.first_index
+    x = np.asarray(signs, dtype=np.int8)
+    w = spec.terms(first + x.size - 1)
+    ends = sorted(set(range(1 << 16, x.size, 1 << 16)) | {c - first + 1 for c in checkpoints}
+                  | {x.size})
+    out = np.empty(x.size)
+    carry = np.longdouble(0)
+    for lo, hi in zip([0] + ends[:-1], ends):
+        seg = np.multiply(w[lo:hi], x[lo:hi], out=np.empty(hi - lo, dtype=np.longdouble))
+        np.add.accumulate(seg, out=seg)
+        if rounded_apart:
+            out[lo:hi] = seg.astype(np.float64) + float(carry)
+            seg += carry
+        else:
+            seg += carry
+            out[lo:hi] = seg.astype(np.float64)
+        carry = seg[-1]
+    return out
+
+
+def _stats_of_sums(first, sums, bands, zero_tol, checkpoints):
+    """The fields of `_step_loop_stats` for given float64 partial sums, a
+    zero being |S| <= zero_tol."""
+    zero_hits = changes = last_sign = 0
+    last_zero = None
+    hits = {c: 0 for c in bands}
+    last = {c: None for c in bands}
+    snaps = []
+    for k, s in enumerate(sums.tolist(), start=first):
+        if abs(s) <= zero_tol:
+            zero_hits, last_zero = zero_hits + 1, k
+        else:
+            sign = 1 if s > 0 else -1
+            changes += last_sign != 0 and sign != last_sign
+            last_sign = sign
+        for c in bands:
+            if abs(s) <= c:
+                hits[c], last[c] = hits[c] + 1, k
+        if k in checkpoints:
+            snaps.append((k, zero_hits, changes, dict(hits)))
+    return (zero_hits, changes, last_zero, float(np.abs(sums).max()), float(sums[-1]),
+            hits, last, snaps)
+
+
+def _on_the_edge(sums, apart, skip=0):
+    """A level that the long-double sums and the sums rounded apart put on
+    different sides, at the (skip+1)-th step where the two differ."""
+    k = np.flatnonzero(sums != apart)[skip]
+    return float(min(abs(sums[k]), abs(apart[k])))
+
+
+def _long_double_cases():
+    """(name, spec, signs, bands, zero_tol, checkpoints) of the oracle test:
+    real walks across a 2^16-step segment end, with checkpoints inside a
+    refill, and adversarial levels, zeros, ties and magnitudes."""
+    gen = np.random.default_rng(20251019)
+    n = 70_001
+    signs = gen.choice(np.array([-1, 1], dtype=np.int8), size=n)
+    cases = []
+    non_dyadic = Explicit([[0.1, 0.3, 0.7, 1.1, 0.2, 0.9, 1.3][k % 7] for k in range(n)])
+    for spec, bands in ((parse_spec("logcont:1.4426950408889634"), (0.5, 3)),
+                        (parse_spec("constant:0.7"), (0.7, 2.1)),
+                        (non_dyadic, (0.3, 2.5))):
+        first = spec.first_index
+        cps = [first + 99, first + 30_000, first + 65_600, first + n - 1]
+        cases.append((spec.canonical()[:24], spec, signs, bands, 1e-9, cps))
+        # a band and zero_tol exactly where the sums and the sums rounded
+        # apart disagree, so that one ulp decides the count
+        sums = _long_double_sums(spec, signs, cps)
+        apart = _long_double_sums(spec, signs, cps, rounded_apart=True)
+        edge_bands = (_on_the_edge(sums, apart), _on_the_edge(sums, apart, 3))
+        cases.append(("edges " + spec.canonical()[:16], spec, signs, edge_bands,
+                      _on_the_edge(sums, apart, 1), cps))
+        cases.append(("zero_tol=0 " + spec.canonical()[:16], spec, signs, bands, 0.0, cps))
+    # exact zeros and ties for max|S|, with zero_tol 0 and 1e-9
+    halves = Explicit([0.5, 0.25, 0.25] * (n // 3 + 1))
+    for tol in (0.0, 1e-9):
+        cases.append((f"0.5,0.25,0.25 tol={tol}", halves, signs, (0, 0.25, 1.5), tol,
+                      [100, 65_536, 65_537, 70_000]))
+    # subnormal weights: every sum is a multiple of 1e-320
+    cases.append(("subnormal", parse_spec("constant:1e-320"), signs[:5000], (0, 5e-320),
+                  0.0, [7, 4000]))
+    cases.append(("subnormal tol", parse_spec("constant:1e-320"), signs[:5000], (3e-320,),
+                  2e-320, [4000]))
+    # weights near 1e307, their sum just below 2^1020
+    big = Explicit([1e307, 3.3e305, 1.7e305, 2.9e305, 1.1e305, 7.7e304, 1.3e305])
+    for r in range(8):
+        cases.append((f"1e307 #{r}", big, gen.choice(np.array([-1, 1], dtype=np.int8), size=7),
+                      (0, 3.3e305, 1e307), 1e-9, [3, 7]))
+    return cases
+
+
+_LONG_DOUBLE_CASES = _long_double_cases()
+
+
+def _check_long_double_case(case):
+    _, spec, signs, bands, zero_tol, checkpoints = case
+    want = _stats_of_sums(spec.first_index, _long_double_sums(spec, signs, checkpoints),
+                          bands, zero_tol, set(checkpoints))
+    got = simulate_signs(spec, signs, bands=bands, zero_tol=zero_tol, checkpoints=checkpoints)
+    _assert_stats_equal(got, want)
+
+
+@pytest.mark.parametrize("case", _LONG_DOUBLE_CASES, ids=[c[0] for c in _LONG_DOUBLE_CASES])
+def test_real_walk_matches_long_double_reference(case):
+    # the real walk rounds its sums apart except where a comparison could
+    # tell; every field must still equal the one-rounding long-double walk
+    _check_long_double_case(case)
+
+
+def test_long_double_cases_catch_sums_rounded_apart(monkeypatch):
+    # the mutation that skips the recomputation: the sums rounded apart
+    # everywhere must fail at least one case of the oracle test
+    def apart(kernel, sums, carry, levels, reach):
+        s = sums.astype(np.float64) + float(carry)
+        return np.arange(s.size), s, float(np.abs(s).max())
+    monkeypatch.setattr(mc._PathKernel, "_decisive", apart)
+    failed = []
+    for case in _LONG_DOUBLE_CASES:
+        try:
+            _check_long_double_case(case)
+        except AssertionError:
+            failed.append(case[0])
+    assert failed
+
+
+def _path_stats_columns(st, full):
+    """A `PathStats` in the flat layout of `_PathTally.columns`."""
+    def last(k):
+        return -1 if k is None or not full else k
+    row = [st.zero_hits, st.sign_changes, last(st.last_zero_hit),
+           st.max_abs if full else 0.0, st.final_value if full else 0.0]
+    for c in st.band_hits:
+        row += [st.band_hits[c], last(st.last_band_hit[c])]
+    for snap in st.checkpoints:
+        row += [snap.zero_hits, snap.sign_changes, *snap.band_hits.values()]
+    return row
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_real_path_blocks_match_single_paths(threads, monkeypatch):
+    # 70 real paths (a 64-path unit walked together and a unit of 6) of more
+    # than 2^16 steps, checkpoints inside refills, against one path at a time
+    monkeypatch.setenv("AWALK_THREADS", threads)
+    spec, n, paths, seed = parse_spec("logcont:1.4426950408889634"), 70_000, 70, 29
+    bands, cps = [0.5, 3.0], [9, 40_000, 65_537, 65_600, 70_000]
+    single = [mc.simulate(spec, n, mc.RngSpec(seed, p), bands, checkpoints=cps)
+              for p in range(paths)]
+    for kind in ("stats", "counts", "final"):
+        rows = mc._run_blocks(kind, spec, n, paths, seed, bands, 1e-9, cps, None)
+        if kind == "final":
+            want = [[st.final_value] for st in single]
+        else:
+            want = [_path_stats_columns(st, kind == "stats") for st in single]
+        assert rows.tolist() == want, kind
+    assert sum(st.band_hits[3] for st in single) > 0
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_real_walks_that_could_overflow_are_refused(threads, monkeypatch, tmp_path):
+    # partial sums past the float64 range were written as Infinity
+    monkeypatch.setenv("AWALK_THREADS", threads)
+    monkeypatch.chdir(tmp_path)
+    spec = ["--spec", "constant:1e308", "--n", "40", "--seed", "1", "--bands", "0"]
+    assert main(["simulate", *spec, "--out", "s.json"]) == 2
+    assert main(["recurrence", *spec, "--paths", "70", "--out", "r.json"]) == 2
+    assert main(["tomaszewski", "--spec", "constant:1e308", "--n", "40", "--mode", "mc",
+                 "--paths", "70", "--out", "t.json"]) == 2
+    assert not list(tmp_path.iterdir())
+    # the sum of the weights must stay below 2^1020 (about 1.1235e307)
+    assert mc.simulate(Constant(1e306), 11, mc.RngSpec(1)).steps == 11
+    with pytest.raises(DomainError, match="overflow float64"):
+        mc.simulate(Constant(1e306), 12, mc.RngSpec(1))
 
 
 def _step_loop_columns(spec, signs, bands, checkpoints, full):
@@ -218,21 +399,20 @@ def test_block_pass_matches_single_paths(text, length, seeds, bands, offsets, fu
     first = spec.first_index
     weights = mc._weights_for(spec, first + length - 1)
     paths = [_sign_runs(length, seed) for seed in seeds]
-    codes = np.stack([np.packbits(np.array(p) > 0, bitorder="little") for p in paths])
     checkpoints = sorted({first + o % length for o in offsets})
     kernel = mc._PathKernel(weights, [c - first + 1 for c in checkpoints])
     assert kernel.bytewise
     tally = mc._PathTally(first, bands, 1e-9, full=full, paths=len(paths))
-    last = kernel.run_rows(codes, tally)
+    last = kernel.run(SignSource(paths), tally)
     assert tally.columns().tolist() == [
         _step_loop_columns(spec, p, bands, set(checkpoints), full) for p in paths]
     assert last.tolist() == [int(np.dot(weights, p)) for p in paths]
-    assert kernel.run_rows(codes).tolist() == last.tolist()  # the S(n) sum alone
+    assert kernel.run(SignSource(paths)).tolist() == last.tolist()  # the S(n) sum alone
     window = length // 3
     thresholds = np.arange(first, first + length, dtype=np.float64) ** exponent
     test = mc._GrowthTest(window, first, exponent)
     test.ok = np.ones(len(paths), dtype=bool)
-    kernel.run_rows(codes, test)
+    kernel.run(SignSource(paths), test)
     assert test.ok.tolist() == [
         bool(np.all(np.abs(np.cumsum(weights * p)[window:]) > thresholds[window:]))
         for p in map(np.array, paths)]
@@ -267,7 +447,7 @@ def test_path_blocks_match_step_path_runs(kind, monkeypatch):
     weights = mc._weights_for(spec, n)
     thresholds = np.arange(1, n + 1, dtype=np.float64) ** 0.3
     for p in range(paths):
-        signs = mc._BitStream(mc.RngSpec(seed, p), n).take(n).astype(np.int64) * 2 - 1
+        signs = path_signs(mc.RngSpec(seed, p), n)
         if kind in ("stats", "counts"):
             want = _step_loop_columns(spec, signs, bands, set(cps), kind == "stats")
         elif kind == "growth":
@@ -332,17 +512,16 @@ def test_mixed_delta_walks_match_step_loop(text, checkpoints):
     for p, w in zip(paths, want):
         _assert_stats_equal(simulate_signs(spec, np.array(p, dtype=np.int8), bands=bands,
                                            checkpoints=checkpoints), w)
-    codes = np.stack([np.packbits(np.array(p) > 0, bitorder="little") for p in paths])
     kernel = mc._PathKernel(weights, [c - first + 1 for c in checkpoints])
     tally = mc._PathTally(first, bands, 1e-9, paths=len(paths))
-    kernel.run_rows(codes, tally)
+    kernel.run(SignSource(paths), tally)
     assert tally.columns().tolist() == [
         _step_loop_columns(spec, p, bands, set(checkpoints), True) for p in paths]
     window, exponent = 5, 0.45
     thresholds = np.arange(first, first + n, dtype=np.float64) ** exponent
     test = mc._GrowthTest(window, first, exponent)
     test.ok = np.ones(len(paths), dtype=bool)
-    kernel.run_rows(codes, test)
+    kernel.run(SignSource(paths), test)
     want_ok = [bool(np.all(np.abs(np.cumsum(weights * p)[window:]) > thresholds[window:]))
                for p in map(np.array, paths)]
     assert test.ok.tolist() == want_ok and any(want_ok) and not all(want_ok)
@@ -362,7 +541,7 @@ def test_byte_path_spans_chunks_of_a_philox_stream(text):
     spec, n, rng = parse_spec(text), 1_100_005, mc.RngSpec(31, 4)
     first = spec.first_index
     weights = mc._weights_for(spec, n)
-    signs = mc._BitStream(rng, n).take(weights.size).astype(np.int64) * 2 - 1
+    signs = path_signs(rng, weights.size)
     checkpoints = [first + c - 1 for c in (1, 8 * mc._BYTE_CHUNK, 8 * mc._BYTE_CHUNK + 3,
                                            1_000_003, n - first + 1)]
     got = mc.simulate(spec, n, rng, (0, 2, 2.5), checkpoints=checkpoints)
@@ -379,28 +558,33 @@ def test_byte_path_spans_chunks_of_a_philox_stream(text):
 
 
 def test_truncated_refill_reads_the_same_bits():
-    rng = mc.RngSpec(21, 5)
-    words = rng.generator().integers(0, 1 << 64, size=3200, dtype=np.uint64)
-    want = np.unpackbits(words.view(np.uint8), bitorder="little")
+    def read(stream, nbits, k):  # all of a pass's sign bytes, k bytes at a time
+        nbytes = -(-nbits // 8)
+        return np.concatenate([stream.take_bytes(min(k, nbytes - at))
+                               for at in range(0, nbytes, k)], axis=1)
+
+    def words(p, nbits):
+        gen = mc.RngSpec(21, p).generator()
+        return gen.integers(0, 1 << 64, size=-(-nbits // 64), dtype=np.uint64)
+
     for nbits in (1, 200, 64 * 1024 + 70, 3 * 64 * 1024):
-        full = mc._BitStream(rng).take(nbits)
-        stream = mc._BitStream(rng, nbits)  # last refill cut to the words read
-        assert np.array_equal(stream.take(nbits), full)
-        assert np.array_equal(full, want[:nbits])
-        # reading past the announced length continues the same stream
-        assert np.array_equal(stream.take(500), want[nbits:nbits + 500])
-    # re-keying one stream gives each path its own bits
+        want = words(5, nbits).view(np.uint8)[:-(-nbits // 8)]
+        for k in (8192, 5000, 40_000):  # in refills, across them and in one read
+            # the last refill is cut to the words read
+            assert np.array_equal(read(mc._BitStream(mc.RngSpec(21, 5), nbits), nbits, k),
+                                  want[None])
+    # re-keying one stream gives each path its own bits, and the paths of a
+    # pass draw refill r from words 1024r.. of their own streams
     stream = mc._BitStream()
     for p in (3, 0, 3):
-        stream.start(21, p, 100)
-        assert np.array_equal(stream.take(100), mc._BitStream(mc.RngSpec(21, p)).take(100))
-    # and `rows` reads the sign bytes of several short paths, one row each
-    for nbits in (1, 200, 1003, 1 << 16):
-        rows = stream.rows(21, range(2, 5), nbits)
+        stream.start(21, range(p, p + 1), 100)
+        assert np.array_equal(stream.take_bytes(13)[0], words(p, 100).view(np.uint8)[:13])
+    for nbits in (1, 200, 1003, 1 << 16, 3 * (1 << 16) + 70):
+        stream.start(21, range(2, 5), nbits)
+        rows = read(stream, nbits, 8192)
         assert rows.shape == (3, -(-nbits // 8))
         for row, p in zip(rows, range(2, 5)):
-            assert np.array_equal(row, mc._BitStream(mc.RngSpec(21, p), nbits).take_bytes(
-                -(-nbits // 8)))
+            assert np.array_equal(row, words(p, nbits).view(np.uint8)[:-(-nbits // 8)])
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -584,14 +768,13 @@ def test_strict_sign_change_law_matches_enumeration():
     # the program's strict counter agrees path by path in distribution, the
     # paths walked together in the kernel's block passes
     for steps in (13, 14):
-        codes = np.packbits(np.array(list(itertools.product((False, True), repeat=steps))),
-                            axis=1, bitorder="little")
+        signs = np.array(list(itertools.product((-1, 1), repeat=steps)))
         kernel = mc._PathKernel(Constant(1).terms(steps))
         changes = []
-        for lo in range(0, len(codes), kernel.paths_per_pass):
-            rows = codes[lo:lo + kernel.paths_per_pass]
+        for lo in range(0, len(signs), kernel.paths_per_pass):
+            rows = signs[lo:lo + kernel.paths_per_pass]
             tally = mc._PathTally(1, (), 1e-9, full=False, paths=len(rows))
-            kernel.run_rows(rows, tally)
+            kernel.run(SignSource(rows), tally)
             changes += tally.sign_changes.tolist()
         assert np.bincount(changes).tolist() == enumerate_sign_change_counts(steps)
 
