@@ -9,8 +9,11 @@ fixed seed no matter how many workers run (AWALK_THREADS caps the pool).
 Philox is counter-based, so each process re-keys one generator per path and
 draws only the words the path reads, refill by refill.
 
-Every experiment streams its paths through one kernel, `_PathKernel`, in
-O(2^16) memory.  A reducer per experiment reads the partial sums: the path
+Every experiment streams its paths through one kernel, `_PathKernel`, which
+never holds the whole walk's weights: it builds them a chunk or segment at
+a time from the spec's runs (`SequenceSpec.runs`) or terms
+(`SequenceSpec.terms_between`), so a process needs O(runs + 2^16) memory
+for a walk of any length.  A reducer per experiment reads the partial sums: the path
 statistics (`_PathTally`, for `simulate`, `recurrence` and `signs`), the
 growth window test (`_GrowthTest`) or, with no reducer, only S(n)
 (`tomaszewski_check`).  Each keeps one column entry per path, so that a
@@ -20,6 +23,7 @@ pass can walk several paths at once.  The kernel walks in one of two ways:
   words holds steps 8b..8b+7, and two 256-entry tables give its sums of x_j
   and j*x_j, so a byte whose weights run w0 + j*delta moves S by
   w0*sum + delta*moment; one cumsum per 8 steps gives S at every byte end.
+  Each chunk's w0 and affine flags come from the runs that overlap it.
   Two more tables bound how far S strays from a byte's end inside the
   byte, and only the bytes that end within that reach of a band (or a
   growth threshold) are expanded to exact per-step sums; every other byte
@@ -38,12 +42,15 @@ pass can walk several paths at once.  The kernel walks in one of two ways:
   the steps where |S| is within the largest weight or level, and their
   neighbours (`_PathKernel._decisive`).
 
-The weights' type alone picks the way; `_weights_for` refuses a weight
-that is not positive and a walk whose partial sums could overflow.
+Whether the spec is integer-valued alone picks the way.  Building the
+kernel refuses a weight that is not positive and a walk whose partial sums
+could overflow, from the runs or a pass over the terms a segment at a time,
+and the cost guard refuses a job of more than `MAX_PATH_STEPS` path-steps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -54,7 +61,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ResourceError, require_finite_nonnegative
-from .exact import MAX_BUFFER_BYTES
 from .sequences import SequenceSpec, sum_squares_exact
 
 __all__ = [
@@ -98,6 +104,10 @@ _BOOTSTRAP_SALT = 0xB00575A9
 # Real weights summing to this or more are refused: then |S|, the float64
 # partial sums and the real walk's rounding margin all stay finite.
 _REAL_LIMIT = 2.0 ** 1020
+# The most path-steps (paths x steps) one job may walk: about 40 minutes of
+# integer walking on one core at 2.4 ns per step, and a thousand times the
+# largest criterion-8 job.
+MAX_PATH_STEPS = 10 ** 12
 
 
 def _sign_byte() -> int:
@@ -249,52 +259,35 @@ class PathStats:
     checkpoints: list[CheckpointSnapshot] = field(default_factory=list)
 
 
-def _check_memory(spec: SequenceSpec, n: int) -> None:
-    """Refuse a walk whose n-sized arrays are predicted above the band DP's
-    byte budget, before they are built: 8 bytes per step for the weights
-    and, for integer weights, 9 per sign byte for `_w0` and `_affine`."""
-    steps = spec.steps(n)
-    need = 8 * steps + (9 * -(-steps // 8) if spec.is_integer_valued else 0)
-    if need > MAX_BUFFER_BYTES:
-        raise ResourceError(f"walk needs about {need} bytes for {steps} steps per process "
-                            f"(budget {MAX_BUFFER_BYTES})",
-                            required=need, budget=MAX_BUFFER_BYTES)
-
-
-def _weights_for(spec: SequenceSpec, n: int) -> np.ndarray:
-    w = spec.terms(n)
-    if w.size and not w.min() > 0:  # nan fails too
-        raise DomainError(f"walk weights must be positive; {spec.canonical()} "
-                          f"has weight {w.min()}")
-    if w.dtype == np.int64 and w.size and int(w.max()) * w.size >= 1 << 62:
-        total = int(np.sum(w, dtype=object))  # the bound failed: sum exactly
-        if total >= 1 << 62:
-            raise DomainError(f"integer walk range {total} overflows int64 accumulation")
-    elif w.dtype == np.float64 and w.size and float(w.max()) * w.size >= _REAL_LIMIT:
-        try:  # the bound failed: sum exactly
-            total = math.fsum(w)
-        except OverflowError:
-            total = math.inf
-        if total >= _REAL_LIMIT:
-            raise DomainError(f"real walk range {total:g} is not below 2^1020: "
-                              f"its partial sums could overflow float64")
-    return w
+def _check_cost(paths: int, steps: int) -> None:
+    """Refuse a job of more than `MAX_PATH_STEPS` path-steps before it starts."""
+    need = paths * steps
+    if need > MAX_PATH_STEPS:
+        raise ResourceError(f"{paths} paths of {steps} steps need {need} path-steps "
+                            f"(budget {MAX_PATH_STEPS})", required=need, budget=MAX_PATH_STEPS)
 
 
 class _PathKernel:
-    """The one path kernel: partial sums S of one or several paths, fed to a
-    reducer.
+    """The one path kernel: partial sums S of one or several paths of the
+    walk of `spec` to `horizon`, fed to a reducer.
 
-    The byte path (`bytewise`) takes every walk with integer weights, which
-    `_weights_for` checked to be positive.  It reads whole sign bytes, in
-    chunks of up to 2^15 bytes over all the paths of a pass, and forms each
-    byte's sum from the tables (`_byte_sums`); a byte whose weights are not
-    affine with the walk's one delta takes an exact row sum.  The last byte
-    of a walk of n steps, n mod 8 > 0, gets weight 0 on its missing steps,
-    so S stays at S(n) there and reducers skip them.  One cumsum per path gives S at the
-    chunk's byte ends, which reducer.update_bytes reads; it expands only the
-    bytes that end within their reach (`reach`, from the tables A and B) of
-    what it looks for, to exact per-step sums (`expand`).
+    The byte path (`bytewise`) takes every walk with integer weights.  It
+    keeps the walk's arithmetic runs (`SequenceSpec.runs`: first step,
+    first value, step), which building it checked to be positive with a sum
+    below 2^62, so that every partial sum is exact in int64, and the bytes
+    that are not affine with the walk's one delta, with their weights
+    (`_init_runs`; about one per run).  It reads whole sign bytes, in chunks
+    of up to 2^15 bytes over all the paths of a pass, and builds each
+    chunk's w0 per byte from the runs that overlap it (`_load`); a chunk
+    holding a whole walk keeps it from pass to pass.  It forms each byte's
+    sum from the sign tables (`_byte_sums`); a byte that is not affine
+    takes an exact row sum.  The
+    last byte of a walk of n steps, n mod 8 > 0, gets weight 0 on its
+    missing steps, so S stays at S(n) there and reducers skip them.  One
+    cumsum per path gives S at the chunk's byte ends, which
+    reducer.update_bytes reads; it expands only the bytes that end within
+    their reach (`reach`, from the tables A and B) of what it looks for, to
+    exact per-step sums (`expand`).
 
     Pass rule (`paths_per_pass`): a walk of at most 2^16 steps reads one
     refill per path, so the byte path walks as many whole paths of a
@@ -304,34 +297,36 @@ class _PathKernel:
 
     The real walk (`_run_real`) cuts the walk into segments that end at
     every multiple of 2^16 steps, at each checkpoint and at the horizon.
-    In each segment every path of the pass copies the segment's long-double
-    weights, sets the sign bit (byte `_SIGN_BYTE`, bit 0x80) where x_j = -1,
-    which is exact, and takes one long-double cumsum, to which its carry
-    is added; reducer.update reads the steps that decide its statistics
-    (`_decisive`) path by path, and reducer.snapshot follows a segment that
-    ends at a checkpoint.
+    In each segment every path of the pass copies the segment's weights
+    (`SequenceSpec.terms_between`) in long double, sets the sign bit (byte
+    `_SIGN_BYTE`, bit 0x80) where x_j = -1, which is exact, and takes one
+    long-double cumsum, to which its carry is added; reducer.update reads
+    the steps that decide its statistics (`_decisive`) path by path, and
+    reducer.snapshot follows a segment that ends at a checkpoint.
     The cut positions fix the rounding: keep them where they are, or
     reports move.  A walk of no steps takes it too and returns at once.
     """
 
-    def __init__(self, weights: np.ndarray, checkpoint_steps: Sequence[int] = ()):
-        self.weights = weights
-        self.steps = int(weights.size)
+    def __init__(self, spec: SequenceSpec, horizon: int, checkpoint_steps: Sequence[int] = ()):
+        self.spec = spec
+        self.first = spec.first_index
+        self.steps = spec.steps(horizon)
         self.checkpoints = frozenset(checkpoint_steps)
-        self.bytewise = bool(self.steps) and weights.dtype == np.int64
+        self.bytewise = bool(self.steps) and spec.is_integer_valued
         self.paths_per_pass = 1
         if self.bytewise:
             self.nbytes = -(-self.steps // 8)
             if self.steps <= 64 * _WORDS:
                 self.paths_per_pass = min(_BLOCK, _BYTE_CHUNK // self.nbytes)
-            self._init_bytes()
+            self._init_runs()
             size = min(_BYTE_CHUNK, self.paths_per_pass * self.nbytes)
             self._index = np.empty(size, dtype=np.intp)
             # sums, moment, a reducer's array and a limit per byte
             self._work = np.empty((4, size), dtype=np.int64)
             self._bound = np.empty(min(_BYTE_CHUNK, self.nbytes), dtype=np.int64)
-            self._bound_at = None
+            self._byte_cps = np.asarray(sorted(self.checkpoints), dtype=np.int64)
             return
+        self._check_real()
         ends = sorted(set(range(_CHUNK, self.steps, _CHUNK)) | self.checkpoints
                       | ({self.steps} if self.steps else set()))
         self.segments = list(zip([0] + ends[:-1], ends))
@@ -343,91 +338,151 @@ class _PathKernel:
         self._rounded = np.empty(size)
         self._abs = np.empty(size)
 
-    def _padded_blocks(self):
-        """(first byte, weights) for blocks of 2^13 bytes; the last byte's
-        missing steps get weight 0."""
-        for lo in range(0, self.nbytes, _CHUNK // 8):
-            w = self.weights[8 * lo:8 * (lo + _CHUNK // 8)]
-            if w.size % 8:
-                w = np.concatenate((w, np.zeros(-w.size % 8, dtype=w.dtype)))
-            yield lo, w
+    def _init_runs(self) -> None:
+        """The walk's runs, checked, and the bytes that are not affine.
 
-    def _init_bytes(self) -> None:
-        """Per-byte tables: w0 and which bytes are affine with the walk's one
-        delta, w1 - w0 of its first unbent byte (0 for run-constant weights,
-        1 for `linear`); the weights and reach (w_1 + ... + w_7) of the
-        others.  Built in blocks of 2^16 steps, so no temporary is larger
-        than the real walk's buffers."""
-        nb = self.nbytes
-        self._w0 = np.empty(nb, dtype=np.int64)
-        self._affine = np.ones(nb, dtype=bool)
-        odd, delta = [], None
-        for lo, w in self._padded_blocks():
-            hi = lo + w.size // 8
-            d = np.diff(w)
-            # byte b is affine unless a second difference inside it is nonzero
-            bent = np.flatnonzero(d[1:] != d[:-1])
-            affine = self._affine[lo:hi]
-            affine[bent[bent % 8 <= 5] // 8] = False
-            if affine.any():
-                if delta is None:
-                    delta = int(d[8 * affine.argmax()])
-                affine &= d[::8] == delta  # another delta: not affine
-            self._w0[lo:hi] = w[::8]
-            odd.append(w.reshape(-1, 8)[~affine])
-        self._delta = delta or 0
-        self._nonaffine = np.flatnonzero(~self._affine)
-        self._odd = np.concatenate(odd)
+        The walk's one delta is w1 - w0 of its first byte whose weights are
+        arithmetic (0 for run-constant weights, 1 for `linear`).  A byte that
+        lies in one run is arithmetic with the run's step; only the bytes
+        that a run starts inside, and the last byte if the horizon cuts it,
+        can hold other weights.  So the bytes that are not affine, those of
+        runs of another step and the cut bytes that are not arithmetic with
+        the delta, are found from the runs alone, and there are about as many
+        of them as runs.  Their weights and reach are kept for the walk."""
+        # in Python integers, whatever integer type a spec's terms have
+        runs = [(int(v), int(d), m) for v, d, m in self.spec.runs(self.first,
+                                                                 self.first + self.steps)]
+        low = min(min(v, v + d * (m - 1)) for v, d, m in runs)
+        if not low > 0:
+            raise DomainError(f"walk weights must be positive; {self.spec.canonical()} "
+                              f"has weight {low}")
+        total = sum(m * v + d * m * (m - 1) // 2 for v, d, m in runs)
+        if total >= 1 << 62:
+            raise DomainError(f"integer walk range {total} overflows int64 accumulation")
+        table = np.array(runs, dtype=np.int64)
+        starts = self._starts = np.cumsum(table[:, 2]) - table[:, 2]  # each run's first step
+        self._values, self._steps = table[:, 0].copy(), table[:, 1].copy()
+        steps = self._steps
+        first = self._first = (starts + 7) >> 3  # the first byte that starts in each run
+        cut = starts[starts & 7 != 0] >> 3
+        if self.steps % 8:
+            cut = np.append(cut, self.nbytes - 1)
+        cut = np.unique(cut)
+        d = np.diff(self._rows(cut), axis=1)
+        arithmetic = (d == d[:, :1]).all(axis=1)
+        # the first arithmetic byte: a cut one, or the first byte of a run
+        # that ends after it
+        clean = 8 * first + 8 <= np.append(starts[1:], self.steps)
+        firsts = [(int(first[clean][0]), int(steps[clean][0]))] if clean.any() else []
+        if arithmetic.any():
+            firsts.append((int(cut[arithmetic][0]), int(d[arithmetic][0, 0])))
+        self._delta = min(firsts)[1] if firsts else 0
+        odd = cut[~(arithmetic & (d[:, 0] == self._delta))]
+        other = steps != self._delta
+        if other.any():  # the bytes that start in runs of another step
+            counts = np.diff(first, append=self.nbytes)
+            odd = np.union1d(odd, np.setdiff1d(np.concatenate(
+                [np.arange(a, a + c) for a, c in zip(first[other], counts[other])]), cut))
+        self._nonaffine = odd
+        self._odd = self._rows(odd)
         self._odd_reach = self._odd @ _REACH_LANES
-        self._byte_cps = np.asarray(sorted(self.checkpoints), dtype=np.int64)
+        if steps.any():  # the first step of each byte of a chunk, less its first
+            self._eights = np.arange(0, 8 * min(_BYTE_CHUNK, self.nbytes), 8)
+        self._loaded = None
 
-    def _odd_cols(self, lo: int, hi: int) -> tuple[slice, np.ndarray]:
-        """Which non-affine bytes lie in lo..hi-1: their slice of `_odd` and
-        their columns in the chunk."""
-        a, b = np.searchsorted(self._nonaffine, (lo, hi))
-        return slice(a, b), self._nonaffine[a:b] - lo
+    def _check_real(self) -> None:
+        """Refuse real weights that are not positive or that sum to 2^1020
+        or more, reading them a segment at a time."""
+        top = 0.0
+        for w in self._real_weights():
+            if not w.min() > 0:  # nan fails too
+                raise DomainError(f"walk weights must be positive; {self.spec.canonical()} "
+                                  f"has weight {w.min()}")
+            top = max(top, float(w.max()))
+        if top * self.steps >= _REAL_LIMIT:
+            try:  # the bound failed: sum exactly
+                total = math.fsum(itertools.chain.from_iterable(self._real_weights()))
+            except OverflowError:
+                total = math.inf
+            if total >= _REAL_LIMIT:
+                raise DomainError(f"real walk range {total:g} is not below 2^1020: "
+                                  f"its partial sums could overflow float64")
 
-    def _at(self, lo: int, index: np.ndarray, flat: np.ndarray):
-        """Byte numbers and codes of the flat positions `flat` of the chunk's
-        (paths, bytes) arrays, whose bytes start at byte lo."""
-        return lo + flat % index.shape[1], index.ravel()[flat]
+    def _real_weights(self):
+        """The weights, 2^16 at a time."""
+        for pos in range(0, self.steps, _CHUNK):
+            yield self.spec.terms_between(self.first + pos,
+                                          self.first + min(pos + _CHUNK, self.steps))
 
-    def reach_bound(self, lo: int, hi: int) -> np.ndarray:
-        """w_1 + ... + w_7 of bytes lo..hi-1: a bound on `reach` for any code.
-        The array is the kernel's, kept until a call for other bytes."""
-        bound = self._bound[:hi - lo]
-        if self._bound_at != (lo, hi):
-            self._bound_at = (lo, hi)
-            np.multiply(self._w0[lo:hi], 7, out=bound)
+    def _rows(self, at: np.ndarray) -> np.ndarray:
+        """The weights of bytes `at`, one row of 8 per byte."""
+        step = (8 * at)[:, None] + _LANES
+        run = np.searchsorted(self._starts, step, "right") - 1
+        rows = self._values[run] + self._steps[run] * (step - self._starts[run])
+        rows[step >= self.steps] = 0
+        return rows
+
+    def _load(self, lo: int, hi: int) -> None:
+        """The tables of bytes lo..hi-1, unless they are loaded: w0 from the
+        runs that overlap them, and which of them are not affine."""
+        if self._loaded == (lo, hi):
+            return
+        self._loaded = (lo, hi)
+        a = self._starts.searchsorted(8 * lo, "right") - 1
+        b = self._starts.searchsorted(min(8 * hi, self.steps))
+        starts, values, steps = self._starts[a:b], self._values[a:b], self._steps[a:b]
+        w0 = values + steps * (8 * lo - starts)  # at each run's byte in the chunk
+        if b - a == 1:  # one run: one w0 (read-only, at no cost) or an arithmetic one
+            self._w0 = (np.broadcast_to(w0[0], (hi - lo,)) if not steps[0]
+                        else self._eights[:hi - lo] * steps[0] + w0[0])
+        else:
+            counts = np.diff(np.maximum(self._first[a:b], lo), append=hi)
+            self._w0 = np.repeat(w0, counts)
+            if steps.any():
+                self._w0 += np.repeat(steps, counts) * self._eights[:hi - lo]
+        i, j = self._nonaffine.searchsorted((lo, hi))
+        self._odd_at = slice(i, j)
+        self._cols = self._nonaffine[i:j] - lo
+        self._affine = np.ones(hi - lo, dtype=bool)
+        self._affine[self._cols] = False
+        self._bound_ready = False
+
+    def reach_bound(self) -> np.ndarray:
+        """w_1 + ... + w_7 of each byte of the loaded chunk: a bound on
+        `reach` for any code.  The array is the kernel's, kept until the
+        next chunk is loaded."""
+        bound = self._bound[:self._w0.size]
+        if not self._bound_ready:
+            self._bound_ready = True
+            np.multiply(self._w0, 7, out=bound)
             if self._delta:
                 bound += abs(self._delta) * 28
-            odd, cols = self._odd_cols(lo, hi)
-            bound[cols] = self._odd_reach[odd]
+            bound[self._cols] = self._odd_reach[self._odd_at]
         return bound
 
-    def reach(self, lo: int, index: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    def reach(self, index: np.ndarray, flat: np.ndarray) -> np.ndarray:
         """How far S can lie from S at the byte's end, at any step of the
-        bytes at flat positions `flat`: w0*A[c] + |delta|*B[c] for an affine
-        byte with code c, `reach_bound` for the others."""
-        at, code = self._at(lo, index, flat)
+        bytes at flat positions `flat` of the chunk: w0*A[c] + |delta|*B[c]
+        for an affine byte with code c, `reach_bound` for the others."""
+        at, code = flat % index.shape[1], index.ravel()[flat]
         reach = _REACH_SUM[code] * self._w0[at]
         if self._delta:
             reach += _REACH_MOMENT[code] * abs(self._delta)
         odd = ~self._affine[at]
         if odd.any():
-            reach[odd] = self._odd_reach[np.searchsorted(self._nonaffine, at[odd])]
+            reach[odd] = self._odd_reach[self._odd_at.start + self._cols.searchsorted(at[odd])]
         return reach
 
-    def near(self, lo: int, index: np.ndarray, abs_ends: np.ndarray, band) -> np.ndarray:
+    def near(self, index: np.ndarray, abs_ends: np.ndarray, band) -> np.ndarray:
         """Flat positions of the chunk's bytes with |S| <= band possible at
         some step, |S at the end| <= reach + band, found by `reach_bound`
         first and `reach` on what passes it."""
         k = index.shape[1]
-        limit = self.reach_bound(lo, lo + k)
+        limit = self.reach_bound()
         if band:
             limit = np.add(limit, band, out=self._work[3, :k])
         pass_ = np.flatnonzero(abs_ends <= limit)
-        return pass_[abs_ends.ravel()[pass_] <= self.reach(lo, index, pass_) + band]
+        return pass_[abs_ends.ravel()[pass_] <= self.reach(index, pass_) + band]
 
     def buffer(self, shape) -> np.ndarray:
         """An int64 array of this shape for a reducer, reused for the next
@@ -435,36 +490,35 @@ class _PathKernel:
         this large cost more than the work on them."""
         return _shaped(self._work[2], shape)
 
-    def _byte_sums(self, lo: int, index: np.ndarray) -> np.ndarray:
-        """The sum of w_j * x_j over each byte lo, lo+1, ... with codes `index`."""
-        hi = lo + index.shape[1]
+    def _byte_sums(self, index: np.ndarray) -> np.ndarray:
+        """The sum of w_j * x_j over each byte of the loaded chunk, whose codes
+        are `index`."""
         # mode='clip' (codes are 0..255): take buffers `out` in its default mode
         sums = np.take(_BYTE_SUM, index, out=_shaped(self._work[0], index.shape),
                        mode="clip")
-        sums *= self._w0[lo:hi]
+        sums *= self._w0
         if self._delta:
             moment = np.take(_BYTE_MOMENT, index, out=_shaped(self._work[1], index.shape),
                              mode="clip")
             if self._delta != 1:
                 moment *= self._delta
             sums += moment
-        odd, cols = self._odd_cols(lo, hi)
+        cols = self._cols
         if cols.size:
-            sums[:, cols] = (self._odd[odd] * _BYTE_SIGNS[index[:, cols]]).sum(axis=2)
+            sums[:, cols] = (self._odd[self._odd_at] * _BYTE_SIGNS[index[:, cols]]).sum(axis=2)
         return sums
 
-    def expand(self, lo: int, near: np.ndarray, index: np.ndarray,
-               ends: np.ndarray) -> np.ndarray:
+    def expand(self, near: np.ndarray, index: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """Exact S at the 8 steps of the bytes at flat positions `near` of the
         chunk's (paths, bytes) arrays, (k, 8), from S at their ends."""
-        at, code = self._at(lo, index, near)
+        at, code = near % index.shape[1], index.ravel()[near]
         rows = np.take(_BYTE_PREFIX, code, axis=0)
         rows *= self._w0[at][:, None]
         if self._delta:
             rows += np.take(_BYTE_JPREFIX, code, axis=0) * self._delta
         odd = ~self._affine[at]
         if odd.any():
-            w = self._odd[np.searchsorted(self._nonaffine, at[odd])]
+            w = self._odd[self._odd_at.start + self._cols.searchsorted(at[odd])]
             rows[odd] = np.cumsum(w * _BYTE_SIGNS[code[odd]], axis=1)
         rows += (ends.ravel()[near] - rows[:, -1])[:, None]
         return rows
@@ -483,9 +537,10 @@ class _PathKernel:
         chunk = _BYTE_CHUNK // paths
         for lo in range(0, self.nbytes, chunk):
             codes = take_bytes(min(chunk, self.nbytes - lo))
-            index = _shaped(self._index, (paths, codes.shape[-1]))
+            self._load(lo, lo + codes.shape[-1])
+            index = _shaped(self._index, codes.shape)
             index[...] = codes  # np.take is several times slower on uint8
-            sums = self._byte_sums(lo, index)
+            sums = self._byte_sums(index)
             if reducer is None:
                 carry += sums.sum(axis=1)
                 continue
@@ -506,7 +561,7 @@ class _PathKernel:
             if not at:  # segments never cross a refill
                 codes = take_bytes(-(-min(_CHUNK, self.steps - pos) // 8))
             sums, signs = self._sums[:m], self._signs[:m]
-            weights = self.weights[pos:end]
+            weights = self.spec.terms_between(self.first + pos, self.first + end)
             if reducer is not None:
                 reach = max(float(weights.max()), *reducer.levels)
             if paths > 1:  # in long double once for all paths (exact)
@@ -664,8 +719,8 @@ class _PathTally:
         paths, k = ends.shape
         span, base = 8 * k, 8 * lo
         abs_ends = np.abs(ends, out=kernel.buffer(ends.shape))
-        near = kernel.near(lo, index, abs_ends, self.widest)
-        s = kernel.expand(lo, near, index, ends)
+        near = kernel.near(index, abs_ends, self.widest)
+        s = kernel.expand(near, index, ends)
         key0 = 8 * near  # the key of each expanded byte's first step
 
         def keys(mask):  # the keys of the steps where mask holds
@@ -739,12 +794,12 @@ class _PathTally:
                 last[got] = e[stop[got] - 1] - starts[got] + self.first + base
             # only a byte that reaches past the largest |S| at a byte end can beat it
             top = np.maximum(self.max_abs.astype(np.int64), abs_ends.max(axis=1))
-            bound = kernel.reach_bound(lo, lo + k)
+            bound = kernel.reach_bound()
             beat = np.flatnonzero(abs_ends > (top - bound.max())[:, None])
             beat = beat[abs_ends.ravel()[beat] + bound[beat % k] > top[beat // k]]
             if beat.size:
                 np.maximum.at(top, beat // k,
-                              np.abs(kernel.expand(lo, beat, index, ends)).max(axis=1))
+                              np.abs(kernel.expand(beat, index, ends)).max(axis=1))
             self.max_abs = top.astype(np.float64)
             self.final = ends[:, -1].astype(np.float64)
         return False
@@ -804,13 +859,13 @@ class _GrowthTest:
             return False
         last = min(8 * (lo + k), kernel.steps) - 1
         top = math.ceil(self._thresholds(np.array([last]))[0])
-        near = kernel.near(lo, index, np.abs(ends, out=kernel.buffer(ends.shape)), top)
+        near = kernel.near(index, np.abs(ends, out=kernel.buffer(ends.shape)), top)
         near = near[near % k >= start - lo]
         if near.size:
             row = near // k
             # a padded step stands for step n, whose S it repeats
             step = np.minimum((8 * (lo + near % k))[:, None] + _LANES, kernel.steps - 1)
-            s = kernel.expand(lo, near, index, ends)
+            s = kernel.expand(near, index, ends)
             fail = (np.abs(s) <= self._thresholds(step)) & (step >= self.window_start)
             self.ok[row[fail.any(axis=1)]] = False
             return not self.ok.any()
@@ -823,10 +878,13 @@ def simulate(spec: SequenceSpec, n: int, rng: RngSpec, bands: Sequence[float] = 
     if n < 1:
         raise DomainError(f"horizon must be >= 1, got {n}")
     bands = _checked_bands(bands, zero_tol)
-    _check_memory(spec, n)
-    weights = _weights_for(spec, n)
-    return _path_stats(spec, weights, n, _BitStream(rng, weights.size), bands,
-                       zero_tol, checkpoints)
+    _check_cost(1, spec.steps(n))
+    first = spec.first_index
+    cps = {int(c) for c in checkpoints if first <= c <= n}
+    kernel = _PathKernel(spec, n, [c - first + 1 for c in cps])
+    tally = _PathTally(first, bands, zero_tol)
+    kernel.run(_BitStream(rng, kernel.steps), tally)
+    return tally.stats(n, kernel.steps)
 
 
 def _checked_bands(bands: Sequence[float], zero_tol: float) -> list[float]:
@@ -841,40 +899,17 @@ def _checked_bands(bands: Sequence[float], zero_tol: float) -> list[float]:
     return out
 
 
-def _path_stats(spec, weights, horizon, stream, bands, zero_tol, checkpoints) -> PathStats:
-    """One path's statistics, its signs read from `stream` (see `_PathKernel.run`)."""
-    first = spec.first_index
-    cps = {int(c) for c in checkpoints if first <= c <= horizon}
-    kernel = _PathKernel(weights, [c - first + 1 for c in cps])
-    tally = _PathTally(first, bands, zero_tol)
-    kernel.run(stream, tally)
-    return tally.stats(horizon, kernel.steps)
-
-
 # --- experiment plumbing -------------------------------------------------------
 
 _CTX: dict = {}
 
 
-def _init_worker(kind, spec, horizon, seed, bands, zero_tol, checkpoints, extra):
-    """Per-process state: the kernel, one bit stream and, for `kind`, the
-    reducer of a pass over some paths and the columns it gives them.
-
-    Each worker builds its own weights and byte tables after the fork;
-    built once in the parent, they would stay resident there for the whole
-    pool and raise the peak memory of every job.
-
-    An error raised here is kept and raised by `_path_block`: a pool
-    replaces a worker whose initializer raises with another that raises
-    too, and never returns."""
+def _init_worker(kind, kernel, seed, bands, zero_tol, extra):
+    """Per-process state: the kernel, built and checked in the parent, one
+    bit stream and, for `kind`, the reducer of a pass over some paths and
+    the columns it gives them."""
     _CTX.clear()
-    first = spec.first_index
-    try:
-        weights = _weights_for(spec, horizon)
-    except Exception as exc:  # raised again by _path_block
-        _CTX.update(error=exc)
-        return
-    kernel = _PathKernel(weights, [c - first + 1 for c in checkpoints])
+    first = kernel.first
     if kind in ("stats", "counts"):
         def reducer(paths):
             return _PathTally(first, bands, zero_tol, full=kind == "stats", paths=paths)
@@ -902,8 +937,6 @@ def _init_worker(kind, spec, horizon, seed, bands, zero_tol, checkpoints, extra)
 
 def _path_block(block: tuple[int, int]) -> np.ndarray:
     """The columns of paths lo..hi-1, `paths_per_pass` of them per pass."""
-    if "error" in _CTX:
-        raise _CTX["error"]
     lo, hi = block
     seed, kernel, stream = _CTX["seed"], _CTX["kernel"], _CTX["stream"]
     per_pass = kernel.paths_per_pass
@@ -922,17 +955,21 @@ def _run_blocks(kind: str, spec: SequenceSpec, horizon: int, paths: int, seed: i
 
     `kind` picks the reducer: "stats" (`_PathTally.columns`), "counts" (the
     same columns with only the counts filled in), "growth" (one 0/1 flag per path) or
-    "final" (S(n) per path).  The pool forks, so the workers inherit the spec
-    object itself (any spec, a callable block rule included); nothing is
-    pickled.
+    "final" (S(n) per path).  The parent builds the kernel, which checks the
+    weights, and imports numpy.random, which numpy loads lazily, before the
+    pool forks, so that no worker repeats either.  The workers inherit the
+    kernel and its spec object itself (any spec, a callable block rule
+    included); nothing is pickled.
     """
     if paths < 1:
         raise PreconditionError(f"paths must be >= 1, got {paths}")
     RngSpec(seed)  # validates the seed before any worker starts
-    _check_memory(spec, horizon)
+    _check_cost(paths, spec.steps(horizon))
+    first = spec.first_index
+    kernel = _PathKernel(spec, horizon, [c - first + 1 for c in checkpoints])
+    import numpy.random  # noqa: F401  (the parent's one import, see above)
     blocks = [(lo, min(lo + _BLOCK, paths)) for lo in range(0, paths, _BLOCK)]
-    args = (kind, spec, horizon, seed, tuple(bands), zero_tol,
-            tuple(checkpoints), extra)
+    args = (kind, kernel, seed, tuple(bands), zero_tol, extra)
     workers = min(worker_count(), len(blocks))
     if workers <= 1:
         _init_worker(*args)
@@ -1132,14 +1169,42 @@ class TomaszewskiReport:
     stderr: float | None = None
 
 
+def _square_sum(spec: SequenceSpec, lo: int, m: int, scale: float = 1.0) -> float:
+    """The float64 sum that np.sum((terms / scale) ** 2) forms over steps
+    lo..lo+m-1, bit for bit, without the whole array: numpy sums pairwise,
+    halving a range at a multiple of 8 above 128 terms, so ranges of at most
+    2^16 terms are summed by np.sum itself."""
+    if m > _CHUNK:
+        half = m // 2 - m // 2 % 8
+        return _square_sum(spec, lo, half, scale) + _square_sum(spec, lo + half, m - half, scale)
+    w = spec.terms_between(spec.first_index + lo, spec.first_index + lo + m)
+    return float(np.sum((w if scale == 1 else w / scale) ** 2))
+
+
+def _real_root(spec: SequenceSpec, n: int) -> float:
+    """sqrt(a_1^2 + ... + a_n^2) for real weights, as np.sum gives the sum of
+    squares, and in units of the largest weight only when that overflows."""
+    steps = spec.steps(n)
+    with np.errstate(over="ignore"):
+        total = _square_sum(spec, 0, steps)
+    if math.isfinite(total):
+        return math.sqrt(total)
+    first = spec.first_index
+    scale = max(float(spec.terms_between(first + lo, first + min(lo + _CHUNK, steps)).max())
+                for lo in range(0, steps, _CHUNK))
+    return scale * math.sqrt(_square_sum(spec, 0, steps, scale))
+
+
 def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
                       paths: int = 100_000, seed: int = 0) -> TomaszewskiReport:
     """P(|S(n)| <= sqrt(a_1^2 + ... + a_n^2)) with pass iff >= 1/2.
 
     Exact mode compares S^2 <= sum(a^2) in integer arithmetic for integer
-    weights (n up to 24 otherwise, by enumeration in float arithmetic).  MC
-    mode counts the paths (seed, 0..paths-1) whose S(n) lies within the root,
-    streamed through the experiments' worker pool.
+    weights (n up to 24 otherwise, by enumeration in float arithmetic, in
+    units of the largest weight if the squares overflow).  MC mode counts
+    the paths (seed, 0..paths-1) whose S(n) lies within the root, streamed
+    through the experiments' worker pool; the root is exact for integer
+    weights (`sum_squares_exact` from the runs) and `_real_root` otherwise.
     """
     if mode == "exact":
         from .exact import _sign_sums, distribution
@@ -1154,16 +1219,23 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
                     f"enumeration mode capped at 24 steps, got {steps}")
             ws = spec.terms(n)
             sums = _sign_sums(ws)
-            ssq_f = math.fsum(float(w) ** 2 for w in ws)
+            try:
+                ssq_f = math.fsum(float(w) ** 2 for w in ws)
+            except OverflowError:  # the squares overflow: in units of the largest weight
+                scale = float(ws.max())
+                ssq_f = math.fsum((float(w) / scale) ** 2 for w in ws)
+                sums /= scale
             prob = Fraction(int(np.count_nonzero(sums * sums <= ssq_f)), sums.size)
         return TomaszewskiReport(spec=spec.canonical(), horizon=n, mode="exact",
                                  probability=prob, passed=prob >= Fraction(1, 2))
     if mode == "mc":
         if n < 1:
             raise DomainError(f"horizon must be >= 1, got {n}")
-        _check_memory(spec, n)
-        root = math.sqrt(float(np.sum(_weights_for(spec, n).astype(np.float64) ** 2)))
         finals = _run_blocks("final", spec, n, paths, seed, (), 0.0, (), None)
+        if spec.is_integer_valued:  # |S| <= sqrt(V) iff |S| <= isqrt(V), S an integer
+            root: float | int = math.isqrt(sum_squares_exact(spec, n))
+        else:
+            root = _real_root(spec, n)
         freq = int(np.count_nonzero(np.abs(finals[:, 0]) <= root)) / paths
         se = math.sqrt(max(freq * (1 - freq), 1e-12) / paths)
         return TomaszewskiReport(spec=spec.canonical(), horizon=n, mode="mc",

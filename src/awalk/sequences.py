@@ -8,7 +8,11 @@ Every term is positive.  Because ceil(log_gamma(1)) = 0 and c*ln(1) = 0, the
 two logarithmic variants start at index 2; their walks simply have one fewer
 step per horizon.  Every variant lists its terms as (value, multiplicity)
 runs (`value_runs`), which the spectral layer uses to evaluate cosine
-products over distinct values instead of individual terms.
+products over distinct values instead of individual terms.  Any index range
+k = start..stop-1 comes as arithmetic runs (first value, step, length;
+`runs`, where `linear` is one run of step 1) or as its array of terms
+(`terms_between`), so that a walk's weights are built a range at a time,
+never for the whole horizon at once.
 
 Integer-valued variants do all index/boundary arithmetic in exact integer or
 rational form, so term values are reproducible bit-for-bit and run boundaries
@@ -117,17 +121,44 @@ class SequenceSpec:
     def value_runs(self, n: int) -> list[tuple[float, int]]:
         """(value, multiplicity) runs covering indices first_index..n."""
         self._check_horizon(n)
-        return [(self.term(k), 1) for k in range(self.first_index, n + 1)]
+        out = []
+        for v, d, m in self.runs(self.first_index, max(n + 1, self.first_index)):
+            out += [(v, m)] if not d else [(v + d * i, 1) for i in range(m)]
+        return out
 
     def terms(self, n: int) -> np.ndarray:
         """Vector of a_k for k = first_index..n (int64 or float64)."""
-        runs = self.value_runs(n)
+        self._check_horizon(n)
+        return self.terms_between(self.first_index, max(n + 1, self.first_index))
+
+    def runs(self, start: int, stop: int) -> list[tuple]:
+        """a_k for k = start..stop-1 as ordered arithmetic runs (first value,
+        step, length): the runs of the sequence that overlap the range, cut
+        to it, so that their lengths sum to stop - start."""
+        self._check_range(start, stop)
+        out = []
+        while start < stop:
+            value, end = self._run_at(start)
+            out.append((value, 0, min(end, stop) - start))
+            start = end
+        return out
+
+    def _run_at(self, k: int):
+        """a_k and the first index past the run of equal values that holds k."""
+        return self.term(k), k + 1
+
+    def terms_between(self, start: int, stop: int) -> np.ndarray:
+        """a_k for k = start..stop-1 (int64 or float64), equal bit for bit to
+        the same entries of `terms`, without the terms outside the range."""
+        runs = self.runs(start, stop)
         dtype = np.int64 if self.is_integer_valued else np.float64
-        if not runs:
-            return np.zeros(0, dtype=dtype)
-        values = np.asarray([v for v, _ in runs], dtype=dtype)
-        counts = np.asarray([c for _, c in runs], dtype=np.int64)
-        return np.repeat(values, counts)
+        values, steps = (np.asarray([r[i] for r in runs], dtype=dtype) for i in (0, 1))
+        lengths = np.asarray([r[2] for r in runs], dtype=np.int64)
+        out = np.repeat(values, lengths)
+        if steps.any():  # offset within the run times its step
+            out += np.repeat(steps, lengths) * (
+                np.arange(stop - start) - np.repeat(np.cumsum(lengths) - lengths, lengths))
+        return out
 
     def int_terms(self, n: int) -> list[int]:
         if not self.is_integer_valued:
@@ -149,6 +180,12 @@ class SequenceSpec:
         if self.max_index is not None and k > self.max_index:
             raise DomainError(
                 f"{self.canonical()} has only {self.max_index} terms, got index {k}")
+
+    def _check_range(self, start: int, stop: int) -> None:
+        if not self.first_index <= start <= stop:
+            raise DomainError(f"{self.canonical()} has no index range {start}..{stop - 1}")
+        if stop > start:
+            self._check_horizon(stop - 1)
 
     def _check_horizon(self, n: int) -> None:
         if not isinstance(n, (int, np.integer)) or n < 1:
@@ -191,9 +228,9 @@ class Constant(SequenceSpec):
         self._check_index(k)
         return self.value
 
-    def value_runs(self, n):
-        self._check_horizon(n)
-        return [(self.value, n)]
+    def runs(self, start, stop):
+        self._check_range(start, stop)
+        return [(self.value, 0, stop - start)] if stop > start else []
 
 
 class Linear(SequenceSpec):
@@ -216,13 +253,9 @@ class Linear(SequenceSpec):
         self._check_index(k)
         return k
 
-    def value_runs(self, n):
-        self._check_horizon(n)
-        return [(k, 1) for k in range(1, n + 1)]
-
-    def terms(self, n):
-        self._check_horizon(n)
-        return np.arange(1, n + 1, dtype=np.int64)
+    def runs(self, start, stop):
+        self._check_range(start, stop)
+        return [(start, 1, stop - start)] if stop > start else []
 
 
 class PowerFloor(SequenceSpec):
@@ -261,17 +294,15 @@ class PowerFloor(SequenceSpec):
         p, q = self.beta.numerator, self.beta.denominator
         return integer_nth_root(m ** q - 1, p) + 1 if m > 1 else 1
 
-    def value_runs(self, n):
-        self._check_horizon(n)
-        runs = []
-        m = 1
-        start = 1
-        while start <= n:
-            nxt = self.value_start(m + 1)
-            runs.append((m, min(nxt, n + 1) - start))
-            start = nxt
-            m += 1
-        return runs
+    def runs(self, start, stop):
+        # floor(k**beta) rises by at most 1 per index, so run m + 1 follows run m
+        self._check_range(start, stop)
+        out, m = [], self.term(start) if start < stop else 0
+        while start < stop:
+            end = self.value_start(m + 1)
+            out.append((m, 0, min(end, stop) - start))
+            start, m = end, m + 1
+        return out
 
 
 class LogCeilBlocks(SequenceSpec):
@@ -320,17 +351,10 @@ class LogCeilBlocks(SequenceSpec):
         hi = _floor_rational_power(self.gamma, m)
         return lo + 1, hi - lo
 
-    def value_runs(self, n):
-        self._check_horizon(n)
-        runs = []
-        m = 1
-        while True:
-            start, length = self.block(m)
-            if start > n:
-                break
-            runs.append((m, min(start + length, n + 1) - start))
-            m += 1
-        return runs
+    def _run_at(self, k):
+        m = self.term(k)
+        start, length = self.block(m)
+        return m, start + length
 
 
 LENGTH_RULES: dict[str, Callable[[int], int]] = {}
@@ -438,17 +462,9 @@ class GeneralBlocks(SequenceSpec):
             self.start(len(self._starts) + 1)
         return bisect.bisect_right(self._starts, i)
 
-    def value_runs(self, n):
-        self._check_horizon(n)
-        runs = []
-        k = 1
-        while True:
-            start = self.start(k)
-            if start > n:
-                break
-            runs.append((k, min(start + self.length(k), n + 1) - start))
-            k += 1
-        return runs
+    def _run_at(self, i):
+        k = self.term(i)
+        return k, self.start(k + 1)
 
 
 class LogContinuous(SequenceSpec):
@@ -478,11 +494,10 @@ class LogContinuous(SequenceSpec):
         self._check_index(k)
         return self.c * math.log(k)
 
-    def terms(self, n):
-        self._check_horizon(n)
-        if n < 2:
-            return np.zeros(0, dtype=np.float64)
-        return self.c * np.log(np.arange(2, n + 1, dtype=np.float64))
+    def terms_between(self, start, stop):
+        # np.log is elementwise, so a range gives the bits of the whole horizon
+        self._check_range(start, stop)
+        return self.c * np.log(np.arange(start, stop, dtype=np.float64))
 
     def value_runs(self, n):
         self._check_horizon(n)
@@ -504,6 +519,7 @@ class Explicit(SequenceSpec):
         if not vals:
             raise DomainError("explicit sequence needs at least one weight")
         self.values = tuple(vals)
+        self._integer = all(isinstance(v, int) for v in vals)
 
     @property
     def max_index(self):
@@ -511,7 +527,7 @@ class Explicit(SequenceSpec):
 
     @property
     def is_integer_valued(self):
-        return all(isinstance(v, int) for v in self.values)
+        return self._integer
 
     @property
     def is_non_decreasing(self):
@@ -524,9 +540,14 @@ class Explicit(SequenceSpec):
         self._check_index(k)
         return self.values[k - 1]
 
-    def value_runs(self, n):
-        self._check_horizon(n)
-        return [(v, 1) for v in self.values[:n]]
+    def runs(self, start, stop):
+        self._check_range(start, stop)
+        return [(v, 0, 1) for v in self.values[start - 1:stop - 1]]
+
+    def terms_between(self, start, stop):
+        self._check_range(start, stop)
+        return np.asarray(self.values[start - 1:stop - 1],
+                          dtype=np.int64 if self._integer else np.float64)
 
 
 def _coerce_number(v):
@@ -606,4 +627,9 @@ def sum_squares_exact(spec: SequenceSpec, n: int) -> int:
         raise UnsupportedVariantError(f"{spec.canonical()} is not integer-valued")
     if n < spec.first_index:
         return 0
-    return sum(int(v) * int(v) * int(c) for v, c in spec.value_runs(n))
+    total = 0
+    for v, d, m in spec.runs(spec.first_index, n + 1):
+        v, d = int(v), int(d)  # exact, whatever integer type a spec's terms have
+        # the squares of the run v, v + d, ..., v + (m-1)d
+        total += m * v * v + v * d * m * (m - 1) + d * d * (m - 1) * m * (2 * m - 1) // 6
+    return total

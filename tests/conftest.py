@@ -102,7 +102,7 @@ def simulate_signs(spec, signs, bands=(), zero_tol=1e-9, checkpoints=()) -> mc.P
     first = spec.first_index
     n = first + len(signs) - 1
     cps = {int(c) for c in checkpoints if first <= c <= n}
-    kernel = mc._PathKernel(mc._weights_for(spec, n), [c - first + 1 for c in cps])
+    kernel = mc._PathKernel(spec, n, [c - first + 1 for c in cps])
     tally = mc._PathTally(first, bands, zero_tol)
     kernel.run(SignSource(signs), tally)
     return tally.stats(n, kernel.steps)

@@ -1,6 +1,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -179,7 +183,7 @@ def test_real_kernel_matches_exact_step_loop(text, signs, bands, offsets):
     # in rationals; 70,001 steps cross the carry at the 2^16-step segment end
     spec = parse_spec(text)
     first = spec.first_index
-    assert not mc._PathKernel(spec.terms(first)).bytewise
+    assert not mc._PathKernel(spec, first).bytewise
     checkpoints = {first + o % len(signs) for o in offsets}
     got = simulate_signs(spec, np.array(signs, dtype=np.int8), bands=bands,
                          checkpoints=sorted(checkpoints))
@@ -397,10 +401,10 @@ def test_block_pass_matches_single_paths(text, length, seeds, bands, offsets, fu
     # row, what R single paths give through the Python step loop
     spec = parse_spec(text)
     first = spec.first_index
-    weights = mc._weights_for(spec, first + length - 1)
+    weights = spec.terms(first + length - 1)
     paths = [_sign_runs(length, seed) for seed in seeds]
     checkpoints = sorted({first + o % length for o in offsets})
-    kernel = mc._PathKernel(weights, [c - first + 1 for c in checkpoints])
+    kernel = mc._PathKernel(spec, first + length - 1, [c - first + 1 for c in checkpoints])
     assert kernel.bytewise
     tally = mc._PathTally(first, bands, 1e-9, full=full, paths=len(paths))
     last = kernel.run(SignSource(paths), tally)
@@ -444,7 +448,7 @@ def test_path_blocks_match_step_path_runs(kind, monkeypatch):
     bands, cps = [0.0, 2.5], [8, 9, 500, 1003]
     extra = (100, spec.first_index, 0.3) if kind == "growth" else None
     rows = mc._run_blocks(kind, spec, n, paths, seed, bands, 1e-9, cps, extra)
-    weights = mc._weights_for(spec, n)
+    weights = spec.terms(n)
     thresholds = np.arange(1, n + 1, dtype=np.float64) ** 0.3
     for p in range(paths):
         signs = path_signs(mc.RngSpec(seed, p), n)
@@ -478,12 +482,12 @@ def test_byte_path_places_change_at_first_nonzero_step():
 def test_byte_path_growth_test_matches_step_loop(text, signs, exponent, window_start):
     spec = parse_spec(text)
     first = spec.first_index
-    weights = mc._weights_for(spec, first + len(signs) - 1)
+    weights = spec.terms(first + len(signs) - 1)
     thresholds = np.arange(first, first + len(signs), dtype=np.float64) ** exponent
     partial = np.cumsum(weights * np.array(signs))
     want = bool(np.all(np.abs(partial[window_start:]) > thresholds[window_start:]))
     test = mc._GrowthTest(window_start, first, exponent)
-    mc._PathKernel(weights).run(SignSource(signs), test)
+    mc._PathKernel(spec, first + len(signs) - 1).run(SignSource(signs), test)
     assert test.ok == want
 
 
@@ -500,7 +504,7 @@ _MIXED_DELTA = [
 def test_mixed_delta_walks_match_step_loop(text, checkpoints):
     spec = parse_spec(text)
     first = spec.first_index
-    weights = mc._weights_for(spec, spec.max_index)
+    weights = spec.terms(spec.max_index)
     n, bands = weights.size, (0, 3)
     steps = np.diff(weights[:n - n % 8].reshape(-1, 8), axis=1)
     assert len({int(d[0]) for d in steps if (d == d[0]).all()}) > 1
@@ -512,7 +516,7 @@ def test_mixed_delta_walks_match_step_loop(text, checkpoints):
     for p, w in zip(paths, want):
         _assert_stats_equal(simulate_signs(spec, np.array(p, dtype=np.int8), bands=bands,
                                            checkpoints=checkpoints), w)
-    kernel = mc._PathKernel(weights, [c - first + 1 for c in checkpoints])
+    kernel = mc._PathKernel(spec, spec.max_index, [c - first + 1 for c in checkpoints])
     tally = mc._PathTally(first, bands, 1e-9, paths=len(paths))
     kernel.run(SignSource(paths), tally)
     assert tally.columns().tolist() == [
@@ -531,8 +535,8 @@ def test_mixed_delta_walks_match_step_loop(text, checkpoints):
 @given(strategies.sampled_from(_INTEGER_SPECS), _SIGN_RUNS)
 def test_byte_path_final_value_matches_dot_product(text, signs):
     spec = parse_spec(text)
-    weights = mc._weights_for(spec, spec.first_index + len(signs) - 1)
-    assert mc._PathKernel(weights).run(SignSource(signs)) == int(np.dot(weights, signs))
+    n = spec.first_index + len(signs) - 1
+    assert mc._PathKernel(spec, n).run(SignSource(signs)) == int(np.dot(spec.terms(n), signs))
 
 
 @pytest.mark.parametrize("text", ["logceil:2", "linear", "powfloor:0.5"])
@@ -540,7 +544,7 @@ def test_byte_path_spans_chunks_of_a_philox_stream(text):
     # 137,500 whole bytes: two full chunks, a short one and a 5-step tail
     spec, n, rng = parse_spec(text), 1_100_005, mc.RngSpec(31, 4)
     first = spec.first_index
-    weights = mc._weights_for(spec, n)
+    weights = spec.terms(n)
     signs = path_signs(rng, weights.size)
     checkpoints = [first + c - 1 for c in (1, 8 * mc._BYTE_CHUNK, 8 * mc._BYTE_CHUNK + 3,
                                            1_000_003, n - first + 1)]
@@ -549,12 +553,124 @@ def test_byte_path_spans_chunks_of_a_philox_stream(text):
     partial = np.cumsum(weights * signs)
     window = n // 10 - first
     thresholds = np.arange(first, n + 1, dtype=np.float64) ** 0.05
-    kernel = mc._PathKernel(weights)
+    kernel = mc._PathKernel(spec, n)
     assert kernel.bytewise
     test = mc._GrowthTest(window, first, 0.05)
     kernel.run(mc._BitStream(rng, n), test)
     assert test.ok.tolist() == [bool(np.all(np.abs(partial[window:]) > thresholds[window:]))]
     assert kernel.run(mc._BitStream(rng, n)).tolist() == [int(partial[-1])]
+
+
+def _whole_walk_tables(weights):
+    """The byte tables of a whole walk from its n weights, as the kernel
+    built them before it built them per chunk: w0 per byte, the walk's
+    delta (w1 - w0 of its first arithmetic byte), which bytes are arithmetic
+    with it (affine), and the weights of the others.  The last byte's
+    missing steps weigh 0."""
+    w = np.concatenate((weights, np.zeros(-weights.size % 8, dtype=np.int64))).reshape(-1, 8)
+    d = np.diff(w, axis=1)
+    arithmetic = (d == d[:, :1]).all(axis=1)
+    delta = int(d[arithmetic.argmax(), 0]) if arithmetic.any() else 0
+    affine = arithmetic & (d[:, 0] == delta)
+    return w[:, 0], delta, affine, w
+
+
+def _explicit_from_runs(runs):
+    """An explicit spec of arithmetic runs (first value, step, length), kept positive."""
+    return Explicit([max(1, v + d * i) for v, d, m in runs for i in range(m)])
+
+
+_WALKS = strategies.one_of(
+    strategies.tuples(strategies.sampled_from(_INTEGER_SPECS + ["blocks:k4lnk", "powfloor:0.9"]),
+                      strategies.integers(1, 3000)).map(
+        lambda t: (parse_spec(t[0]), min(t[1], parse_spec(t[0]).max_index or t[1]))),
+    strategies.lists(strategies.tuples(strategies.integers(1, 30), strategies.integers(-2, 2),
+                                       strategies.integers(1, 40)), min_size=1, max_size=40).map(
+        lambda runs: (_explicit_from_runs(runs), sum(m for _, _, m in runs))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WALKS, strategies.sampled_from([1, 2, 5, 64, 1 << 15]))
+@example((parse_spec("powfloor:0.5"), 1_100_005), 1 << 15)
+@example((parse_spec("linear"), 600_000), 1 << 15)
+# a first byte in one run that ends with it, then runs of another step
+@example((parse_spec("linear"), 8), 1)
+@example((_explicit_from_runs([(1, 1, 8), (20, 0, 16)]), 24), 2)
+def test_chunk_tables_equal_the_whole_walk_tables(walk, chunk):
+    # the tables each chunk builds from its runs are the whole walk's tables
+    spec, n = walk
+    if n < spec.first_index:
+        return
+    kernel = mc._PathKernel(spec, n)
+    w0, delta, affine, rows = _whole_walk_tables(spec.terms(n))
+    assert kernel._delta == delta
+    for lo in range(0, kernel.nbytes, chunk):
+        hi = min(lo + chunk, kernel.nbytes)
+        kernel._load(lo, hi)
+        assert np.array_equal(kernel._w0, w0[lo:hi])
+        odd = np.flatnonzero(~affine[lo:hi])
+        assert np.array_equal(kernel._cols, odd)
+        assert np.array_equal(kernel._odd[kernel._odd_at], rows[lo + odd])
+
+
+def test_monte_carlo_never_builds_the_whole_horizon(monkeypatch):
+    # every experiment walks from runs and ranges of terms: with the
+    # whole-horizon terms and value runs gone, all of them still complete
+    def fail(self, n):
+        raise AssertionError(f"whole horizon {n} asked for")
+    for cls in (SequenceSpec, Constant, Linear, PowerFloor, LogCeilBlocks, GeneralBlocks,
+                LogContinuous, Explicit):
+        for name in ("terms", "value_runs"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, fail)
+    logceil, logcont = LogCeilBlocks(2), LogContinuous(1.4426950408889634)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("AWALK_THREADS", threads)
+        assert mc.simulate(logceil, 300_000, mc.RngSpec(1), (0,)).steps == 299_999
+        assert mc.simulate(logcont, 70_000, mc.RngSpec(1), (3,)).steps == 69_999
+        for spec in (Linear(), logcont):
+            assert mc.recurrence_experiment(spec, 3000, [0, 2], 70, 3).paths == 70
+        assert mc.sign_change_experiment(Constant(1), 2000, 70, 3).paths == 70
+        assert mc.growth_experiment(PowerFloor(0.5), 3000, 0.2, 70, 3).paths == 70
+        for spec in (Linear(), logcont, Constant(1e200)):
+            assert 0 < mc.tomaszewski_check(spec, 300, "mc", paths=70).probability < 1
+
+
+def test_tomaszewski_survives_weights_whose_squares_overflow(tmp_path):
+    # ten equal weights: |S(10)| <= sqrt(10) a iff S(10)/a is 0 or +-2,
+    # (210 + 252 + 210) / 1024; 1e200^2 overflows float64
+    spec = Constant(1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mc.tomaszewski_check(spec, 10).probability == Fraction(672, 1024)
+        rep = mc.tomaszewski_check(spec, 10, "mc", paths=4000, seed=3)
+    assert abs(rep.probability - 672 / 1024) <= 3 * rep.stderr
+    # where it is finite, the sum of squares is np.sum's bit for bit, past
+    # 2^16 terms too
+    for spec, n in ((parse_spec("logcont:1.4426950408889634"), 3 * (1 << 16) + 77),
+                    (Constant(0.7), 150_001), (Constant(1e150), 1000)):
+        assert mc._real_root(spec, n) == math.sqrt(float(np.sum(spec.terms(n) ** 2)))
+    gen = np.random.default_rng(7)
+    for n in [1 << 16, (1 << 16) + 1] + [200_003, 333_333] * 10:  # sums that round often
+        spec = _Held(gen.lognormal(0, 2, n))
+        assert mc._square_sum(spec, 0, n) == float(np.sum(spec.w ** 2)), n
+    assert main(["tomaszewski", "--spec", "constant:1e200", "--n", "10", "--mode", "mc",
+                 "--paths", "200", "--out", str(tmp_path / "t.json")]) == 0
+
+
+class _Held(SequenceSpec):
+    """Real weights held in an array, a range of which `terms_between` gives."""
+
+    is_integer_valued = False
+
+    def __init__(self, w):
+        self.w = w
+
+    def canonical(self):
+        return f"held:{self.w.size}"
+
+    def terms_between(self, start, stop):
+        return self.w[start - 1:stop - 1]
 
 
 def test_truncated_refill_reads_the_same_bits():
@@ -683,8 +799,8 @@ class _ZeroThird(SequenceSpec):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_bad_weights_are_refused_at_any_worker_count(threads, monkeypatch):
-    # the pool workers build the weights; their refusal reaches the caller
-    # instead of leaving the pool to replace failed workers forever
+    # the parent checks the weights before any worker starts, so the refusal
+    # reaches the caller at any worker count
     monkeypatch.setenv("AWALK_THREADS", threads)
     for spec in (_ZeroThird(1), _ZeroThird(0.5)):
         with pytest.raises(DomainError, match="must be positive"):
@@ -769,7 +885,7 @@ def test_strict_sign_change_law_matches_enumeration():
     # paths walked together in the kernel's block passes
     for steps in (13, 14):
         signs = np.array(list(itertools.product((-1, 1), repeat=steps)))
-        kernel = mc._PathKernel(Constant(1).terms(steps))
+        kernel = mc._PathKernel(Constant(1), steps)
         changes = []
         for lo in range(0, len(signs), kernel.paths_per_pass):
             rows = signs[lo:lo + kernel.paths_per_pass]
@@ -828,38 +944,67 @@ def test_tomaszewski_real_weights_and_mc():
     assert rep.mode == "mc" and rep.passed
 
 
-def test_walks_over_the_byte_budget_are_refused_before_their_arrays(monkeypatch, tmp_path,
-                                                                   capsys):
-    # The weights take 8 bytes per step and integer walks 9 more per sign
-    # byte; the guard refuses above exact.MAX_BUFFER_BYTES (2 GiB) before
-    # any n-entry array is built, so `terms` must never be called here.
-    def fail(self, n):
-        raise AssertionError(f"terms({n}) called")
+class _GuardPassed(Exception):
+    """Raised in place of building the kernel, once the cost guard let a job through."""
 
-    monkeypatch.setattr(SequenceSpec, "terms", fail)
-    monkeypatch.setattr(LogContinuous, "terms", fail)
-    logceil, logcont = LogCeilBlocks(2), LogContinuous(1.0)
-    steps = 10 ** 9 - 1  # logceil:2 starts at index 2
-    for refuse in (lambda: mc.simulate(logceil, 10 ** 9, mc.RngSpec(1)),
-                   lambda: mc.simulate(logceil, 236_000_001, mc.RngSpec(1)),
-                   lambda: mc.simulate(logcont, 269_000_001, mc.RngSpec(1)),
-                   lambda: mc.recurrence_experiment(logceil, 10 ** 9, [0], 4, 1),
-                   lambda: mc.tomaszewski_check(logceil, 10 ** 9, "mc", paths=4)):
+
+def _guard_only(monkeypatch):
+    def stop(self, spec, horizon, checkpoint_steps=()):
+        raise _GuardPassed(spec.steps(horizon))
+    monkeypatch.setattr(mc._PathKernel, "__init__", stop)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_jobs_over_the_path_step_budget_are_refused_before_they_start(threads, monkeypatch,
+                                                                      tmp_path, capsys):
+    # paths x steps above MAX_PATH_STEPS (10^12) is refused with exit 3, at any
+    # worker count, before any weight or run of the walk is built
+    monkeypatch.setenv("AWALK_THREADS", threads)
+    logceil, budget = LogCeilBlocks(2), mc.MAX_PATH_STEPS
+    assert budget == 10 ** 12
+    _guard_only(monkeypatch)
+    for ok in (lambda: mc.simulate(logceil, 10 ** 9, mc.RngSpec(1)),
+               lambda: mc.simulate(logceil, budget + 1, mc.RngSpec(1)),
+               lambda: mc.recurrence_experiment(logceil, 10 ** 9 + 1, [0], 1000, 1),
+               lambda: mc.tomaszewski_check(Linear(), 10 ** 9, "mc", paths=1000)):
+        with pytest.raises(_GuardPassed):
+            ok()
+    for refuse, need in ((lambda: mc.simulate(logceil, budget + 2, mc.RngSpec(1)), budget + 1),
+                         (lambda: mc.recurrence_experiment(logceil, 10 ** 9 + 1, [0], 1001, 1),
+                          1001 * 10 ** 9),
+                         (lambda: mc.sign_change_experiment(Linear(), 10 ** 8, 10 ** 4 + 1, 1),
+                          budget + 10 ** 8),
+                         (lambda: mc.growth_experiment(PowerFloor(0.5), 10 ** 10, 0.1, 101, 1),
+                          101 * 10 ** 10),
+                         (lambda: mc.tomaszewski_check(Linear(), 10 ** 9, "mc", paths=1001),
+                          1001 * 10 ** 9)):
         with pytest.raises(ResourceError) as exc:
             refuse()
-        assert exc.value.budget == exact.MAX_BUFFER_BYTES < exc.value.required
-    assert exc.value.required == 8 * steps + 9 * -(-steps // 8)  # the last, at n = 10^9
-    # just under the budget the guard lets the walk through to its weights:
-    # 2.14e9 bytes for 235M integer steps, 2.08e9 for 260M real ones
-    for spec, n in ((logceil, 235_000_001), (logcont, 260_000_001)):
-        with pytest.raises(AssertionError, match="terms"):
-            mc.simulate(spec, n, mc.RngSpec(1))
-    for command in (["simulate", "--seed", "1"],
-                    ["recurrence", "--seed", "1", "--paths", "4", "--bands", "0"]):
+        assert (exc.value.required, exc.value.budget) == (need, budget)
+    for command in (["simulate", "--seed", "1", "--n", str(budget + 2)],
+                    ["recurrence", "--seed", "1", "--paths", "2000", "--bands", "0",
+                     "--n", str(10 ** 9)]):
         out = str(tmp_path / f"{command[0]}.json")
-        assert main([*command, "--spec", "logceil:2", "--n", str(10 ** 9), "--out", out]) == 3
-        assert "awalk: resource limit: walk needs about" in capsys.readouterr().err
+        assert main([*command, "--spec", "logceil:2", "--out", out]) == 3
+        assert f"path-steps (budget {budget})" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_long_integer_walk_runs_in_little_memory(tmp_path):
+    # 3*10^8 steps of logceil:2 in one process: the walk holds its 28 runs
+    # and one chunk's tables, not 8 bytes per step (2.4 GB)
+    code = ("import json, resource, sys; from awalk.cli import main; "
+            "code = main(sys.argv[1:]); "
+            "print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
+    out = tmp_path / "s.json"
+    proc = subprocess.run([sys.executable, "-c", code, "simulate", "--spec", "logceil:2",
+                           "--n", str(3 * 10 ** 8), "--seed", "1", "--out", str(out)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    exit_code, peak_kib = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert exit_code == 0, proc.stderr
+    assert json.loads(out.read_text())["path"]["steps"] == 3 * 10 ** 8 - 1
+    assert peak_kib < 200 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_rngspec_validation():

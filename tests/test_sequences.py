@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,3 +211,55 @@ def test_general_blocks_explicit_lengths():
     assert spec.max_index == 6
     with pytest.raises(DomainError):
         spec.term(7)
+
+
+RANGE_TEXTS = ALL_TEXTS + ["powfloor:0.9", "powfloor:1", "blocks:k4lnk", "constant:0.7",
+                           "explicit:3,1,2,2,7,7,7,8,9,10,11,12,13,14,15,16,1"]
+
+
+def _expand(runs):
+    return [v + d * i for v, d, m in runs for i in range(m)]
+
+
+@pytest.mark.parametrize("text", RANGE_TEXTS)
+def test_range_terms_equal_the_whole_horizon_terms(text):
+    # any range's runs and terms are those entries of terms(n), bit for bit
+    spec = parse_spec(text)
+    first = spec.first_index
+    n = spec.max_index or 3000
+    whole = spec.terms(n)
+    gen = random.Random(text)
+    for _ in range(150):
+        a = gen.randrange(first, n + 2)
+        b = gen.randrange(a, n + 2)
+        part = spec.terms_between(a, b)
+        assert part.dtype == whole.dtype
+        assert part.tobytes() == whole[a - first:b - first].tobytes(), (a, b)
+        runs = spec.runs(a, b)
+        assert all(m > 0 for _, _, m in runs) and _expand(runs) == part.tolist()
+    if spec.is_integer_valued:
+        assert sum_squares_exact(spec, n) == sum(int(v) ** 2 for v in whole)
+    with pytest.raises(DomainError):
+        spec.runs(first - 1, first)
+
+
+def test_linear_is_one_arithmetic_run():
+    assert Linear().runs(5, 10 ** 12) == [(5, 1, 10 ** 12 - 5)]
+    assert sum_squares_exact(Linear(), 10 ** 9) == 10 ** 9 * (10 ** 9 + 1) * (2 * 10 ** 9 + 1) // 6
+    assert len(LogCeilBlocks(2).runs(2, 10 ** 9 + 1)) == 30
+
+
+def test_logcont_range_terms_across_segment_ends():
+    # np.log is elementwise: ranges of any length and offset, near and across
+    # multiples of 2^16 steps (the real walk's segment ends), give the bits
+    # of the whole horizon
+    spec = parse_spec("logcont:1.4426950408889634")
+    n = 3 * (1 << 16) + 77
+    whole = spec.c * np.log(np.arange(2, n + 1, dtype=np.float64))  # in one call
+    assert spec.terms(n).tobytes() == whole.tobytes()
+    gen = random.Random(5)
+    edges = [2 + e + o for e in range(0, n, 1 << 16) for o in (-9, -1, 0, 1, 7)]
+    for _ in range(300):
+        a = max(2, min(n + 1, gen.choice(edges) + gen.randrange(-3, 4)))
+        b = min(n + 1, a + gen.choice([1, 2, 7, 8, 9, 63, 1000, 1 << 16, gen.randrange(1, 200_000)]))
+        assert spec.terms_between(a, b).tobytes() == whole[a - 2:b - 2].tobytes(), (a, b)
