@@ -16,8 +16,9 @@ a time from the spec's runs (`SequenceSpec.runs`) or terms
 for a walk of any length.  A reducer per experiment reads the partial sums: the path
 statistics (`_PathTally`, for `simulate`, `recurrence` and `signs`), the
 growth window test (`_GrowthTest`) or, with no reducer, only S(n)
-(`tomaszewski_check`).  Each keeps one column entry per path, so that a
-pass can walk several paths at once.  The kernel walks in one of two ways:
+(`tomaszewski_check`).  Each keeps one column entry per path: every pass
+walks the paths of one 64-path work unit together (`simulate` walks one).
+The kernel walks in one of two ways:
 
 - a sign byte at a time, for positive integer weights.  Byte b of a path's
   words holds steps 8b..8b+7, and two 256-entry tables give its sums of x_j
@@ -27,12 +28,10 @@ pass can walk several paths at once.  The kernel walks in one of two ways:
   Two more tables bound how far S strays from a byte's end inside the
   byte, and only the bytes that end within that reach of a band (or a
   growth threshold) are expanded to exact per-step sums; every other byte
-  keeps one sign and stays outside every band.  A walk of at most 2^16
-  steps reads one refill, so the paths of a 64-path work unit are walked
-  together, as many as fit in one 2^15-byte chunk, as one array of
-  (paths, sign bytes);
-- a segment at a time, for real weights: the 64 paths of a work unit walk
-  each segment together, and each path takes one cumsum per step in
+  keeps one sign and stays outside every band.  A chunk is one array of
+  (paths, sign bytes), 2^16 bytes in all;
+- a segment at a time, for real weights: the paths of a pass walk each
+  segment together, and each path takes one cumsum per step in
   extended precision (long double), with its carry propagated across
   segments, which keeps the drift of a million-step sum far below the 1e-9
   zero-detection tolerance.  A path's steps are its weights in long double
@@ -81,7 +80,7 @@ REPORT_SCHEMA = "awalk-report/1"
 _CHUNK = 1 << 16
 _BLOCK = 64          # paths per work unit; fixed so partitioning never varies
 _WORDS = 1 << 10     # most uint64 words per RNG refill
-_BYTE_CHUNK = 1 << 15  # sign bytes per byte-path pass, over all its paths
+_BYTE_CHUNK = 1 << 16  # sign bytes per byte-path chunk, over all the paths of a pass
 
 # Row c of _BYTE_SIGNS is the +-1 steps x_j of sign byte c (bit j is step j).
 # _BYTE_PREFIX / _BYTE_JPREFIX hold the prefix sums of x_j and of j*x_j over
@@ -104,6 +103,9 @@ _BOOTSTRAP_SALT = 0xB00575A9
 # Real weights summing to this or more are refused: then |S|, the float64
 # partial sums and the real walk's rounding margin all stay finite.
 _REAL_LIMIT = 2.0 ** 1020
+# Integer weights summing to this or more are refused, so every partial sum
+# is exact in int64; a wider band is cut to it.
+_INT_LIMIT = 1 << 62
 # The most path-steps (paths x steps) one job may walk: about 40 minutes of
 # integer walking on one core at 2.4 ns per step, and a thousand times the
 # largest criterion-8 job.
@@ -201,16 +203,13 @@ class _BitStream:
         """Draw the next refill of every path."""
         bits = min(64 * _WORDS, self._nbits - 64 * _WORDS * self._refill)
         words = -(-bits // 64)
-        if self.paths == 1 and self._refill:  # its generator has just drawn the refill before
-            raw = self._philox.random_raw(words)[None]
-        else:
-            raw = np.empty((self.paths, words), dtype=np.uint64)
-            state = self._state["state"]
-            state["counter"] = np.array([_WORDS // 4 * self._refill, 0, 0, 0], dtype=np.uint64)
-            for row, stream in zip(raw, self._streams):
-                state["key"] = np.array([stream, self._seed], dtype=np.uint64)
-                self._philox.state = self._state
-                row[:] = self._philox.random_raw(words)
+        raw = np.empty((self.paths, words), dtype=np.uint64)
+        state = self._state["state"]
+        state["counter"] = np.array([_WORDS // 4 * self._refill, 0, 0, 0], dtype=np.uint64)
+        for row, stream in zip(raw, self._streams):
+            state["key"] = np.array([stream, self._seed], dtype=np.uint64)
+            self._philox.state = self._state
+            row[:] = self._philox.random_raw(words)
         self._raw = raw.view(np.uint8)[:, :-(-bits // 8)]
         self._pos = 0
         self._refill += 1
@@ -277,23 +276,19 @@ class _PathKernel:
     below 2^62, so that every partial sum is exact in int64, and the bytes
     that are not affine with the walk's one delta, with their weights
     (`_init_runs`; about one per run).  It reads whole sign bytes, in chunks
-    of up to 2^15 bytes over all the paths of a pass, and builds each
-    chunk's w0 per byte from the runs that overlap it (`_load`); a chunk
-    holding a whole walk keeps it from pass to pass.  It forms each byte's
-    sum from the sign tables (`_byte_sums`); a byte that is not affine
-    takes an exact row sum.  The
-    last byte of a walk of n steps, n mod 8 > 0, gets weight 0 on its
-    missing steps, so S stays at S(n) there and reducers skip them.  One
-    cumsum per path gives S at the chunk's byte ends, which
-    reducer.update_bytes reads; it expands only the bytes that end within
-    their reach (`reach`, from the tables A and B) of what it looks for, to
-    exact per-step sums (`expand`).
+    of 2^16 bytes over all the paths of a pass, and builds each chunk's w0
+    per byte from the runs that overlap it (`_load`), once per pass; a
+    chunk holding a whole walk keeps it from pass to pass.  It forms each
+    byte's sum from the sign tables (`_byte_sums`); a byte that is not
+    affine takes an exact row sum.  The last byte of a walk of n steps,
+    n mod 8 > 0, gets weight 0 on its missing steps, so S stays at S(n)
+    there and reducers skip them.  One cumsum per path gives S at the
+    chunk's byte ends, which reducer.update_bytes reads; it expands only
+    the bytes that end within their reach (`reach`, from the tables A and
+    B) of what it looks for, to exact per-step sums (`expand`).
 
-    Pass rule (`paths_per_pass`): a walk of at most 2^16 steps reads one
-    refill per path, so the byte path walks as many whole paths of a
-    64-path work unit together as fit in one chunk; a longer integer walk
-    goes one path per pass, a chunk at a time.  The real walk takes the
-    whole unit in one pass.
+    A pass walks all its paths together, at most a 64-path work unit, in
+    either walk.
 
     The real walk (`_run_real`) cuts the walk into segments that end at
     every multiple of 2^16 steps, at each checkpoint and at the horizon.
@@ -313,13 +308,10 @@ class _PathKernel:
         self.steps = spec.steps(horizon)
         self.checkpoints = frozenset(checkpoint_steps)
         self.bytewise = bool(self.steps) and spec.is_integer_valued
-        self.paths_per_pass = 1
         if self.bytewise:
             self.nbytes = -(-self.steps // 8)
-            if self.steps <= 64 * _WORDS:
-                self.paths_per_pass = min(_BLOCK, _BYTE_CHUNK // self.nbytes)
             self._init_runs()
-            size = min(_BYTE_CHUNK, self.paths_per_pass * self.nbytes)
+            size = min(_BYTE_CHUNK, _BLOCK * self.nbytes)
             self._index = np.empty(size, dtype=np.intp)
             # sums, moment, a reducer's array and a limit per byte
             self._work = np.empty((4, size), dtype=np.int64)
@@ -330,7 +322,6 @@ class _PathKernel:
         ends = sorted(set(range(_CHUNK, self.steps, _CHUNK)) | self.checkpoints
                       | ({self.steps} if self.steps else set()))
         self.segments = list(zip([0] + ends[:-1], ends))
-        self.paths_per_pass = _BLOCK
         size = min(_CHUNK, self.steps)
         self._long = np.empty(size, dtype=np.longdouble)  # the segment's weights
         self._sums = np.empty(size, dtype=np.longdouble)  # one path's cumsum
@@ -357,7 +348,7 @@ class _PathKernel:
             raise DomainError(f"walk weights must be positive; {self.spec.canonical()} "
                               f"has weight {low}")
         total = sum(m * v + d * m * (m - 1) // 2 for v, d, m in runs)
-        if total >= 1 << 62:
+        if total >= _INT_LIMIT:
             raise DomainError(f"integer walk range {total} overflows int64 accumulation")
         table = np.array(runs, dtype=np.int64)
         starts = self._starts = np.cumsum(table[:, 2]) - table[:, 2]  # each run's first step
@@ -394,25 +385,20 @@ class _PathKernel:
         """Refuse real weights that are not positive or that sum to 2^1020
         or more, reading them a segment at a time."""
         top = 0.0
-        for w in self._real_weights():
+        for w in _weight_chunks(self.spec, self.steps):
             if not w.min() > 0:  # nan fails too
                 raise DomainError(f"walk weights must be positive; {self.spec.canonical()} "
                                   f"has weight {w.min()}")
             top = max(top, float(w.max()))
         if top * self.steps >= _REAL_LIMIT:
             try:  # the bound failed: sum exactly
-                total = math.fsum(itertools.chain.from_iterable(self._real_weights()))
+                total = math.fsum(itertools.chain.from_iterable(
+                    _weight_chunks(self.spec, self.steps)))
             except OverflowError:
                 total = math.inf
             if total >= _REAL_LIMIT:
                 raise DomainError(f"real walk range {total:g} is not below 2^1020: "
                                   f"its partial sums could overflow float64")
-
-    def _real_weights(self):
-        """The weights, 2^16 at a time."""
-        for pos in range(0, self.steps, _CHUNK):
-            yield self.spec.terms_between(self.first + pos,
-                                          self.first + min(pos + _CHUNK, self.steps))
 
     def _rows(self, at: np.ndarray) -> np.ndarray:
         """The weights of bytes `at`, one row of 8 per byte."""
@@ -624,6 +610,13 @@ class _PathKernel:
         return steps, s, peak
 
 
+def _weight_chunks(spec: SequenceSpec, steps: int):
+    """The weights of the first `steps` steps, 2^16 at a time."""
+    first = spec.first_index
+    for pos in range(0, steps, _CHUNK):
+        yield spec.terms_between(first + pos, first + min(pos + _CHUNK, steps))
+
+
 def _shaped(buf: np.ndarray, shape) -> np.ndarray:
     """The first entries of a flat buffer, viewed in this shape."""
     return buf[:math.prod(shape)].reshape(shape)
@@ -649,7 +642,9 @@ class _PathTally:
         self.zero_tol = zero_tol
         self.levels = (zero_tol, *self.bands)  # what the real walk's rounding must keep
         self.full = full
-        self.widest = math.floor(max(self.bands, default=0))  # |S| <= c iff |S| <= floor(c)
+        # the byte path's bands: |S| <= c iff |S| <= floor(c), and |S| < 2^62
+        self.int_bands = [min(math.floor(c), _INT_LIMIT) for c in self.bands]
+        self.widest = max(self.int_bands, default=0)
         self.zero_hits = np.zeros(paths, dtype=np.int64)
         self.sign_changes = np.zeros(paths, dtype=np.int64)
         self.last_zero = np.full(paths, -1, dtype=np.int64)
@@ -735,7 +730,7 @@ class _PathTally:
             exists = True
         zeros_at = keys(zero & exists)
         events = [zeros_at] + [zeros_at if c == 0 else keys((s <= c) & (s >= -c) & exists)
-                               for c in map(math.floor, self.bands)]
+                               for c in self.int_bands]
         # sign changes inside expanded bytes: zeros are isolated, so the last
         # sign before step j is that of step j-1 or, over a zero, of step j-2
         # (flat arrays, because short rows make numpy slow)
@@ -936,17 +931,11 @@ def _init_worker(kind, kernel, seed, bands, zero_tol, extra):
 
 
 def _path_block(block: tuple[int, int]) -> np.ndarray:
-    """The columns of paths lo..hi-1, `paths_per_pass` of them per pass."""
+    """The columns of paths lo..hi-1, a work unit walked in one pass."""
     lo, hi = block
-    seed, kernel, stream = _CTX["seed"], _CTX["kernel"], _CTX["stream"]
-    per_pass = kernel.paths_per_pass
-    out = []
-    for a in range(lo, hi, per_pass):
-        paths = range(a, min(a + per_pass, hi))
-        reducer = _CTX["reducer"](len(paths))
-        stream.start(seed, paths, kernel.steps)
-        out.append(_CTX["columns"](reducer, kernel.run(stream, reducer)))
-    return np.concatenate(out, axis=0)
+    kernel, stream, reducer = _CTX["kernel"], _CTX["stream"], _CTX["reducer"](hi - lo)
+    stream.start(_CTX["seed"], range(lo, hi), kernel.steps)
+    return _CTX["columns"](reducer, kernel.run(stream, reducer))
 
 
 def _run_blocks(kind: str, spec: SequenceSpec, horizon: int, paths: int, seed: int,
@@ -1169,42 +1158,37 @@ class TomaszewskiReport:
     stderr: float | None = None
 
 
-def _square_sum(spec: SequenceSpec, lo: int, m: int, scale: float = 1.0) -> float:
-    """The float64 sum that np.sum((terms / scale) ** 2) forms over steps
-    lo..lo+m-1, bit for bit, without the whole array: numpy sums pairwise,
-    halving a range at a multiple of 8 above 128 terms, so ranges of at most
-    2^16 terms are summed by np.sum itself."""
-    if m > _CHUNK:
-        half = m // 2 - m // 2 % 8
-        return _square_sum(spec, lo, half, scale) + _square_sum(spec, lo + half, m - half, scale)
-    w = spec.terms_between(spec.first_index + lo, spec.first_index + lo + m)
-    return float(np.sum((w if scale == 1 else w / scale) ** 2))
-
-
 def _real_root(spec: SequenceSpec, n: int) -> float:
-    """sqrt(a_1^2 + ... + a_n^2) for real weights, as np.sum gives the sum of
-    squares, and in units of the largest weight only when that overflows."""
+    """sqrt(a_1^2 + ... + a_n^2) for real weights, the root both modes of
+    `tomaszewski_check` use: math.fsum of the float64 squares, fed a chunk
+    at a time and so correctly rounded, in units of the largest weight only
+    when the squares or their sum overflow."""
     steps = spec.steps(n)
-    with np.errstate(over="ignore"):
-        total = _square_sum(spec, 0, steps)
+
+    def square_sum(scale: float) -> float:
+        with np.errstate(over="ignore"):
+            return math.fsum(itertools.chain.from_iterable(
+                np.square(w / scale).tolist() for w in _weight_chunks(spec, steps)))
+    try:
+        total = square_sum(1.0)
+    except OverflowError:  # finite squares whose sum overflows
+        total = math.inf
     if math.isfinite(total):
         return math.sqrt(total)
-    first = spec.first_index
-    scale = max(float(spec.terms_between(first + lo, first + min(lo + _CHUNK, steps)).max())
-                for lo in range(0, steps, _CHUNK))
-    return scale * math.sqrt(_square_sum(spec, 0, steps, scale))
+    scale = max(float(w.max()) for w in _weight_chunks(spec, steps))
+    return scale * math.sqrt(square_sum(scale))
 
 
 def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
                       paths: int = 100_000, seed: int = 0) -> TomaszewskiReport:
     """P(|S(n)| <= sqrt(a_1^2 + ... + a_n^2)) with pass iff >= 1/2.
 
-    Exact mode compares S^2 <= sum(a^2) in integer arithmetic for integer
-    weights (n up to 24 otherwise, by enumeration in float arithmetic, in
-    units of the largest weight if the squares overflow).  MC mode counts
-    the paths (seed, 0..paths-1) whose S(n) lies within the root, streamed
-    through the experiments' worker pool; the root is exact for integer
-    weights (`sum_squares_exact` from the runs) and `_real_root` otherwise.
+    Both modes compare |S(n)| with one root: the integer square root of
+    the exact sum of squares (`sum_squares_exact`, from the runs) for
+    integer weights, `_real_root` for real ones.  Exact mode counts the
+    walks exactly for integer weights and enumerates at most 24 real steps;
+    MC mode counts the paths (seed, 0..paths-1), streamed through the
+    experiments' worker pool.
     """
     if mode == "exact":
         from .exact import _sign_sums, distribution
@@ -1217,15 +1201,8 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
             if steps > 24:
                 raise PreconditionError(
                     f"enumeration mode capped at 24 steps, got {steps}")
-            ws = spec.terms(n)
-            sums = _sign_sums(ws)
-            try:
-                ssq_f = math.fsum(float(w) ** 2 for w in ws)
-            except OverflowError:  # the squares overflow: in units of the largest weight
-                scale = float(ws.max())
-                ssq_f = math.fsum((float(w) / scale) ** 2 for w in ws)
-                sums /= scale
-            prob = Fraction(int(np.count_nonzero(sums * sums <= ssq_f)), sums.size)
+            sums = np.abs(_sign_sums(spec.terms(n)))
+            prob = Fraction(int(np.count_nonzero(sums <= _real_root(spec, n))), sums.size)
         return TomaszewskiReport(spec=spec.canonical(), horizon=n, mode="exact",
                                  probability=prob, passed=prob >= Fraction(1, 2))
     if mode == "mc":

@@ -492,16 +492,16 @@ class LogContinuous(SequenceSpec):
 
     def term(self, k):
         self._check_index(k)
-        return self.c * math.log(k)
+        return float(self.terms_between(k, k + 1)[0])
 
     def terms_between(self, start, stop):
-        # np.log is elementwise, so a range gives the bits of the whole horizon
+        # np.log is elementwise, so a range gives the bits of the whole horizon;
+        # `term` and `value_runs` read the same bits
         self._check_range(start, stop)
         return self.c * np.log(np.arange(start, stop, dtype=np.float64))
 
     def value_runs(self, n):
-        self._check_horizon(n)
-        return [(self.c * math.log(k), 1) for k in range(2, n + 1)]
+        return [(v, 1) for v in self.terms(n).tolist()]
 
 
 class Explicit(SequenceSpec):

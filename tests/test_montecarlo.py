@@ -440,8 +440,8 @@ def test_reach_tables_bound_every_suffix():
 
 @pytest.mark.parametrize("kind", ["stats", "counts", "growth", "final"])
 def test_path_blocks_match_step_path_runs(kind, monkeypatch):
-    # real Philox streams: 70 paths (a 64-path unit of three passes and a
-    # unit of 6) of 1003 steps, against each path's own bits through the
+    # real Philox streams: 70 paths (a 64-path unit and a unit of 6, one
+    # pass each) of 1003 steps, against each path's own bits through the
     # Python step loop, the window test on np.cumsum and np.dot
     monkeypatch.setenv("AWALK_THREADS", "1")
     spec, n, paths, seed = parse_spec("powfloor:0.5"), 1003, 70, 17
@@ -459,6 +459,82 @@ def test_path_blocks_match_step_path_runs(kind, monkeypatch):
         else:
             want = [float(np.dot(weights, signs))]
         assert rows[p].tolist() == want, p
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("text", ["powfloor:0.5", "linear"])
+def test_long_walk_units_match_single_paths(text, threads, monkeypatch):
+    # 70 paths of more than three refills: a 64-path unit walks chunks of
+    # 1024 bytes per path, the unit of 6 chunks of 10,922 bytes that cross
+    # refills, and `simulate` one chunk of the whole walk
+    monkeypatch.setenv("AWALK_THREADS", threads)
+    spec, n, paths, seed = parse_spec(text), 3 * (1 << 16) + 77, 70, 17
+    first = spec.first_index
+    unit_chunk = 8 * (mc._BYTE_CHUNK // mc._BLOCK)
+    tail_chunk = 8 * (mc._BYTE_CHUNK // (paths - mc._BLOCK))
+    refill = 64 * mc._WORDS
+    steps = [1, unit_chunk, unit_chunk + 1, refill, refill + 1, tail_chunk, tail_chunk + 3,
+             n - first + 1]  # chunk and refill edges, the horizon
+    cps = [first + c - 1 for c in steps]
+    bands = [0, 2.5, 40]
+    single = [mc.simulate(spec, n, mc.RngSpec(seed, p), bands, checkpoints=cps)
+              for p in range(paths)]
+    for kind in ("stats", "counts", "final"):
+        rows = mc._run_blocks(kind, spec, n, paths, seed, bands, 1e-9, cps, None)
+        if kind == "final":
+            want = [[st.final_value] for st in single]
+        else:
+            want = [_path_stats_columns(st, kind == "stats") for st in single]
+        assert rows.tolist() == want, kind
+    assert 0 < sum(st.band_hits[40] for st in single)
+    window = n // 10 - first
+    rows = mc._run_blocks("growth", spec, n, paths, seed, (), 0.0, (), (window, first, 0.3))
+    weights = spec.terms(n)
+    thresholds = np.arange(first, n + 1, dtype=np.float64)[window:] ** 0.3
+    want = [float(np.all(np.abs(np.cumsum(weights * path_signs(mc.RngSpec(seed, p), weights.size))
+                                [window:]) > thresholds)) for p in range(paths)]
+    assert rows[:, 0].tolist() == want
+    assert 0 < sum(want) < paths
+
+
+def test_a_unit_stops_once_every_path_fails(monkeypatch):
+    # |S(1)| = 1 <= 1^0.45 fails every path at its first step, so each
+    # 64-path unit draws its first refill, one per path, and stops there
+    monkeypatch.setenv("AWALK_THREADS", "1")
+    draws = []
+    draw = mc._BitStream._draw
+
+    def counted(self):
+        draws.append(self.paths)
+        draw(self)
+    monkeypatch.setattr(mc._BitStream, "_draw", counted)
+    spec, n = PowerFloor(0.5), 3 * (1 << 16) + 77
+    rows = mc._run_blocks("growth", spec, n, 128, 5, (), 0.0, (), (0, 1, 0.45))
+    assert rows[:, 0].tolist() == [0.0] * 128
+    assert draws == [64, 64]
+    draws.clear()
+    assert mc._run_blocks("growth", spec, n, 64, 5, (), 0.0, (), (n - 1, 1, 0.45)).shape == (64, 1)
+    assert draws == [64] * 4  # a late window: the unit walks every refill
+
+
+@pytest.mark.parametrize("text", ["linear", "powfloor:0.5", "logceil:2"])
+def test_integer_walk_bands_of_2_to_the_63_and_more(text, tmp_path):
+    # an int64 add of a band of 2^63 or more overflowed (a traceback, exit
+    # 1), and just below 2^63 it wrapped and lost hits; |S| < 2^62, so every
+    # step lies in these bands, as the Python step loop counts
+    spec, signs = parse_spec(text), _sign_runs(3000, 4)
+    first = spec.first_index
+    bands = [2.0 ** 62, 2.0 ** 63 - 1024, 2.0 ** 63, 1e19, 1e300]
+    checkpoints = {first + 999, first + 2999}
+    got = simulate_signs(spec, np.array(signs, dtype=np.int8), bands=bands,
+                         checkpoints=sorted(checkpoints))
+    _assert_stats_equal(got, _step_loop_stats(spec, signs, bands, checkpoints))
+    assert set(got.band_hits.values()) == {3000}
+    spec_args = ["--spec", text, "--n", "100", "--seed", "1"]
+    assert main(["simulate", *spec_args, "--bands", "1e19",
+                 "--out", str(tmp_path / "s.json")]) == 0
+    assert main(["recurrence", *spec_args, "--paths", "70", "--bands", "1e300",
+                 "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_byte_path_places_change_at_first_nonzero_step():
@@ -645,17 +721,44 @@ def test_tomaszewski_survives_weights_whose_squares_overflow(tmp_path):
         assert mc.tomaszewski_check(spec, 10).probability == Fraction(672, 1024)
         rep = mc.tomaszewski_check(spec, 10, "mc", paths=4000, seed=3)
     assert abs(rep.probability - 672 / 1024) <= 3 * rep.stderr
-    # where it is finite, the sum of squares is np.sum's bit for bit, past
-    # 2^16 terms too
+    # where it is finite, the sum of squares is math.fsum's over the whole
+    # walk, bit for bit, past 2^16 terms too
     for spec, n in ((parse_spec("logcont:1.4426950408889634"), 3 * (1 << 16) + 77),
                     (Constant(0.7), 150_001), (Constant(1e150), 1000)):
-        assert mc._real_root(spec, n) == math.sqrt(float(np.sum(spec.terms(n) ** 2)))
+        assert mc._real_root(spec, n) == _fsum_root(spec.terms(n))
     gen = np.random.default_rng(7)
     for n in [1 << 16, (1 << 16) + 1] + [200_003, 333_333] * 10:  # sums that round often
         spec = _Held(gen.lognormal(0, 2, n))
-        assert mc._square_sum(spec, 0, n) == float(np.sum(spec.w ** 2)), n
+        assert mc._real_root(spec, n) == _fsum_root(spec.w), n
     assert main(["tomaszewski", "--spec", "constant:1e200", "--n", "10", "--mode", "mc",
                  "--paths", "200", "--out", str(tmp_path / "t.json")]) == 0
+
+
+def _fsum_root(weights) -> float:
+    """The root of the correctly rounded sum of the float64 squares."""
+    return math.sqrt(math.fsum(w * w for w in weights.tolist()))
+
+
+def test_both_tomaszewski_modes_compare_with_one_root(monkeypatch):
+    # exact enumeration and MC counting read the same root, at every
+    # horizon; for this c, the root of np.sum's pairwise sum of squares
+    # differs from it in the last bit at 523 of the horizons 3..2999
+    spec = parse_spec("logcont:1.4426950408889634")
+    roots = []
+    real_root = mc._real_root
+
+    def recorded(spec, n):
+        roots.append(real_root(spec, n))
+        return roots[-1]
+    monkeypatch.setattr(mc, "_real_root", recorded)
+    monkeypatch.setenv("AWALK_THREADS", "1")
+    for n in range(3, 20):  # 2^18 sums at most: the enumeration grows fast
+        sums = np.abs(exact._sign_sums(spec.terms(n)))
+        root = _fsum_root(spec.terms(n))
+        assert mc.tomaszewski_check(spec, n).probability == Fraction(
+            int(np.count_nonzero(sums <= root)), sums.size)
+        mc.tomaszewski_check(spec, n, "mc", paths=70, seed=n)
+        assert roots[-2:] == [root, root], n
 
 
 class _Held(SequenceSpec):
@@ -709,7 +812,7 @@ def test_tomaszewski_mc_counts_simulated_final_values(text, threads, monkeypatch
     monkeypatch.setenv("AWALK_THREADS", threads)
     spec = parse_spec(text)
     n, paths, seed = 300, 150, 13
-    root = math.sqrt(float(np.sum(spec.terms(n).astype(np.float64) ** 2)))
+    root = _fsum_root(spec.terms(n).astype(np.float64))
     inside = sum(abs(mc.simulate(spec, n, mc.RngSpec(seed, p)).final_value) <= root
                  for p in range(paths))
     rep = mc.tomaszewski_check(spec, n, "mc", paths=paths, seed=seed)
@@ -887,8 +990,8 @@ def test_strict_sign_change_law_matches_enumeration():
         signs = np.array(list(itertools.product((-1, 1), repeat=steps)))
         kernel = mc._PathKernel(Constant(1), steps)
         changes = []
-        for lo in range(0, len(signs), kernel.paths_per_pass):
-            rows = signs[lo:lo + kernel.paths_per_pass]
+        for lo in range(0, len(signs), mc._BLOCK):
+            rows = signs[lo:lo + mc._BLOCK]
             tally = mc._PathTally(1, (), 1e-9, full=False, paths=len(rows))
             kernel.run(SignSource(rows), tally)
             changes += tally.sign_changes.tolist()

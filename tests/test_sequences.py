@@ -263,3 +263,13 @@ def test_logcont_range_terms_across_segment_ends():
         a = max(2, min(n + 1, gen.choice(edges) + gen.randrange(-3, 4)))
         b = min(n + 1, a + gen.choice([1, 2, 7, 8, 9, 63, 1000, 1 << 16, gen.randrange(1, 200_000)]))
         assert spec.terms_between(a, b).tobytes() == whole[a - 2:b - 2].tobytes(), (a, b)
+
+
+def test_logcont_term_and_value_runs_read_the_walk_bits():
+    # the spectral layer's values (`value_runs`) and `term` are the walk's
+    # terms bit for bit (c * math.log(k) rounds 2 of them apart with glibc)
+    spec = parse_spec("logcont:1.4426950408889634")
+    n = 10 ** 5
+    terms = spec.terms(n).tolist()
+    assert [spec.term(k) for k in range(2, n + 1)] == terms
+    assert spec.value_runs(n) == [(v, 1) for v in terms]
