@@ -407,6 +407,22 @@ def _sign_sums(weights) -> np.ndarray:
     return sums
 
 
+def _sign_sums_within(weights, bound: float) -> int:
+    """How many of the 2^m sums of `_sign_sums(weights)` have |sum| <= bound.
+
+    The sums of the first 16 weights are enumerated once; the signs of the
+    others are walked depth first, one weight added at a time in the same
+    order, so every sum is the same float64 as in `_sign_sums`, while
+    memory stays at one array of 2^16 sums per remaining weight."""
+    head, tail = weights[:16], weights[16:]
+
+    def count(sums, k):
+        if k == len(tail):
+            return int(np.count_nonzero(np.abs(sums) <= bound))
+        return count(sums - tail[k], k + 1) + count(sums + tail[k], k + 1)
+    return count(_sign_sums(head), 0)
+
+
 def avoid_pattern_count(kappa: int) -> int:
     """Number of +-1 strings of length kappa with no consecutive (-1,+1,-1).
 

@@ -30,16 +30,17 @@ The kernel walks in one of two ways:
   growth threshold) are expanded to exact per-step sums; every other byte
   keeps one sign and stays outside every band.  A chunk is one array of
   (paths, sign bytes), 2^16 bytes in all;
-- a segment at a time, for real weights: the paths of a pass walk each
-  segment together, and each path takes one cumsum per step in
-  extended precision (long double), with its carry propagated across
-  segments, which keeps the drift of a million-step sum far below the 1e-9
-  zero-detection tolerance.  A path's steps are its weights in long double
-  with the sign bit set where x_j = -1, and its float64 partial sums are
-  rounded from the cumsum and the carry apart, except where a comparison
-  could tell them from the rounded sum of the two; a reducer reads only
-  the steps where |S| is within the largest weight or level, and their
-  neighbours (`_PathKernel._decisive`).
+- a chunk at a time, for real weights: the paths of a pass walk each
+  segment together, a (paths, 2^16/paths) long-double chunk at a time,
+  with one cumsum per step in extended precision (long double) and a
+  carry propagated across segments, which keeps the drift of a
+  million-step sum far below the 1e-9 zero-detection tolerance.  A chunk
+  holds the weights with the sign bit set where x_j = -1.  Only every 16th
+  partial sum is cast to float64, with the cumsum and the carry rounded
+  apart; from these and an a-priori rounding margin, a screen reads the
+  16-step blocks where S can come within one step of zero, a level or the
+  path's largest |S|, and rounds their partial sums once each from the
+  long-double sum (`_PathKernel._screen`).
 
 Whether the spec is integer-valued alone picks the way.  Building the
 kernel refuses a weight that is not positive and a walk whose partial sums
@@ -81,6 +82,8 @@ _CHUNK = 1 << 16
 _BLOCK = 64          # paths per work unit; fixed so partitioning never varies
 _WORDS = 1 << 10     # most uint64 words per RNG refill
 _BYTE_CHUNK = 1 << 16  # sign bytes per byte-path chunk, over all the paths of a pass
+_REAL_CHUNK = 1 << 16  # steps per real-walk chunk, over all the paths of a pass
+_STRIDE = 16           # the real walk casts every 16th partial sum
 
 # Row c of _BYTE_SIGNS is the +-1 steps x_j of sign byte c (bit j is step j).
 # _BYTE_PREFIX / _BYTE_JPREFIX hold the prefix sums of x_j and of j*x_j over
@@ -126,6 +129,10 @@ def _sign_byte() -> int:
 
 
 _SIGN_BYTE = _sign_byte()
+# Row c of _NEGATIVE holds 0x80, the sign bit of byte _SIGN_BYTE, at the
+# steps x_j = -1 of sign byte c, and 0 at the others.
+_NEGATIVE = (_BYTE_SIGNS < 0).astype(np.uint8) << 7
+_STRIDE_LANES = np.arange(_STRIDE)
 
 # Attached to every experiment report: simulation evidence is finite-horizon
 # only and never establishes an almost-sure / asymptotic claim.
@@ -292,14 +299,54 @@ class _PathKernel:
 
     The real walk (`_run_real`) cuts the walk into segments that end at
     every multiple of 2^16 steps, at each checkpoint and at the horizon.
-    In each segment every path of the pass copies the segment's weights
-    (`SequenceSpec.terms_between`) in long double, sets the sign bit (byte
-    `_SIGN_BYTE`, bit 0x80) where x_j = -1, which is exact, and takes one
-    long-double cumsum, to which its carry is added; reducer.update reads
-    the steps that decide its statistics (`_decisive`) path by path, and
-    reducer.snapshot follows a segment that ends at a checkpoint.
     The cut positions fix the rounding: keep them where they are, or
     reports move.  A walk of no steps takes it too and returns at once.
+    A segment is walked a chunk at a time, one (paths, 2^16/paths)
+    long-double array (1 MB), and each row of a chunk is cut into blocks
+    of 16 steps (the last may be shorter).  Per chunk the segment's
+    weights (`SequenceSpec.terms_between`) are copied into every row in
+    long double, the sign bit (byte `_SIGN_BYTE`, bit 0x80) is set where
+    x_j = -1 from the table `_NEGATIVE`, which is exact, each row's
+    previous sum in the segment is added to its first column, and one
+    cumsum runs along the rows.  So every path makes the same long-double
+    additions in the same order as one cumsum over its segment.  Its
+    partial sums are S_j = RN64(sums_j + carry): the cumsum and the path's
+    carry added in long double, then rounded to float64.
+
+    `_screen` decides every step from every 16th partial sum.  Let a_j =
+    RN64(sums_j) + RN64(carry) in float64, W the segment's weight sum, c
+    the largest |carry| of the pass and w the segment's largest weight.
+    Each of a_j and S_j is a few roundings, relative 2^-53 or finer, of
+    sums of at most W + c, plus a few 2^-1075 for subnormals (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 2), so before any
+    sum is seen
+        |a_j - S_j| <= M = 2^-50 (W + 3c) + 2^-1070,
+        |S_j - S_{j-1}| <= d = w + M,
+    the latter across chunks and segments too (S before the walk is 0).
+    At a step j of a block (p, e] of at most 16 steps, p the step before
+    it, |S_j| lies within 8d of (|S_p| + |S_e|) / 2, by the triangle
+    inequality from both ends.  The screen casts a_p and a_e only; with the
+    mean's own rounding, within M, |S_j| lies within spread = 8d + 2M of
+    (|a_p| + |a_e|) / 2.  It reads a block, rounding its sums once each,
+    where that mean is at most low + spread, low = max(levels, zero_tol +
+    d), and, with max |S| tracked, where it is at least B - spread, B =
+    max(top, the chunk's largest |a| - M), top being the path's largest
+    |S| before the chunk.  B is at most the path's largest |S| up to the
+    chunk's end, so a block holding that |S|, if it exceeds top, is read,
+    and top becomes exact again.  The reducer gets the steps of the read
+    blocks with |S| <= low.
+
+    Those are every zero and band hit, as every level is at most low, and
+    every step where S changes sign: if S_i and S_k are nonzero with
+    opposite signs and only zeros between, then |S_k| <= d when k = i + 1
+    (|S_i| + |S_k| = |S_k - S_i|) and |S_k| <= zero_tol + d otherwise.  So
+    between two nonzero steps read one after the other no change ends at a
+    step, and every nonzero S between them has the sign of the first: the
+    changes the reducer counts, from its last sign (`_PathTally.last_sign`)
+    across chunks and segments too, are the path's.  max |S| and S(n) are
+    exact.  A segment's steps reach the reducer at once
+    (reducer.update_real), and reducer.snapshot follows a segment that ends
+    at a checkpoint.
     """
 
     def __init__(self, spec: SequenceSpec, horizon: int, checkpoint_steps: Sequence[int] = ()):
@@ -322,12 +369,10 @@ class _PathKernel:
         ends = sorted(set(range(_CHUNK, self.steps, _CHUNK)) | self.checkpoints
                       | ({self.steps} if self.steps else set()))
         self.segments = list(zip([0] + ends[:-1], ends))
-        size = min(_CHUNK, self.steps)
-        self._long = np.empty(size, dtype=np.longdouble)  # the segment's weights
-        self._sums = np.empty(size, dtype=np.longdouble)  # one path's cumsum
-        self._signs = self._sums.view(np.uint8).reshape(size, self._sums.itemsize)[:, _SIGN_BYTE]
-        self._rounded = np.empty(size)
-        self._abs = np.empty(size)
+        size = min(_REAL_CHUNK, _BLOCK * min(_CHUNK, self.steps))
+        self._long = np.empty(size, dtype=np.longdouble)  # a chunk's cumsums
+        self._weights = np.empty(min(_CHUNK, self.steps), dtype=np.longdouble)
+        self._ends = np.empty(size // _STRIDE + 2 * _BLOCK)  # |a| at the ends of its blocks
 
     def _init_runs(self) -> None:
         """The walk's runs, checked, and the bytes that are not affine.
@@ -539,75 +584,106 @@ class _PathKernel:
         return carry
 
     def _run_real(self, take_bytes, reducer, paths):
-        """Feed each path's segments to reducer.update (see `_decisive`);
-        return the last partial sum of each path, in long double."""
+        """Walk the segments a chunk at a time and feed reducer.update_real
+        the steps `_screen` finds in each segment; return the last partial
+        sum of each path, in long double."""
         carry = np.zeros(paths, dtype=np.longdouble)
+        width = min(self.steps, _CHUNK, max(_STRIDE, _REAL_CHUNK // paths // _STRIDE * _STRIDE))
+        top = np.zeros(paths) if reducer is not None and reducer.full else None
         for pos, end in self.segments:
-            m, at = end - pos, pos % _CHUNK
+            at, span = pos % _CHUNK, end - pos
             if not at:  # segments never cross a refill
                 codes = take_bytes(-(-min(_CHUNK, self.steps - pos) // 8))
-            sums, signs = self._sums[:m], self._signs[:m]
             weights = self.spec.terms_between(self.first + pos, self.first + end)
             if reducer is not None:
-                reach = max(float(weights.max()), *reducer.levels)
-            if paths > 1:  # in long double once for all paths (exact)
-                self._long[:m] = weights
-                weights = self._long[:m]
-            lo, hi, skip = at // 8, -(-(at + m) // 8), at % 8  # the segment's sign bytes
-            for p in range(paths):
-                np.copyto(sums, weights)
-                neg = np.unpackbits(~codes[p, lo:hi], bitorder="little")[skip:skip + m]
-                neg <<= 7
-                signs |= neg  # -w_j where x_j = -1
-                np.add.accumulate(sums, out=sums)  # the cumsum
-                if reducer is not None:
-                    reducer.update(p, pos, *self._decisive(sums, carry[p], reducer.levels, reach))
-                carry[p] += sums[-1]
-            if reducer is not None and end in self.checkpoints:
-                reducer.snapshot(end)
+                margin = 2.0 ** -50 * (float(weights.sum()) + 3 * float(np.abs(carry).max())) \
+                    + 2.0 ** -1070
+                step = float(weights.max()) + margin  # |S_j - S_{j-1}| <= step
+                low = max(*reducer.levels, reducer.zero_tol + step)
+                bounds = margin, _STRIDE / 2 * step + 2 * margin, low
+                rounded = carry.astype(np.float64)
+                found = []
+            for lo in range(0, span, width):
+                m = min(width, span - lo)
+                sums = _shaped(self._long, (paths, m))
+                self._weights[:m] = weights[lo:lo + m]  # in long double once (exact)
+                np.copyto(sums, self._weights[:m])
+                first = at + lo  # the chunk's sign bytes, from the one holding step `first`
+                neg = np.take(_NEGATIVE, codes[:, first // 8:-(-(first + m) // 8)], axis=0)
+                signs = sums.view(np.uint8).reshape(paths, m, -1)[:, :, _SIGN_BYTE]
+                signs |= neg.reshape(paths, -1)[:, first % 8:first % 8 + m]  # -w_j where x_j = -1
+                if lo:
+                    sums[:, 0] += prev
+                np.add.accumulate(sums, axis=1, out=sums)  # the cumsum
+                if reducer is not None:  # a at the step before the chunk, then the screen
+                    before = prev.astype(np.float64) + rounded if lo else rounded
+                    keys, s, peak = self._screen(sums, carry, before, bounds, top)
+                    keys += keys // m * (span - m) + lo  # row*span + step in the segment
+                    found.append((keys, s))
+                    if top is not None:
+                        np.maximum(top, peak, out=top)
+                prev = sums[:, -1].copy()
+            carry += prev
+            if reducer is not None:
+                keys, s = (np.concatenate(x) for x in zip(*found))
+                if len(found) > 1:  # from chunk-major to row-major: a merge of sorted runs
+                    order = np.argsort(keys, kind="stable")
+                    keys, s = keys[order], s[order]
+                reducer.update_real(pos, span, keys, s, top, carry.astype(np.float64))
+                if end in self.checkpoints:
+                    reducer.snapshot(end)
         return carry
 
-    def _decisive(self, sums: np.ndarray, carry, levels, reach: float):
-        """The steps of a segment that a reducer reads, their partial sums
-        S = RN64(sums + carry) (the cumsum and the carry added in long
-        double, then rounded to float64) and the segment's largest |S|.
+    def _screen(self, sums, carry, before, bounds, top):
+        """The steps of a (paths, m) chunk of cumsums that a reducer reads,
+        as sorted flat keys row*m + j, with their partial sums S =
+        RN64(sums + carry); and, given `top` (each path's largest |S| so
+        far), each path's largest |S| in the chunk, else None.
 
-        a = RN64(sums) + RN64(carry) in float64 lies within a few units of
-        roundoff, u = 2^-53, times |a| + |carry| of S, plus a few 2^-1075
-        for subnormals (Higham, Accuracy and Stability of Numerical
-        Algorithms, ch. 2), so within M = 2^-50 (max|a| + 2|carry|) + 2^-1070.
-        Call a step low if |a| <= reach + M, where reach is the largest of
-        the reducer's levels and of the segment's weights.  A step that is
-        not low is no zero and no band hit.  S moves by one weight per
-        step, give or take a rounding far below reach (the segment holds at
-        most 2^16 weights), so two steps in a row that are not low have one
-        sign.  The reducer therefore reads only the low steps, the step
-        after each, the first and the last: the sign changes among them are
-        those of the segment.  Of these, the steps with |a| within M of 0
-        or of a level, and the last, take S itself; every other one has
-        the sign and the side of every level of its S.  The largest |S| is
-        that of a step with |a| >= max|a| - 2M, where S is taken too."""
-        m = sums.size
-        a = self._rounded[:m]
-        np.copyto(a, sums)
-        carry64 = float(carry)
-        a += carry64
-        x = np.abs(a, out=self._abs[:m])
-        top = float(x.max())
-        margin = 2.0 ** -50 * (top + 2 * abs(carry64)) + 2.0 ** -1070
-        read = x <= reach + margin  # the low steps
-        read[1:] |= read[:-1]  # and the step after each (numpy reads before it writes)
-        read[0] = read[-1] = True
-        steps = np.flatnonzero(read)
-        s, x_s = a[steps], x[steps]
-        exact = x_s <= margin
-        for level in levels:
-            exact |= np.abs(x_s - level) <= margin
-        exact[-1] = True
-        s[exact] = (sums[steps[exact]] + carry).astype(np.float64)
-        tops = np.flatnonzero(x >= top - 2 * margin)
-        peak = float(np.abs((sums[tops] + carry).astype(np.float64)).max())
-        return steps, s, peak
+        `before` holds a at the step before the chunk and `bounds` is
+        (margin, spread, low), M, 8d + 2M and low in the notation of
+        `_PathKernel`, which proves what the screen reads."""
+        margin, spread, low = bounds
+        paths, m = sums.shape
+        whole, nb = m // _STRIDE, -(-m // _STRIDE)
+        ends = _shaped(self._ends, (paths, nb + 1))  # |a| at the step before each block
+        ends[:, 1:whole + 1] = sums[:, _STRIDE - 1::_STRIDE]
+        if whole < nb:
+            ends[:, -1] = sums[:, -1]
+        ends += carry.astype(np.float64)[:, None]
+        ends[:, 0] = before
+        np.abs(ends, out=ends)
+        pair = ends[:, 1:] + ends[:, :-1]
+        read = pair <= 2 * (low + spread)
+        if top is not None:
+            best = np.maximum(top, ends.max(axis=1) - margin)
+            read |= pair >= (2 * best - 2 * spread)[:, None]  # finite, unlike 2 * (best - spread)
+        blocks = np.flatnonzero(read)
+        row = blocks // nb
+        lead = blocks * _STRIDE - row * (nb * _STRIDE - m)  # the key of each block's first step
+        if whole == nb:
+            picked = sums.reshape(-1, _STRIDE)[blocks]
+        else:  # a row's last block is short: its lanes past the row's end repeat its last step
+            picked = sums.ravel()[np.minimum(lead[:, None] + _STRIDE_LANES,
+                                             (row * m + m - 1)[:, None])]
+        picked += carry[row][:, None]
+        s = picked.astype(np.float64).ravel()
+        del picked  # before more arrays of its size: early chunks read most blocks
+        abs_s = np.abs(s)
+        peak = None
+        if top is not None:
+            peak = np.zeros(paths)
+            if blocks.size:  # the largest over each row's blocks
+                new = np.ones(blocks.size, dtype=bool)
+                np.not_equal(row[1:], row[:-1], out=new[1:])
+                new = np.flatnonzero(new)
+                peak[row[new]] = np.maximum.reduceat(abs_s, new * _STRIDE)
+        near = np.flatnonzero(abs_s <= low)
+        keys = lead[near // _STRIDE] + near % _STRIDE
+        if whole < nb:
+            keep = keys < (row[near // _STRIDE] + 1) * m
+            keys, near = keys[keep], near[keep]
+        return keys, s[near], peak
 
 
 def _weight_chunks(spec: SequenceSpec, steps: int):
@@ -620,10 +696,6 @@ def _weight_chunks(spec: SequenceSpec, steps: int):
 def _shaped(buf: np.ndarray, shape) -> np.ndarray:
     """The first entries of a flat buffer, viewed in this shape."""
     return buf[:math.prod(shape)].reshape(shape)
-
-
-def _last_true(mask: np.ndarray) -> int:
-    return int(mask.nonzero()[0][-1])
 
 
 class _PathTally:
@@ -660,37 +732,36 @@ class _PathTally:
         self.snapshots.append((at, self.zero_hits + zeros, self.sign_changes + changes,
                                self.band_hits + band_hits))
 
-    def update(self, row: int, pos: int, steps: np.ndarray, s: np.ndarray,
-               peak: float) -> None:
-        """Real-walk update of path `row` from a segment that starts at step
-        pos: S at its `steps` (every one that can be a zero, |S| <= zero_tol,
-        or a band hit, enough others that the sign changes among them are
-        the segment's, and the last one) and the segment's largest |S|."""
+    def update_real(self, pos: int, span: int, keys: np.ndarray, s: np.ndarray,
+                    peak, final: np.ndarray) -> None:
+        """Real-walk update from a segment of `span` steps from step pos of
+        each path: S at the flat keys row*span + step (sorted), which hold
+        every zero (|S| <= zero_tol), every band hit and every step at which
+        S changes sign (see `_PathKernel`); with ``full``, each path's
+        largest |S| so far (`peak`) and its S at the segment's last step."""
         abs_s = np.abs(s)
-        zmask = abs_s <= self.zero_tol
-        zeros = int(np.count_nonzero(zmask))
-        if zeros:
-            self.zero_hits[row] += zeros
-            if self.full:
-                self.last_zero[row] = self.first + pos + steps[_last_true(zmask)]
-        for b, c in enumerate(self.bands):
-            bmask = abs_s <= c
-            hits = int(np.count_nonzero(bmask))
-            if hits:
-                self.band_hits[b, row] += hits
-                if self.full:
-                    self.last_band[b, row] = self.first + pos + steps[_last_true(bmask)]
+        zero = abs_s <= self.zero_tol
+        events = [keys[zero]] + [keys[abs_s <= c] for c in self.bands]
         # sign changes among the nonzero S; a zero never counts as a sign
-        live = s[~zmask] if zeros else s
-        if live.size:
-            up = live > 0
-            if self.last_sign[row] and (1 if up[0] else -1) != self.last_sign[row]:
-                self.sign_changes[row] += 1
-            self.sign_changes[row] += int(np.count_nonzero(up[1:] != up[:-1]))
-            self.last_sign[row] = 1 if up[-1] else -1
+        live = ~zero
+        at, up = keys[live], s[live] > 0
+        if at.size:
+            row = at // span
+            head = np.ones(at.size, dtype=bool)  # each row's first nonzero S
+            head[1:] = row[1:] != row[:-1]
+            before = np.empty_like(up)
+            before[1:] = up[:-1]
+            known = self.last_sign[row[head]]
+            before[head] = known > 0
+            change = up != before
+            change[head] &= known != 0
+            tail = np.append(head[1:], True)  # each row's last nonzero S
+            self.last_sign[row[tail]] = np.where(up[tail], 1, -1)
+            at = at[change]
+        self._count(events, [at], span, pos, ())
         if self.full:
-            self.max_abs[row] = max(self.max_abs[row], peak)
-            self.final[row] = float(s[-1])
+            self.max_abs = np.maximum(self.max_abs, peak)
+            self.final = final
 
     def snapshot(self, steps: int) -> None:
         """The real walk's checkpoint: every path has walked `steps` steps."""
@@ -698,7 +769,7 @@ class _PathTally:
 
     def update_bytes(self, kernel: _PathKernel, lo: int, index: np.ndarray,
                      ends: np.ndarray, cps: np.ndarray) -> bool:
-        """Byte-path `update`: `ends` holds S at the last step of bytes lo,
+        """Byte-path update: `ends` holds S at the last step of bytes lo,
         lo+1, ... (one row per path), `index` their sign bytes and `cps` the
         checkpoints (step counts) that fall in them.
 
@@ -766,27 +837,8 @@ class _PathTally:
         if real < span:
             between_at = between_at[between_at % span < real]
         self.last_sign = np.where(last_up[:, -1], 1, -1)
-        # per row: the events up to each checkpoint, then in the whole chunk
-        starts = np.arange(paths) * span
-        edges = starts + np.array([0] + [int(cp) - base for cp in cps] + [span])[:, None]
-
-        def count(e):  # per later edge and row: the events before it; where the last stop
-            stop = np.searchsorted(e, edges)
-            return stop[1:] - stop[0], stop[-1]
-        zeros = count(zeros_at)
-        tallies = [zeros] + [zeros if e is zeros_at else count(e) for e in events[1:]]
-        changes = count(between_at)[0] + count(inner_at)[0]
-        band_counts = np.array([n for n, _ in tallies[1:]], dtype=np.int64).reshape(
-            len(self.bands), len(edges) - 1, paths)
-        for i, cp in enumerate(cps):
-            self._snapshot(self.first + int(cp) - 1, zeros[0][i], changes[i], band_counts[:, i])
-        self.zero_hits += zeros[0][-1]
-        self.sign_changes += changes[-1]
-        self.band_hits += band_counts[:, -1]
+        self._count(events, [between_at, inner_at], span, base, cps)
         if self.full:
-            for e, (n, stop), last in zip(events, tallies, [self.last_zero, *self.last_band]):
-                got = n[-1] > 0
-                last[got] = e[stop[got] - 1] - starts[got] + self.first + base
             # only a byte that reaches past the largest |S| at a byte end can beat it
             top = np.maximum(self.max_abs.astype(np.int64), abs_ends.max(axis=1))
             bound = kernel.reach_bound()
@@ -798,6 +850,34 @@ class _PathTally:
             self.max_abs = top.astype(np.float64)
             self.final = ends[:, -1].astype(np.float64)
         return False
+
+    def _count(self, events, changes, span: int, base: int, cps) -> None:
+        """Add a chunk's events, given as sorted flat keys row*span + step
+        (step 0 is step `base` of the walk): `events` those of the zeros and
+        of each band's hits, `changes` those of the sign changes, in one or
+        more arrays; `cps` the checkpoints (step counts) in the chunk."""
+        paths = self.zero_hits.size
+        # per row: the events up to each checkpoint, then in the whole chunk
+        starts = np.arange(paths) * span
+        edges = starts + np.array([0] + [int(cp) - base for cp in cps] + [span])[:, None]
+
+        def count(e):  # per later edge and row: the events before it; where the last stop
+            stop = np.searchsorted(e, edges)
+            return stop[1:] - stop[0], stop[-1]
+        zeros = count(events[0])
+        tallies = [zeros] + [zeros if e is events[0] else count(e) for e in events[1:]]
+        changed = sum(count(e)[0] for e in changes)
+        band_counts = np.array([n for n, _ in tallies[1:]], dtype=np.int64).reshape(
+            len(self.bands), len(edges) - 1, paths)
+        for i, cp in enumerate(cps):
+            self._snapshot(self.first + int(cp) - 1, zeros[0][i], changed[i], band_counts[:, i])
+        self.zero_hits += zeros[0][-1]
+        self.sign_changes += changed[-1]
+        self.band_hits += band_counts[:, -1]
+        if self.full:
+            for e, (n, stop), last in zip(events, tallies, [self.last_zero, *self.last_band]):
+                got = n[-1] > 0
+                last[got] = e[stop[got] - 1] - starts[got] + self.first + base
 
     def stats(self, horizon: int, steps: int) -> PathStats:
         """The `PathStats` of a one-path tally."""
@@ -1191,7 +1271,7 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
     experiments' worker pool.
     """
     if mode == "exact":
-        from .exact import _sign_sums, distribution
+        from .exact import _sign_sums_within, distribution
         if spec.is_integer_valued:
             dist = distribution(spec, n)
             good = dist.band_count(math.isqrt(sum_squares_exact(spec, n)))
@@ -1201,8 +1281,7 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
             if steps > 24:
                 raise PreconditionError(
                     f"enumeration mode capped at 24 steps, got {steps}")
-            sums = np.abs(_sign_sums(spec.terms(n)))
-            prob = Fraction(int(np.count_nonzero(sums <= _real_root(spec, n))), sums.size)
+            prob = Fraction(_sign_sums_within(spec.terms(n), _real_root(spec, n)), 1 << steps)
         return TomaszewskiReport(spec=spec.canonical(), horizon=n, mode="exact",
                                  probability=prob, passed=prob >= Fraction(1, 2))
     if mode == "mc":

@@ -286,6 +286,30 @@ def _long_double_cases():
     for r in range(8):
         cases.append((f"1e307 #{r}", big, gen.choice(np.array([-1, 1], dtype=np.int8), size=7),
                       (0, 3.3e305, 1e307), 1e-9, [3, 7]))
+    # events strictly inside a 16-step block of the screen whose two ends,
+    # the step before it and its last, lie beyond every level: weights w =
+    # 1/2, and S in units of w.  From 2w: a zero at the block's second
+    # step, then up to 14w; back to 2w ...
+    half = parse_spec("constant:0.5")
+    lead = [1, 1] + [-1, 1] * 7  # ends at 2w
+    block = [-1, -1] + [1] * 14 + [1, 1] + [-1] * 14
+    cases.append(("zero inside a block", half, np.array(lead + block * 100, dtype=np.int8),
+                  (), 1e-9, [1616, 3216]))
+    # ... a band edge, |S| = w, at its third step, then up to 14w ...
+    block = [1, -1, -1] + [1] * 13 + [1, 1] + [-1] * 14
+    cases.append(("band edge inside a block", half, np.array(lead + block * 100, dtype=np.int8),
+                  (0.5,), 1e-9, [1616, 3216]))
+    # ... and from the largest |S| so far, 16w, a new largest |S| at its
+    # first step, then down to 2w, 14w below the old one
+    signs = [1] * 16 + [1] + [-1] * 15 + [-1, 1] * 200
+    cases.append(("record inside a block", half, np.array(signs, dtype=np.int8), (1.0,), 1e-9,
+                  [432]))
+    # a horizon and checkpoints that are multiples neither of 16 nor of a
+    # chunk, so that blocks and chunks come short
+    spec = parse_spec("logcont:1.4426950408889634")
+    first = spec.first_index
+    cases.append(("short blocks", spec, gen.choice(np.array([-1, 1], dtype=np.int8), size=5003),
+                  (0.5, 3), 1e-9, [first + c - 1 for c in (17, 2049, 2050, 4103, 5003)]))
     return cases
 
 
@@ -293,11 +317,20 @@ _LONG_DOUBLE_CASES = _long_double_cases()
 
 
 def _check_long_double_case(case):
+    # one path, whose chunks are whole segments, and a pass of 64 paths,
+    # the case's signs and their negation, in chunks of 1024 steps
     _, spec, signs, bands, zero_tol, checkpoints = case
     want = _stats_of_sums(spec.first_index, _long_double_sums(spec, signs, checkpoints),
                           bands, zero_tol, set(checkpoints))
     got = simulate_signs(spec, signs, bands=bands, zero_tol=zero_tol, checkpoints=checkpoints)
     _assert_stats_equal(got, want)
+    first = spec.first_index
+    kernel = mc._PathKernel(spec, first + len(signs) - 1, [c - first + 1 for c in checkpoints])
+    tally = mc._PathTally(first, bands, zero_tol, paths=mc._BLOCK)
+    kernel.run(SignSource(np.tile([signs, -signs], (mc._BLOCK // 2, 1))), tally)
+    row = _as_columns(want, bands, True)
+    negated = row[:4] + [-row[4]] + row[5:]
+    assert tally.columns().tolist() == [row, negated] * (mc._BLOCK // 2)
 
 
 @pytest.mark.parametrize("case", _LONG_DOUBLE_CASES, ids=[c[0] for c in _LONG_DOUBLE_CASES])
@@ -307,20 +340,39 @@ def test_real_walk_matches_long_double_reference(case):
     _check_long_double_case(case)
 
 
-def test_long_double_cases_catch_sums_rounded_apart(monkeypatch):
-    # the mutation that skips the recomputation: the sums rounded apart
-    # everywhere must fail at least one case of the oracle test
-    def apart(kernel, sums, carry, levels, reach):
-        s = sums.astype(np.float64) + float(carry)
-        return np.arange(s.size), s, float(np.abs(s).max())
-    monkeypatch.setattr(mc._PathKernel, "_decisive", apart)
+def _failed_long_double_cases():
     failed = []
     for case in _LONG_DOUBLE_CASES:
         try:
             _check_long_double_case(case)
         except AssertionError:
             failed.append(case[0])
-    assert failed
+    return failed
+
+
+def test_long_double_cases_catch_sums_rounded_apart(monkeypatch):
+    # the mutation that skips the one rounding: every step read, its sum
+    # rounded apart, RN64(cumsum) + RN64(carry), must fail at least one
+    # case of the oracle test
+    def apart(kernel, sums, carry, before, bounds, top):
+        s = sums.astype(np.float64) + carry.astype(np.float64)[:, None]
+        return np.arange(s.size), s.ravel(), np.abs(s).max(axis=1)
+    monkeypatch.setattr(mc._PathKernel, "_screen", apart)
+    assert _failed_long_double_cases()
+
+
+def test_long_double_cases_catch_a_screen_of_half_the_reach(monkeypatch):
+    # the mutation that screens the blocks as if S strayed half as far from
+    # the ends of a block: it misses the zero, the band edge and the new
+    # largest |S| that lie inside a block
+    screen = mc._PathKernel._screen
+
+    def halved(kernel, sums, carry, before, bounds, top):
+        margin, spread, low = bounds
+        return screen(kernel, sums, carry, before, (margin, spread / 2, low), top)
+    monkeypatch.setattr(mc._PathKernel, "_screen", halved)
+    assert {"zero inside a block", "band edge inside a block",
+            "record inside a block"} <= set(_failed_long_double_cases())
 
 
 def _path_stats_columns(st, full):
@@ -338,11 +390,18 @@ def _path_stats_columns(st, full):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_real_path_blocks_match_single_paths(threads, monkeypatch):
-    # 70 real paths (a 64-path unit walked together and a unit of 6) of more
-    # than 2^16 steps, checkpoints inside refills, against one path at a time
+    # the real walk's twin of test_long_walk_units_match_single_paths: 70
+    # paths of more than 2^16 steps, a 64-path unit that walks chunks of
+    # 1024 steps per path and a unit of 6 that walks chunks of 10,912, with
+    # checkpoints at chunk edges and inside refills, against `simulate`,
+    # which walks each segment as one chunk
     monkeypatch.setenv("AWALK_THREADS", threads)
     spec, n, paths, seed = parse_spec("logcont:1.4426950408889634"), 70_000, 70, 29
-    bands, cps = [0.5, 3.0], [9, 40_000, 65_537, 65_600, 70_000]
+    unit_chunk = mc._REAL_CHUNK // mc._BLOCK
+    tail_chunk = mc._REAL_CHUNK // (paths - mc._BLOCK) // mc._STRIDE * mc._STRIDE
+    steps = [9, unit_chunk, unit_chunk + 1, 3 * unit_chunk + 5, tail_chunk + 9,
+             2 * tail_chunk + 10, 40_000, 65_537, 65_600, n - spec.first_index + 1]
+    bands, cps = [0.5, 3.0], [spec.first_index + c - 1 for c in steps]
     single = [mc.simulate(spec, n, mc.RngSpec(seed, p), bands, checkpoints=cps)
               for p in range(paths)]
     for kind in ("stats", "counts", "final"):
@@ -374,8 +433,12 @@ def test_real_walks_that_could_overflow_are_refused(threads, monkeypatch, tmp_pa
 
 def _step_loop_columns(spec, signs, bands, checkpoints, full):
     """`_step_loop_stats` in the flat layout of `_PathTally.columns`."""
-    zeros, changes, last_zero, max_abs, final, hits, last, snaps = _step_loop_stats(
-        spec, signs, bands, checkpoints)
+    return _as_columns(_step_loop_stats(spec, signs, bands, checkpoints), bands, full)
+
+
+def _as_columns(fields, bands, full):
+    """The fields of `_step_loop_stats` in the flat layout of `_PathTally.columns`."""
+    zeros, changes, last_zero, max_abs, final, hits, last, snaps = fields
     none = -1
     row = [zeros, changes, last_zero if full and last_zero is not None else none,
            max_abs if full else 0.0, final if full else 0.0]
@@ -1093,21 +1156,49 @@ def test_jobs_over_the_path_step_budget_are_refused_before_they_start(threads, m
     assert not list(tmp_path.iterdir())
 
 
+def _main_peak_kib(argv) -> int:
+    """The peak resident memory, in KiB, of `awalk.cli.main(argv)` run in a
+    fresh process that must exit 0: its own VmHWM, since Linux carries
+    ru_maxrss over from the process that forked it across exec."""
+    code = ("import json, sys; from awalk.cli import main; code = main(sys.argv[1:]); "
+            "peak = next(int(line.split()[1]) for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')); print(json.dumps([code, peak]))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    exit_code, peak_kib = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert exit_code == 0, proc.stderr
+    return peak_kib
+
+
 def test_long_integer_walk_runs_in_little_memory(tmp_path):
     # 3*10^8 steps of logceil:2 in one process: the walk holds its 28 runs
     # and one chunk's tables, not 8 bytes per step (2.4 GB)
-    code = ("import json, resource, sys; from awalk.cli import main; "
-            "code = main(sys.argv[1:]); "
-            "print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))")
     out = tmp_path / "s.json"
-    proc = subprocess.run([sys.executable, "-c", code, "simulate", "--spec", "logceil:2",
-                           "--n", str(3 * 10 ** 8), "--seed", "1", "--out", str(out)],
-                          capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    exit_code, peak_kib = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert exit_code == 0, proc.stderr
+    peak_kib = _main_peak_kib(["simulate", "--spec", "logceil:2", "--n", str(3 * 10 ** 8),
+                               "--seed", "1", "--out", str(out)])
     assert json.loads(out.read_text())["path"]["steps"] == 3 * 10 ** 8 - 1
-    assert peak_kib < 200 * 1024  # ru_maxrss is in KiB on Linux
+    assert peak_kib < 200 * 1024
+
+
+def test_real_tomaszewski_enumeration_counts_every_sum_in_little_memory(tmp_path):
+    # the sums of the first 16 weights, then the other signs depth first:
+    # at the root and at bounds right on sums, whose count one ulp moves,
+    # the count is full enumeration's
+    for spec in (parse_spec("logcont:1.4426950408889634"), Constant(0.7)):
+        n = spec.first_index + 19  # 20 steps
+        w = spec.terms(n)
+        sums = np.abs(exact._sign_sums(w))
+        root = mc._real_root(spec, n)
+        for bound in [root, *np.unique(sums)[::997].tolist()]:
+            assert exact._sign_sums_within(w, bound) == np.count_nonzero(sums <= bound)
+        assert mc.tomaszewski_check(spec, n).probability == Fraction(
+            int(np.count_nonzero(sums <= root)), sums.size)
+    # 24 steps: 2^24 sums, which full enumeration held at once (360 MB)
+    out = tmp_path / "t.json"
+    peak_kib = _main_peak_kib(["tomaszewski", "--spec", "logcont:1.4426950408889634",
+                               "--n", "25", "--out", str(out)])
+    assert json.loads(out.read_text())["horizon"] == 25
+    assert peak_kib < 100 * 1024
 
 
 def test_rngspec_validation():
