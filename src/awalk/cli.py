@@ -450,8 +450,8 @@ def main(argv: list[str] | None = None) -> int:
     except ToleranceError as exc:
         print(f"awalk: tolerance failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except ResourceError as exc:
-        print(f"awalk: resource limit: {exc}", file=sys.stderr)
+    except (ResourceError, MemoryError) as exc:
+        print(f"awalk: resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except PreconditionError as exc:
         print(f"awalk: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: precondition/domain problems exit 2,
-resource-budget problems exit 3, unmet tolerances exit 4.
+resource-budget problems (and MemoryError) exit 3, unmet tolerances exit 4.
 """
 
 import math

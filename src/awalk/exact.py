@@ -8,11 +8,13 @@ floats, so a pass is a proof for the swept range.
 
 One band DP, `_band_masses`, computes every lattice quantity: the pmf
 (`distribution`), first-hit and visit series (`zero_hit_probability`,
-`expected_visits`) and integer Azuma tails.  It runs one in-place shift-add
-per weight over a numpy object buffer whose element type is the arithmetic:
-big-int counts, or 256-bit mpmath floats for mode "float256".  The buffer
-holds unnormalised masses; step i's band mass is scaled by 2^-(i+1) once,
-which is exact in both arithmetics.
+`expected_visits`) and integer Azuma tails.  The signs are symmetric, so
+every mass is, m(-z) = m(z): the DP keeps the cells z >= 0 in a numpy
+object buffer of big-int counts, or of 256-bit mpmath floats for mode
+"float256", and each weight a makes m'(z) = m(z+a) + m(|z-a|).  One
+addition per cell gives every cell its full-lattice twin bit for bit.  The
+buffer holds unnormalised masses; step i's band mass is scaled by 2^-(i+1)
+once, which is exact in both arithmetics.
 """
 
 from __future__ import annotations
@@ -150,20 +152,26 @@ def distribution(spec: SequenceSpec, n: int) -> LatticeDist:
 
 def _lattice(weights: list[int]) -> LatticeDist:
     """Exact pmf of sum w_i x_i for a list of integer weights (zeros allowed)."""
-    _, counts = _band_masses(weights, None, False, 1)
-    return LatticeDist(n=len(weights), offset=-sum(weights), counts=counts.tolist())
+    total = sum(weights)
+    half = _band_masses(weights, None, False, 1)[1].tolist()
+    return LatticeDist(n=len(weights), offset=-total, counts=half[::-1] + half[1 - (total & 1):])
 
 
 def _band_masses(weights: list[int], band: int | float | None, absorb: bool,
                  one) -> tuple[list, np.ndarray]:
-    """The band DP: (per-step masses with |S| <= band, final lattice buffer).
+    """The band DP: (per-step masses with |S| <= band, final half buffer).
 
-    Cell j of the buffer holds the mass at S = offset + 2j, offset being
-    minus the weights summed so far; ``one`` is the starting mass and sets
-    the arithmetic (int 1 for counts, mpmath.mpf(1) for float256, which
-    must run under workprec(256)).  Masses are never halved, so the mass
-    recorded after k weights is 2^k times its probability.  ``band`` None
-    records no masses; ``absorb`` removes each step's band mass from the walk.
+    Cell i of the buffer holds the mass at S = p + 2i >= 0, p being the
+    parity of the weights summed so far; the cells S < 0 are its mirror
+    image.  ``one`` is the starting mass and sets the arithmetic (int 1 for
+    counts, mpmath.mpf(1) for float256, which must run under workprec(256)).
+    Masses are never halved, so the mass recorded after k weights is 2^k
+    times its probability.  ``band`` None records no masses; ``absorb``
+    removes each step's band mass from the walk.
+
+    A band mass is summed in the full lattice's order, S = -band up to
+    +band, so float256 rounds it as before (2*sum + m(0) would not).  The
+    guards count all sum(weights) + 1 cells: about twice this buffer.
     """
     span = sum(weights) + 1
     if span > MAX_CELLS:
@@ -175,21 +183,24 @@ def _band_masses(weights: list[int], band: int | float | None, absorb: bool,
                             f"(budget {MAX_BUFFER_BYTES})",
                             required=need, budget=MAX_BUFFER_BYTES)
     zero = one - one
-    buf = np.full(span, zero, dtype=object)
-    buf[0] = one
+    buf = np.full(1, one, dtype=object)
     masses = []
-    length = 1
-    offset = 0
+    total = p = 0
     for a in weights:
-        # numpy buffers overlapping operands: new[j] = old[j] + old[j - a]
-        buf[a:length + a] += buf[:length]
-        length += a
-        offset -= a
+        total += a
+        q = total & 1
+        # new cell k (S = q + 2k) adds old cell k + s (S + a) and old cell
+        # k - t (S - a), or for k < t the mirror cell t - k - p (a - S)
+        s, t = (q + a - p) // 2, (a + p - q) // 2
+        mirrored = buf[1 - p:t + 1 - p][::-1]
+        new = np.concatenate((np.full(t - len(mirrored), zero, dtype=object), mirrored, buf))
+        new[:max(len(buf) - s, 0)] += buf[s:]
+        buf, p = new, q
         if band is not None:
-            jlo, jhi = _band_slice(offset, length, band)
-            masses.append(sum(buf[jlo:jhi], zero))
+            cells = buf[:(math.floor(band) - p) // 2 + 1]
+            masses.append(sum(cells[1 - p:], sum(cells[::-1], zero)))
             if absorb:
-                buf[jlo:jhi] = zero
+                cells[:] = zero
     return masses, buf
 
 

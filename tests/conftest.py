@@ -72,6 +72,30 @@ def visit_expectation(weights, band) -> Fraction:
     return Fraction(total, 2 ** m)
 
 
+def full_lattice_band_masses(weights, band, absorb, one):
+    """`exact._band_masses` on the full lattice -A..A, as it was before the
+    half-lattice DP: (per-step band masses, final buffer of all A + 1
+    cells), by one in-place shift-add per weight and band sums from -band
+    up to +band.  Run float256 under workprec(256)."""
+    zero = one - one
+    buf = np.full(sum(weights) + 1, zero, dtype=object)
+    buf[0] = one
+    masses = []
+    length, offset = 1, 0
+    for a in weights:
+        # numpy buffers overlapping operands: new[j] = old[j] + old[j - a]
+        buf[a:length + a] += buf[:length]
+        length += a
+        offset -= a
+        if band is not None:
+            b = math.floor(band)
+            jlo, jhi = max(0, -((b + offset) // 2)), min(length, (b - offset) // 2 + 1)
+            masses.append(sum(buf[jlo:jhi], zero))
+            if absorb:
+                buf[jlo:jhi] = zero
+    return masses, buf
+
+
 # --- driving the Monte Carlo path kernel with given signs ----------------------
 
 class SignSource:

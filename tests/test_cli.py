@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import awalk
-from awalk import exact
+from awalk import cli, exact
 from awalk.cli import build_parser, main
 from awalk.errors import ResourceError
 from awalk.reports import fmt_cell, sha256_file, write_csv, write_json
@@ -105,6 +105,16 @@ def test_band_dp_refuses_oversized_buffers_at_once(tmp_path):
         exact.expected_visits(Linear(), 5000, mode="float256")
     assert exc.value.budget == exact.MAX_BUFFER_BYTES < exc.value.required
 
+
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    # the handler raises at once: nothing is really allocated
+    def exhausted(args, outputs):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "pattern", exhausted)
+    assert run(["pattern", "--kappa-max", "300000", "--out", "p.csv"], tmp_path) == 3
+    assert capsys.readouterr().err == "awalk: resource limit: out of memory\n"
+    assert not list(tmp_path.iterdir())
 
 def test_tolerance_exit_code(tmp_path):
     assert run(["fourier", "--spec", "linear", "--n", "60", "--z", "0",

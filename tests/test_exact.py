@@ -13,7 +13,8 @@ from awalk.errors import PreconditionError, ResourceError, UnsupportedVariantErr
 from awalk.sequences import Constant, Explicit, Linear, LogContinuous, parse_spec
 
 from conftest import (descent_survival_reference, enumerate_int_sums,
-                      first_hit_probability, srw_mod, srw_point, visit_expectation)
+                      first_hit_probability, full_lattice_band_masses, srw_mod,
+                      srw_point, visit_expectation)
 
 
 def brute_counts(weights):
@@ -330,6 +331,44 @@ def test_float256_agrees_with_exact(ws, band):
         # float256 per_n entries are downcast to float64; so is the exact series
         assert [k for k, _ in fl.per_n] == [k for k, _ in ex.per_n]
         assert [p for _, p in fl.per_n] == [float(p) for _, p in ex.per_n]
+
+
+# 0.5 and, on an odd lattice, 0 lie below the first cell; 10**9 covers every cell
+DP_BANDS = st.sampled_from([None, 0, 0.5, 1, 2.5, 3, 10**9])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=24), DP_BANDS, st.booleans())
+@example([3], 0, True)
+@example([0, 2, 0, 3], 0.5, False)
+@example([0], 10**9, True)
+def test_half_lattice_dp_equals_full_lattice_counts(ws, band, absorb):
+    masses, half = exact._band_masses(ws, band, absorb, 1)
+    want, full = full_lattice_band_masses(ws, band, absorb, 1)
+    assert masses == want
+    total = sum(ws)
+    assert len(half) == total // 2 + 1
+    assert half.tolist() == full.tolist()[(total + 1) // 2:]
+    if band is None:
+        assert exact._lattice(ws).counts == full.tolist()
+        if all(ws):
+            assert exact.distribution(Explicit(ws), len(ws)).counts == full.tolist()
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.lists(st.integers(1, 2), min_size=300, max_size=310).map(
+           lambda ws: ws[:150] + [0] + ws[150:]),
+       st.sampled_from([0, 0.5, 2.5, 10**9]))
+def test_half_lattice_dp_equals_full_lattice_float256(ws, band):
+    for absorb in (True, False):
+        with mpmath.workprec(256):
+            masses, half = exact._band_masses(ws, band, absorb, mpmath.mpf(1))
+            want, full = full_lattice_band_masses(ws, band, absorb, mpmath.mpf(1))
+        assert [m._mpf_ for m in masses] == [m._mpf_ for m in want]
+        assert [c._mpf_ for c in half] == [c._mpf_ for c in full[(sum(ws) + 1) // 2:]]
+    # 300 signed steps: the counts outgrow 256 bits, so the additions rounded
+    counts = exact._band_masses(ws, None, False, 1)[1]
+    assert any(int(c) != k for c, k in zip(half, counts))
 
 
 @settings(max_examples=60, deadline=None)
