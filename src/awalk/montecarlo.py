@@ -16,9 +16,11 @@ a time from the spec's runs (`SequenceSpec.runs`) or terms
 for a walk of any length.  A reducer per experiment reads the partial sums: the path
 statistics (`_PathTally`, for `simulate`, `recurrence` and `signs`), the
 growth window test (`_GrowthTest`) or, with no reducer, only S(n)
-(`tomaszewski_check`).  Each keeps one column entry per path: every pass
-walks the paths of one 64-path work unit together (`simulate` walks one).
-The kernel walks in one of two ways:
+(`tomaszewski_check`).  Every pass walks the paths of one 64-path work
+unit together (`simulate` walks one), and its reducer, built for that many
+paths, keeps one entry per path in each of its named arrays
+(`results`), paths on the last axis, which `_run_blocks` joins name by
+name.  The kernel walks in one of two ways:
 
 - a sign byte at a time, for positive integer weights.  Byte b of a path's
   words holds steps 8b..8b+7, and two 256-entry tables give its sums of x_j
@@ -345,8 +347,8 @@ class _PathKernel:
     changes the reducer counts, from its last sign (`_PathTally.last_sign`)
     across chunks and segments too, are the path's.  max |S| and S(n) are
     exact.  A segment's steps reach the reducer at once
-    (reducer.update_real), and reducer.snapshot follows a segment that ends
-    at a checkpoint.
+    (reducer.update_real), with the segment's end as its one checkpoint
+    when a checkpoint ends it.
     """
 
     def __init__(self, spec: SequenceSpec, horizon: int, checkpoint_steps: Sequence[int] = ()):
@@ -629,9 +631,8 @@ class _PathKernel:
                 if len(found) > 1:  # from chunk-major to row-major: a merge of sorted runs
                     order = np.argsort(keys, kind="stable")
                     keys, s = keys[order], s[order]
-                reducer.update_real(pos, span, keys, s, top, carry.astype(np.float64))
-                if end in self.checkpoints:
-                    reducer.snapshot(end)
+                reducer.update_real(pos, span, keys, s, top, carry.astype(np.float64),
+                                    (end,) if end in self.checkpoints else ())
         return carry
 
     def _screen(self, sums, carry, before, bounds, top):
@@ -699,8 +700,8 @@ def _shaped(buf: np.ndarray, shape) -> np.ndarray:
 
 
 class _PathTally:
-    """Reducer for the path statistics of `PathStats`, one column entry per
-    path of the pass (`paths`).
+    """Reducer for the path statistics of `PathStats`, one entry per path of
+    the pass (`paths`) in each array.
 
     With ``full=False`` it keeps only the counts (zero hits, sign changes,
     band hits and their checkpoint snapshots) and skips the last-hit
@@ -728,17 +729,14 @@ class _PathTally:
         # (step, zero hits, sign changes, band hits) at each checkpoint
         self.snapshots: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def _snapshot(self, at: int, zeros, changes, band_hits) -> None:
-        self.snapshots.append((at, self.zero_hits + zeros, self.sign_changes + changes,
-                               self.band_hits + band_hits))
-
     def update_real(self, pos: int, span: int, keys: np.ndarray, s: np.ndarray,
-                    peak, final: np.ndarray) -> None:
+                    peak, final: np.ndarray, cps) -> None:
         """Real-walk update from a segment of `span` steps from step pos of
         each path: S at the flat keys row*span + step (sorted), which hold
         every zero (|S| <= zero_tol), every band hit and every step at which
         S changes sign (see `_PathKernel`); with ``full``, each path's
-        largest |S| so far (`peak`) and its S at the segment's last step."""
+        largest |S| so far (`peak`) and its S at the segment's last step.
+        `cps` holds the segment's end (a step count) if a checkpoint ends it."""
         abs_s = np.abs(s)
         zero = abs_s <= self.zero_tol
         events = [keys[zero]] + [keys[abs_s <= c] for c in self.bands]
@@ -758,14 +756,10 @@ class _PathTally:
             tail = np.append(head[1:], True)  # each row's last nonzero S
             self.last_sign[row[tail]] = np.where(up[tail], 1, -1)
             at = at[change]
-        self._count(events, [at], span, pos, ())
+        self._count(events, [at], span, pos, cps)
         if self.full:
             self.max_abs = np.maximum(self.max_abs, peak)
             self.final = final
-
-    def snapshot(self, steps: int) -> None:
-        """The real walk's checkpoint: every path has walked `steps` steps."""
-        self._snapshot(self.first + steps - 1, 0, 0, 0)
 
     def update_bytes(self, kernel: _PathKernel, lo: int, index: np.ndarray,
                      ends: np.ndarray, cps: np.ndarray) -> bool:
@@ -870,7 +864,9 @@ class _PathTally:
         band_counts = np.array([n for n, _ in tallies[1:]], dtype=np.int64).reshape(
             len(self.bands), len(edges) - 1, paths)
         for i, cp in enumerate(cps):
-            self._snapshot(self.first + int(cp) - 1, zeros[0][i], changed[i], band_counts[:, i])
+            self.snapshots.append((self.first + int(cp) - 1, self.zero_hits + zeros[0][i],
+                                   self.sign_changes + changed[i],
+                                   self.band_hits + band_counts[:, i]))
         self.zero_hits += zeros[0][-1]
         self.sign_changes += changed[-1]
         self.band_hits += band_counts[:, -1]
@@ -894,14 +890,18 @@ class _PathTally:
                 band_hits={c: int(h[0]) for c, h in zip(self.bands, hits)})
                 for at, z, ch, hits in self.snapshots])
 
-    def columns(self) -> np.ndarray:
-        """One row per path, in the flat layout the experiment aggregators read."""
-        cols = [self.zero_hits, self.sign_changes, self.last_zero, self.max_abs, self.final]
-        for hits, last in zip(self.band_hits, self.last_band):
-            cols += [hits, last]
-        for _, zeros, changes, hits in self.snapshots:
-            cols += [zeros, changes, *hits]
-        return np.stack(cols, axis=1).astype(np.float64)
+    def results(self) -> dict:
+        """The per-path arrays by name, paths on the last axis: at
+        checkpoint i, the counts are cp_zeros[i], cp_changes[i] and
+        cp_band_hits[i] (one row per band)."""
+        paths, snaps = self.zero_hits.size, self.snapshots
+        return {"zero_hits": self.zero_hits, "sign_changes": self.sign_changes,
+                "last_zero": self.last_zero, "max_abs": self.max_abs, "final": self.final,
+                "band_hits": self.band_hits, "last_band": self.last_band,
+                "cp_zeros": np.array([z for _, z, _, _ in snaps]).reshape(len(snaps), paths),
+                "cp_changes": np.array([c for _, _, c, _ in snaps]).reshape(len(snaps), paths),
+                "cp_band_hits": np.array([h for *_, h in snaps]).reshape(
+                    len(snaps), len(self.bands), paths)}
 
 
 class _GrowthTest:
@@ -909,15 +909,17 @@ class _GrowthTest:
 
     Thresholds are computed for the expanded steps only, always by numpy's
     array power, whose last bit can differ from its scalar power.  `ok`
-    holds one flag per path; set it to a fresh all-True array to test the
-    next paths with the same kernel.
+    holds one flag per path of the pass (`paths`).
     """
 
-    def __init__(self, window_start: int, first: int, exponent: float):
+    def __init__(self, window_start: int, first: int, exponent: float, paths: int = 1):
         self.window_start = window_start
         self.first = first
         self.exponent = exponent
-        self.ok = np.ones(1, dtype=bool)
+        self.ok = np.ones(paths, dtype=bool)
+
+    def results(self) -> dict:
+        return {"ok": self.ok}
 
     def _thresholds(self, steps: np.ndarray) -> np.ndarray:
         return np.power((self.first + steps).astype(np.float64), self.exponent)
@@ -976,59 +978,36 @@ def _checked_bands(bands: Sequence[float], zero_tol: float) -> list[float]:
 
 # --- experiment plumbing -------------------------------------------------------
 
+# The pass state of the running `_run_blocks` job: the kernel, the seed, the
+# reducer factory and one bit stream.  Pool workers inherit it by fork.
 _CTX: dict = {}
 
 
-def _init_worker(kind, kernel, seed, bands, zero_tol, extra):
-    """Per-process state: the kernel, built and checked in the parent, one
-    bit stream and, for `kind`, the reducer of a pass over some paths and
-    the columns it gives them."""
-    _CTX.clear()
-    first = kernel.first
-    if kind in ("stats", "counts"):
-        def reducer(paths):
-            return _PathTally(first, bands, zero_tol, full=kind == "stats", paths=paths)
-
-        def columns(tally, last):
-            return tally.columns()
-    elif kind == "growth":
-        test = _GrowthTest(*extra)
-
-        def reducer(paths):
-            test.ok = np.ones(paths, dtype=bool)
-            return test
-
-        def columns(test, last):
-            return test.ok[:, None].astype(np.float64)
-    else:  # "final": the value S(n) alone
-        def reducer(paths):
-            return None
-
-        def columns(_, last):
-            return last[:, None].astype(np.float64)
-    _CTX.update(seed=seed, kernel=kernel, stream=_BitStream(), reducer=reducer,
-                columns=columns)
-
-
-def _path_block(block: tuple[int, int]) -> np.ndarray:
-    """The columns of paths lo..hi-1, a work unit walked in one pass."""
+def _path_block(block: tuple[int, int]) -> dict:
+    """The named per-path arrays of paths lo..hi-1, a work unit walked in one pass."""
     lo, hi = block
     kernel, stream, reducer = _CTX["kernel"], _CTX["stream"], _CTX["reducer"](hi - lo)
     stream.start(_CTX["seed"], range(lo, hi), kernel.steps)
-    return _CTX["columns"](reducer, kernel.run(stream, reducer))
+    last = kernel.run(stream, reducer)
+    if reducer is None:  # S(n) alone: exact in int64 for integer weights
+        return {"final": last if kernel.bytewise else last.astype(np.float64)}
+    return reducer.results()
 
 
-def _run_blocks(kind: str, spec: SequenceSpec, horizon: int, paths: int, seed: int,
-                bands, zero_tol, checkpoints, extra) -> np.ndarray:
-    """Run the per-path kernel over fixed path blocks; row order is path order.
+def _run_blocks(spec: SequenceSpec, horizon: int, paths: int, seed: int,
+                checkpoints: Sequence[int], reducer) -> dict:
+    """Run the per-path kernel over fixed path blocks and return the named
+    per-path arrays of every path, paths on the last axis in path order.
 
-    `kind` picks the reducer: "stats" (`_PathTally.columns`), "counts" (the
-    same columns with only the counts filled in), "growth" (one 0/1 flag per path) or
-    "final" (S(n) per path).  The parent builds the kernel, which checks the
-    weights, and imports numpy.random, which numpy loads lazily, before the
-    pool forks, so that no worker repeats either.  The workers inherit the
-    kernel and its spec object itself (any spec, a callable block rule
-    included); nothing is pickled.
+    `reducer(paths)` builds the reducer of a pass over that many paths: a
+    `_PathTally`, a `_GrowthTest` (whose `results` name the arrays) or None
+    for S(n) alone, as "final", in int64 for integer weights and float64
+    for real ones.  The parent builds the kernel, which checks the weights,
+    and imports numpy.random, which numpy loads lazily, before the pool
+    forks, so that no worker repeats either.  The workers inherit the pass
+    state in `_CTX`, the kernel and its spec object itself (any spec, a
+    callable block rule included); nothing is pickled.  `_CTX` is cleared
+    when the job ends, so no kernel outlives it.
     """
     if paths < 1:
         raise PreconditionError(f"paths must be >= 1, got {paths}")
@@ -1038,16 +1017,17 @@ def _run_blocks(kind: str, spec: SequenceSpec, horizon: int, paths: int, seed: i
     kernel = _PathKernel(spec, horizon, [c - first + 1 for c in checkpoints])
     import numpy.random  # noqa: F401  (the parent's one import, see above)
     blocks = [(lo, min(lo + _BLOCK, paths)) for lo in range(0, paths, _BLOCK)]
-    args = (kind, kernel, seed, tuple(bands), zero_tol, extra)
     workers = min(worker_count(), len(blocks))
-    if workers <= 1:
-        _init_worker(*args)
-        parts = [_path_block(b) for b in blocks]
-    else:
-        ctx = get_context("fork")
-        with ctx.Pool(processes=workers, initializer=_init_worker, initargs=args) as pool:
-            parts = pool.map(_path_block, blocks, chunksize=1)
-    return np.concatenate(parts, axis=0)
+    _CTX.update(kernel=kernel, seed=seed, reducer=reducer, stream=_BitStream())
+    try:
+        if workers <= 1:
+            parts = [_path_block(b) for b in blocks]
+        else:
+            with get_context("fork").Pool(processes=workers) as pool:
+                parts = pool.map(_path_block, blocks, chunksize=1)
+    finally:
+        _CTX.clear()
+    return {name: np.concatenate([p[name] for p in parts], axis=-1) for name in parts[0]}
 
 
 @dataclass
@@ -1139,36 +1119,35 @@ def recurrence_experiment(spec: SequenceSpec, n: int, bands: Sequence[float],
     if not cps:
         raise PreconditionError("recurrence experiment needs at least one checkpoint")
     bands = _checked_bands(bands, zero_tol)
-    rows = _run_blocks("stats", spec, n, paths, seed, bands, zero_tol, cps, None)
-    nb = len(bands)
-    cols_fixed = 5 + 2 * nb
-    per_cp = 2 + nb
-
-    def cp_col(ci, b):  # hits at checkpoint ci: b None for zeros, else band b
-        return cols_fixed + ci * per_cp + (0 if b is None else 2 + b)
-
-    decade_lo = max(spec.first_index, n // 10)
+    first = spec.first_index
+    res = _run_blocks(spec, n, paths, seed, cps,
+                      lambda k: _PathTally(first, bands, zero_tol, paths=k))
+    # every mean, quantile and bootstrap reads float64: numpy's mean of an
+    # int64 array can differ from it in the last bit
+    res = {name: a.astype(np.float64) for name, a in res.items()}
+    # per target, zeros first and then each band: hits, last hit, hits at each checkpoint
+    hits = np.vstack([res["zero_hits"], res["band_hits"]])
+    lasts = np.vstack([res["last_zero"], res["last_band"]])
+    at_cps = np.concatenate([res["cp_zeros"][:, None], res["cp_band_hits"]], axis=1)
+    decade_lo = max(first, n // 10)
     aggregates: dict = {"per_band": {}}
-    targets = [("zero", None)] + [(f"band<={bands[b]:g}", b) for b in range(nb)]
-    growths = np.array([rows[:, cp_col(len(cps) - 1, b)] - rows[:, cp_col(0, b)]
-                        for _, b in targets])
+    labels = ["zero"] + [f"band<={c:g}" for c in bands]
+    growths = at_cps[-1] - at_cps[0]
     lcbs = _bootstrap_lcbs(growths, seed)
-    for (label, b), growth, lcb in zip(targets, growths, lcbs):
-        hits = rows[:, 0] if b is None else rows[:, 5 + 2 * b]
-        last = rows[:, 2] if b is None else rows[:, 6 + 2 * b]
-        cp_means = {str(cp): float(rows[:, cp_col(ci, b)].mean()) for ci, cp in enumerate(cps)}
+    for t, (label, growth, lcb) in enumerate(zip(labels, growths, lcbs)):
+        cp_means = {str(cp): float(at_cps[ci, t].mean()) for ci, cp in enumerate(cps)}
         aggregates["per_band"][label] = {
-            "mean_hits": float(hits.mean()),
-            "hit_quantiles": _quantiles(hits),
-            "fraction_any_hit": float(np.mean(hits > 0)),
-            "fraction_last_hit_final_decade": float(np.mean(last >= decade_lo)),
+            "mean_hits": float(hits[t].mean()),
+            "hit_quantiles": _quantiles(hits[t]),
+            "fraction_any_hit": float(np.mean(hits[t] > 0)),
+            "fraction_last_hit_final_decade": float(np.mean(lasts[t] >= decade_lo)),
             "mean_hits_at_checkpoint": cp_means,
             "growth_first_to_last_mean": float(growth.mean()),
             "growth_first_to_last_lcb95": lcb,
             "strict_increase_95": bool(lcb > 0.0),
         }
-    aggregates["mean_max_abs"] = float(rows[:, 3].mean())
-    aggregates["mean_sign_changes"] = float(rows[:, 1].mean())
+    aggregates["mean_max_abs"] = float(res["max_abs"].mean())
+    aggregates["mean_sign_changes"] = float(res["sign_changes"].mean())
     return ExperimentReport(schema=REPORT_SCHEMA, kind="recurrence", spec=spec.canonical(),
                             horizon=n, paths=paths, seed=seed, bands=bands,
                             zero_tol=zero_tol, checkpoints=cps, aggregates=aggregates,
@@ -1185,13 +1164,13 @@ def sign_change_experiment(spec: SequenceSpec, n: int, paths: int, seed: int, *,
             f"sign-change experiment requires non-decreasing weights, got {spec.canonical()}")
     cps = _experiment_checkpoints(spec, n, checkpoints)
     _checked_bands((), zero_tol)
-    rows = _run_blocks("counts", spec, n, paths, seed, (), zero_tol, cps, None)
-    per_cp = 2
-    aggregates: dict = {"fraction_at_least": {}, "mean_sign_changes": float(rows[:, 1].mean()),
-                        "sign_change_quantiles": _quantiles(rows[:, 1])}
-    for ci, cp in enumerate(cps):
-        col = 5 + ci * per_cp + 1
-        counts = rows[:, col]
+    first = spec.first_index
+    res = _run_blocks(spec, n, paths, seed, cps,
+                      lambda k: _PathTally(first, (), zero_tol, full=False, paths=k))
+    changes = res["sign_changes"].astype(np.float64)
+    aggregates: dict = {"fraction_at_least": {}, "mean_sign_changes": float(changes.mean()),
+                        "sign_change_quantiles": _quantiles(changes)}
+    for cp, counts in zip(cps, res["cp_changes"]):
         aggregates["fraction_at_least"][str(cp)] = {
             str(k): float(np.mean(counts >= k)) for k in range(1, 21)}
     return ExperimentReport(schema=REPORT_SCHEMA, kind="signs", spec=spec.canonical(),
@@ -1212,11 +1191,11 @@ def growth_experiment(spec: SequenceSpec, n: int, delta: float, paths: int,
     if not (0.0 < delta < beta / 2.0):
         raise DomainError(f"delta must lie in (0, beta/2), got {delta}")
     exponent = beta / 2.0 - delta
-    win_lo = max(spec.first_index, n // 10)
-    win_lo_step = win_lo - spec.first_index  # 0-based step offset of the window start
-    rows = _run_blocks("growth", spec, n, paths, seed, (), 0.0, (),
-                       (win_lo_step, spec.first_index, exponent))
-    frac = float(rows[:, 0].mean())
+    first = spec.first_index
+    win_lo = max(first, n // 10)
+    res = _run_blocks(spec, n, paths, seed, (),
+                      lambda k: _GrowthTest(win_lo - first, first, exponent, paths=k))
+    frac = float(res["ok"].astype(np.float64).mean())
     aggregates = {"fraction_maintaining": frac, "window": [win_lo, n],
                   "exponent": exponent}
     return ExperimentReport(schema=REPORT_SCHEMA, kind="growth", spec=spec.canonical(),
@@ -1287,12 +1266,12 @@ def tomaszewski_check(spec: SequenceSpec, n: int, mode: str = "exact", *,
     if mode == "mc":
         if n < 1:
             raise DomainError(f"horizon must be >= 1, got {n}")
-        finals = _run_blocks("final", spec, n, paths, seed, (), 0.0, (), None)
+        finals = _run_blocks(spec, n, paths, seed, (), lambda k: None)["final"]
         if spec.is_integer_valued:  # |S| <= sqrt(V) iff |S| <= isqrt(V), S an integer
             root: float | int = math.isqrt(sum_squares_exact(spec, n))
         else:
             root = _real_root(spec, n)
-        freq = int(np.count_nonzero(np.abs(finals[:, 0]) <= root)) / paths
+        freq = int(np.count_nonzero(np.abs(finals) <= root)) / paths
         se = math.sqrt(max(freq * (1 - freq), 1e-12) / paths)
         return TomaszewskiReport(spec=spec.canonical(), horizon=n, mode="mc",
                                  probability=freq, passed=freq >= 0.5 - 3 * se,

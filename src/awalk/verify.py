@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from . import exact
-from .sequences import parse_spec, sum_squares_exact
+from .montecarlo import tomaszewski_check
+from .sequences import parse_spec
 
 __all__ = [
     "CheckResult",
@@ -116,10 +117,10 @@ def _largest_admissible_z(m: int) -> int:
     return top - (top - m) % 2
 
 
-def lemld_sweep(m_max: int = 2000, c1: float = 0.1) -> CheckResult:
-    """P(T_m = z) >= c1/sqrt(m) for all |z| <= 2*sqrt(m) with m+z even.
+def lemld_sweep(m_max: int = 2000) -> CheckResult:
+    """P(T_m = z) >= c1/sqrt(m), c1 = 0.1, for all |z| <= 2*sqrt(m) with m+z even.
 
-    Exact integer comparison (for c1 = 0.1): 100 * C(m,w)^2 * m >= 4^m with
+    Exact integer comparison: 100 * C(m,w)^2 * m >= 4^m with
     w = (m+z)/2.  Lemma: C(m, w) does not increase in w for w >= m/2, so
     P(T_m = z) does not increase in |z|, and the bound holds for every
     admissible z once it holds for the largest one,
@@ -128,8 +129,6 @@ def lemld_sweep(m_max: int = 2000, c1: float = 0.1) -> CheckResult:
     by one multiplication and one exact division.
     Reports the smallest m0 such that every m in [m0, m_max] passes.
     """
-    if c1 != 0.1:
-        raise PreconditionError("the exact integer comparison is built for c1 = 0.1")
     failures = []
     comb, w = 1, 0  # C(0, 0)
     for m in range(1, m_max + 1):
@@ -142,12 +141,12 @@ def lemld_sweep(m_max: int = 2000, c1: float = 0.1) -> CheckResult:
     last_bad = failures[-1] if failures else 0
     m0 = last_bad + 1 if last_bad < m_max else None
     return CheckResult("srw-point-lower-bound", m0 is not None,
-                       {"c1": c1, "m_max": m_max, "m0": m0,
+                       {"c1": 0.1, "m_max": m_max, "m0": m0,
                         "first_failures": failures[:10]})
 
 
-def cordiv_sweep(k_max: int = 40, m_max: int = 4000, half_c1: float = 0.05) -> CheckResult:
-    """P(T_m = u mod k) >= half_c1/k for k in [k1, k_max], m in [k^2, m_max],
+def cordiv_sweep(k_max: int = 40, m_max: int = 4000) -> CheckResult:
+    """P(T_m = u mod k) >= (c1/2)/k, c1/2 = 0.05, for k in [k1, k_max], m in [k^2, m_max],
     u any residue with the parity hypotheses (k odd, or k and m-u both even).
 
     Exact: 20 * k * count(T_m = u mod k) >= 2^m.  Lemma: count_{m+1}(u) =
@@ -159,8 +158,6 @@ def cordiv_sweep(k_max: int = 40, m_max: int = 4000, half_c1: float = 0.05) -> C
     has nothing to check.  A failing k reports m = k^2 and its first
     failing u.  Reports the smallest k1 from which every larger k passes.
     """
-    if half_c1 != 0.05:
-        raise PreconditionError("the exact integer comparison is built for c1/2 = 0.05")
     worst = {}
     for k in range(1, k_max + 1):
         m = k * k
@@ -180,20 +177,19 @@ def cordiv_sweep(k_max: int = 40, m_max: int = 4000, half_c1: float = 0.05) -> C
     last_bad = max(worst, default=0)
     k1 = last_bad + 1 if last_bad < k_max else None
     return CheckResult("srw-residue-lower-bound", k1 is not None,
-                       {"half_c1": half_c1, "k_max": k_max, "m_max": m_max,
+                       {"half_c1": 0.05, "k_max": k_max, "m_max": m_max,
                         "k1": k1, "first_failures": {str(k): worst[k] for k in sorted(worst)[:5]}})
 
 
-def two_scale_sweep(k_top: int = 20, coeff: float = 0.0025) -> CheckResult:
-    """P((k-1)*X + k*Y = j) >= coeff/n for even k, n = k^2, all even |j| <= n,
-    where X and Y are sums of n independent signs each.
+def two_scale_sweep(k_top: int = 20) -> CheckResult:
+    """P((k-1)*X + k*Y = j) >= coeff/n, coeff = c1^2/4 = 1/400, for even k,
+    n = k^2, all even |j| <= n, where X and Y are sums of n independent
+    signs each.
 
-    Exact (for coeff = 1/400): P = count / 4^n, so the comparison is
+    Exact: P = count / 4^n, so the comparison is
     400 * count * n >= 4^n.  Reports the smallest even k2 from which all
     larger even k pass.
     """
-    if coeff != 0.0025:
-        raise PreconditionError("the exact integer comparison is built for c1^2/4 = 0.0025")
     results = {}
     for k in range(2, k_top + 1, 2):
         n = k * k
@@ -206,7 +202,7 @@ def two_scale_sweep(k_top: int = 20, coeff: float = 0.0025) -> CheckResult:
             break
         k2 = k
     return CheckResult("two-scale-point-lower-bound", k2 is not None,
-                       {"coeff": coeff, "k_top": k_top, "k2": k2,
+                       {"coeff": 0.0025, "k_top": k_top, "k2": k2,
                         "per_k": {str(k): bool(v) for k, v in results.items()}})
 
 
@@ -238,8 +234,8 @@ def dominance_sweep(max_len: int = 10, values: tuple[int, ...] = (1, 2, 3),
 
 
 def tomaszewski_sweep(n_max: int = 20) -> CheckResult:
-    """P(|S(n)| <= sqrt(sum a^2)) >= 1/2 for the battery, exactly."""
-    from fractions import Fraction
+    """P(|S(n)| <= sqrt(sum a^2)) >= 1/2 for the battery, exactly
+    (`montecarlo.tomaszewski_check` in exact mode)."""
     failures = []
     cases = 0
     for text in BATTERY:
@@ -247,11 +243,9 @@ def tomaszewski_sweep(n_max: int = 20) -> CheckResult:
         top = min(n_max, spec.max_index or n_max)
         for n in range(spec.first_index, top + 1):
             cases += 1
-            dist = exact.distribution(spec, n)
-            good = dist.band_count(math.isqrt(sum_squares_exact(spec, n)))
-            if Fraction(good, dist.total) < Fraction(1, 2):
-                failures.append({"spec": text, "n": n,
-                                 "probability": f"{good}/{dist.total}"})
+            rep = tomaszewski_check(spec, n)
+            if not rep.passed:
+                failures.append({"spec": text, "n": n, "probability": str(rep.probability)})
     return CheckResult("tomaszewski-half-bound", not failures,
                        {"cases": cases, "n_max": n_max, "failures": failures})
 

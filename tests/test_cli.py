@@ -463,16 +463,17 @@ def _references(node) -> list[str]:
 @pytest.mark.parametrize("module", ["exact", "fourier", "montecarlo", "reports", "sequences",
                                     "verify"])
 def test_every_exported_name_has_a_caller(module):
-    # an exported name that only the tests reach is code nothing needs:
-    # each must be referenced somewhere in the package outside its own
-    # definition (strings, docstrings and __all__ do not count)
+    # an exported name, or any module-level function or class, private ones
+    # included, that only the tests reach is code nothing needs: each must
+    # be referenced somewhere in the package outside its own definition
+    # (strings, docstrings and __all__ do not count)
     trees = {path.stem: ast.parse(path.read_text())
              for path in Path(awalk.__file__).parent.glob("*.py")}
     refs = [r for tree in trees.values() for r in _references(tree)]
     definitions = {node.name: node for node in trees[module].body
                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     unused = []
-    for name in importlib.import_module(f"awalk.{module}").__all__:
+    for name in sorted(set(definitions) | set(importlib.import_module(f"awalk.{module}").__all__)):
         inside = _references(definitions[name]) if name in definitions else []
         if refs.count(name) == inside.count(name) and name not in UNCALLED_EXPORTS:
             unused.append(name)

@@ -328,9 +328,8 @@ def _check_long_double_case(case):
     kernel = mc._PathKernel(spec, first + len(signs) - 1, [c - first + 1 for c in checkpoints])
     tally = mc._PathTally(first, bands, zero_tol, paths=mc._BLOCK)
     kernel.run(SignSource(np.tile([signs, -signs], (mc._BLOCK // 2, 1))), tally)
-    row = _as_columns(want, bands, True)
-    negated = row[:4] + [-row[4]] + row[5:]
-    assert tally.columns().tolist() == [row, negated] * (mc._BLOCK // 2)
+    one = _tally_results(want, bands, True)
+    _assert_results(tally.results(), [one, {**one, "final": -one["final"]}] * (mc._BLOCK // 2))
 
 
 @pytest.mark.parametrize("case", _LONG_DOUBLE_CASES, ids=[c[0] for c in _LONG_DOUBLE_CASES])
@@ -375,17 +374,41 @@ def test_long_double_cases_catch_a_screen_of_half_the_reach(monkeypatch):
             "record inside a block"} <= set(_failed_long_double_cases())
 
 
-def _path_stats_columns(st, full):
-    """A `PathStats` in the flat layout of `_PathTally.columns`."""
-    def last(k):
+def _tally_results(fields, bands, full):
+    """The fields of one path, as `_step_loop_stats` gives them, under the
+    names of `_PathTally.results`: a number per name, a list per band or
+    checkpoint.  Without ``full``, the last hits, max |S| and S(n) keep the
+    values a tally starts from."""
+    zeros, changes, last_zero, max_abs, final, hits, last, snaps = fields
+
+    def at(k):
         return -1 if k is None or not full else k
-    row = [st.zero_hits, st.sign_changes, last(st.last_zero_hit),
-           st.max_abs if full else 0.0, st.final_value if full else 0.0]
-    for c in st.band_hits:
-        row += [st.band_hits[c], last(st.last_band_hit[c])]
-    for snap in st.checkpoints:
-        row += [snap.zero_hits, snap.sign_changes, *snap.band_hits.values()]
-    return row
+    return {"zero_hits": zeros, "sign_changes": changes, "last_zero": at(last_zero),
+            "max_abs": max_abs if full else 0.0, "final": final if full else 0.0,
+            "band_hits": [hits[c] for c in bands], "last_band": [at(last[c]) for c in bands],
+            "cp_zeros": [z for _, z, _, _ in snaps], "cp_changes": [ch for _, _, ch, _ in snaps],
+            "cp_band_hits": [[h[c] for c in bands] for *_, h in snaps]}
+
+
+def _path_stats_results(st, full):
+    """A `PathStats` under the names of `_PathTally.results`."""
+    snaps = [(c.at, c.zero_hits, c.sign_changes, c.band_hits) for c in st.checkpoints]
+    return _tally_results((st.zero_hits, st.sign_changes, st.last_zero_hit, st.max_abs,
+                           st.final_value, st.band_hits, st.last_band_hit, snaps),
+                          list(st.band_hits), full)
+
+
+def _assert_results(got, per_path):
+    """Named arrays, paths on the last axis, that hold per_path[p] at path p."""
+    assert sorted(got) == sorted(per_path[0])
+    for name, array in got.items():
+        want = np.array([p[name] for p in per_path])
+        assert np.moveaxis(array, -1, 0).tolist() == want.tolist(), name
+
+
+def _tallies(first, bands, full):
+    """A reducer factory: `_PathTally`s over the given number of paths."""
+    return lambda paths: mc._PathTally(first, bands, 1e-9, full=full, paths=paths)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -404,13 +427,11 @@ def test_real_path_blocks_match_single_paths(threads, monkeypatch):
     bands, cps = [0.5, 3.0], [spec.first_index + c - 1 for c in steps]
     single = [mc.simulate(spec, n, mc.RngSpec(seed, p), bands, checkpoints=cps)
               for p in range(paths)]
-    for kind in ("stats", "counts", "final"):
-        rows = mc._run_blocks(kind, spec, n, paths, seed, bands, 1e-9, cps, None)
-        if kind == "final":
-            want = [[st.final_value] for st in single]
-        else:
-            want = [_path_stats_columns(st, kind == "stats") for st in single]
-        assert rows.tolist() == want, kind
+    for full in (True, False):
+        res = mc._run_blocks(spec, n, paths, seed, cps, _tallies(spec.first_index, bands, full))
+        _assert_results(res, [_path_stats_results(st, full) for st in single])
+    res = mc._run_blocks(spec, n, paths, seed, cps, lambda k: None)
+    assert res["final"].tolist() == [st.final_value for st in single]
     assert sum(st.band_hits[3] for st in single) > 0
 
 
@@ -431,22 +452,9 @@ def test_real_walks_that_could_overflow_are_refused(threads, monkeypatch, tmp_pa
         mc.simulate(Constant(1e306), 12, mc.RngSpec(1))
 
 
-def _step_loop_columns(spec, signs, bands, checkpoints, full):
-    """`_step_loop_stats` in the flat layout of `_PathTally.columns`."""
-    return _as_columns(_step_loop_stats(spec, signs, bands, checkpoints), bands, full)
-
-
-def _as_columns(fields, bands, full):
-    """The fields of `_step_loop_stats` in the flat layout of `_PathTally.columns`."""
-    zeros, changes, last_zero, max_abs, final, hits, last, snaps = fields
-    none = -1
-    row = [zeros, changes, last_zero if full and last_zero is not None else none,
-           max_abs if full else 0.0, final if full else 0.0]
-    for c in bands:
-        row += [hits[c], last[c] if full and last[c] is not None else none]
-    for _, z, ch, h in snaps:
-        row += [z, ch, *(h[c] for c in bands)]
-    return row
+def _step_loop_results(spec, signs, bands, checkpoints, full):
+    """`_step_loop_stats` under the names of `_PathTally.results`."""
+    return _tally_results(_step_loop_stats(spec, signs, bands, checkpoints), bands, full)
 
 
 @settings(max_examples=150, deadline=None)
@@ -471,14 +479,13 @@ def test_block_pass_matches_single_paths(text, length, seeds, bands, offsets, fu
     assert kernel.bytewise
     tally = mc._PathTally(first, bands, 1e-9, full=full, paths=len(paths))
     last = kernel.run(SignSource(paths), tally)
-    assert tally.columns().tolist() == [
-        _step_loop_columns(spec, p, bands, set(checkpoints), full) for p in paths]
+    _assert_results(tally.results(),
+                    [_step_loop_results(spec, p, bands, set(checkpoints), full) for p in paths])
     assert last.tolist() == [int(np.dot(weights, p)) for p in paths]
     assert kernel.run(SignSource(paths)).tolist() == last.tolist()  # the S(n) sum alone
     window = length // 3
     thresholds = np.arange(first, first + length, dtype=np.float64) ** exponent
-    test = mc._GrowthTest(window, first, exponent)
-    test.ok = np.ones(len(paths), dtype=bool)
+    test = mc._GrowthTest(window, first, exponent, paths=len(paths))
     kernel.run(SignSource(paths), test)
     assert test.ok.tolist() == [
         bool(np.all(np.abs(np.cumsum(weights * p)[window:]) > thresholds[window:]))
@@ -509,19 +516,22 @@ def test_path_blocks_match_step_path_runs(kind, monkeypatch):
     monkeypatch.setenv("AWALK_THREADS", "1")
     spec, n, paths, seed = parse_spec("powfloor:0.5"), 1003, 70, 17
     bands, cps = [0.0, 2.5], [8, 9, 500, 1003]
-    extra = (100, spec.first_index, 0.3) if kind == "growth" else None
-    rows = mc._run_blocks(kind, spec, n, paths, seed, bands, 1e-9, cps, extra)
+    first = spec.first_index
+    reducer = {"stats": _tallies(first, bands, True), "counts": _tallies(first, bands, False),
+               "growth": lambda k: mc._GrowthTest(100, first, 0.3, paths=k),
+               "final": lambda k: None}[kind]
+    res = mc._run_blocks(spec, n, paths, seed, cps, reducer)
     weights = spec.terms(n)
     thresholds = np.arange(1, n + 1, dtype=np.float64) ** 0.3
-    for p in range(paths):
-        signs = path_signs(mc.RngSpec(seed, p), n)
-        if kind in ("stats", "counts"):
-            want = _step_loop_columns(spec, signs, bands, set(cps), kind == "stats")
-        elif kind == "growth":
-            want = [float(np.all(np.abs(np.cumsum(weights * signs)[100:]) > thresholds[100:]))]
-        else:
-            want = [float(np.dot(weights, signs))]
-        assert rows[p].tolist() == want, p
+    signs = [path_signs(mc.RngSpec(seed, p), n) for p in range(paths)]
+    if kind in ("stats", "counts"):
+        _assert_results(res, [_step_loop_results(spec, x, bands, set(cps), kind == "stats")
+                              for x in signs])
+    elif kind == "growth":
+        assert res["ok"].tolist() == [
+            bool(np.all(np.abs(np.cumsum(weights * x)[100:]) > thresholds[100:])) for x in signs]
+    else:
+        assert res["final"].tolist() == [int(np.dot(weights, x)) for x in signs]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -542,21 +552,20 @@ def test_long_walk_units_match_single_paths(text, threads, monkeypatch):
     bands = [0, 2.5, 40]
     single = [mc.simulate(spec, n, mc.RngSpec(seed, p), bands, checkpoints=cps)
               for p in range(paths)]
-    for kind in ("stats", "counts", "final"):
-        rows = mc._run_blocks(kind, spec, n, paths, seed, bands, 1e-9, cps, None)
-        if kind == "final":
-            want = [[st.final_value] for st in single]
-        else:
-            want = [_path_stats_columns(st, kind == "stats") for st in single]
-        assert rows.tolist() == want, kind
+    for full in (True, False):
+        res = mc._run_blocks(spec, n, paths, seed, cps, _tallies(spec.first_index, bands, full))
+        _assert_results(res, [_path_stats_results(st, full) for st in single])
+    res = mc._run_blocks(spec, n, paths, seed, cps, lambda k: None)
+    assert res["final"].tolist() == [st.final_value for st in single]
     assert 0 < sum(st.band_hits[40] for st in single)
     window = n // 10 - first
-    rows = mc._run_blocks("growth", spec, n, paths, seed, (), 0.0, (), (window, first, 0.3))
+    res = mc._run_blocks(spec, n, paths, seed, (),
+                         lambda k: mc._GrowthTest(window, first, 0.3, paths=k))
     weights = spec.terms(n)
     thresholds = np.arange(first, n + 1, dtype=np.float64)[window:] ** 0.3
-    want = [float(np.all(np.abs(np.cumsum(weights * path_signs(mc.RngSpec(seed, p), weights.size))
-                                [window:]) > thresholds)) for p in range(paths)]
-    assert rows[:, 0].tolist() == want
+    want = [bool(np.all(np.abs(np.cumsum(weights * path_signs(mc.RngSpec(seed, p), weights.size))
+                               [window:]) > thresholds)) for p in range(paths)]
+    assert res["ok"].tolist() == want
     assert 0 < sum(want) < paths
 
 
@@ -572,11 +581,12 @@ def test_a_unit_stops_once_every_path_fails(monkeypatch):
         draw(self)
     monkeypatch.setattr(mc._BitStream, "_draw", counted)
     spec, n = PowerFloor(0.5), 3 * (1 << 16) + 77
-    rows = mc._run_blocks("growth", spec, n, 128, 5, (), 0.0, (), (0, 1, 0.45))
-    assert rows[:, 0].tolist() == [0.0] * 128
+    res = mc._run_blocks(spec, n, 128, 5, (), lambda k: mc._GrowthTest(0, 1, 0.45, paths=k))
+    assert res["ok"].tolist() == [False] * 128
     assert draws == [64, 64]
     draws.clear()
-    assert mc._run_blocks("growth", spec, n, 64, 5, (), 0.0, (), (n - 1, 1, 0.45)).shape == (64, 1)
+    res = mc._run_blocks(spec, n, 64, 5, (), lambda k: mc._GrowthTest(n - 1, 1, 0.45, paths=k))
+    assert res["ok"].shape == (64,)
     assert draws == [64] * 4  # a late window: the unit walks every refill
 
 
@@ -658,12 +668,11 @@ def test_mixed_delta_walks_match_step_loop(text, checkpoints):
     kernel = mc._PathKernel(spec, spec.max_index, [c - first + 1 for c in checkpoints])
     tally = mc._PathTally(first, bands, 1e-9, paths=len(paths))
     kernel.run(SignSource(paths), tally)
-    assert tally.columns().tolist() == [
-        _step_loop_columns(spec, p, bands, set(checkpoints), True) for p in paths]
+    _assert_results(tally.results(),
+                    [_step_loop_results(spec, p, bands, set(checkpoints), True) for p in paths])
     window, exponent = 5, 0.45
     thresholds = np.arange(first, first + n, dtype=np.float64) ** exponent
-    test = mc._GrowthTest(window, first, exponent)
-    test.ok = np.ones(len(paths), dtype=bool)
+    test = mc._GrowthTest(window, first, exponent, paths=len(paths))
     kernel.run(SignSource(paths), test)
     want_ok = [bool(np.all(np.abs(np.cumsum(weights * p)[window:]) > thresholds[window:]))
                for p in map(np.array, paths)]
@@ -882,6 +891,30 @@ def test_tomaszewski_mc_counts_simulated_final_values(text, threads, monkeypatch
     assert rep.probability == inside / paths
 
 
+def test_tomaszewski_mc_compares_integer_sums_exactly():
+    # S(2) = +-(2^60 +- 1) and the root is isqrt(2^120 + 1) = 2^60, so a
+    # path lies inside iff its two signs differ; S(n) in float64 rounded
+    # 2^60 + 1 down to the root and put every path inside
+    spec, paths, seed = parse_spec("explicit:1152921504606846976,1"), 400, 3
+    differ = sum(path_signs(mc.RngSpec(seed, p), 2).sum() == 0 for p in range(paths))
+    rep = mc.tomaszewski_check(spec, 2, "mc", paths=paths, seed=seed)
+    assert rep.probability == differ / paths and 0 < differ < paths
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pass_state_is_cleared_when_a_job_ends(threads, monkeypatch):
+    # no kernel outlives its job, whether it returns or raises
+    monkeypatch.setenv("AWALK_THREADS", threads)
+    res = mc._run_blocks(Linear(), 50, 128, 1, (), lambda k: None)
+    assert res["final"].shape == (128,) and mc._CTX == {}
+
+    def broken(paths):
+        raise RuntimeError("no reducer")
+    with pytest.raises(RuntimeError, match="no reducer"):
+        mc._run_blocks(Linear(), 50, 128, 1, (), broken)
+    assert mc._CTX == {}
+
+
 def test_consistency_with_exact_visits():
     # all-visit counting on both sides
     spec = Linear()
@@ -919,13 +952,13 @@ def test_experiments_accept_a_callable_block_rule(tmp_path, monkeypatch):
         path = tmp_path / f"reports-{threads}.json"
         write_json(str(path), {"recurrence": rec.to_dict(), "tomaszewski": asdict(tz)})
         written.append(path.read_bytes())
-        finals = mc._run_blocks("final", spec, n, paths, seed, (), 0.0, (), None)
-        assert finals[:, 0].tolist() == [mc.simulate(spec, n, mc.RngSpec(seed, p)).final_value
-                                         for p in range(paths)]
+        finals = mc._run_blocks(spec, n, paths, seed, (), lambda k: None)["final"]
+        assert finals.tolist() == [mc.simulate(spec, n, mc.RngSpec(seed, p)).final_value
+                                   for p in range(paths)]
     assert written[0] == written[1]
     assert rec.spec == tz.spec == "blocks:<lambda>"
     root = math.sqrt(sum_squares_exact(spec, n))
-    assert tz.probability == np.count_nonzero(np.abs(finals[:, 0]) <= root) / paths
+    assert tz.probability == np.count_nonzero(np.abs(finals) <= root) / paths
 
 
 def test_zero_step_walks(tmp_path, monkeypatch):

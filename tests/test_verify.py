@@ -138,11 +138,3 @@ def test_run_suite_dispatch():
     with pytest.raises(PreconditionError):
         verify.run_suite("nope")
 
-
-def test_sweeps_reject_other_constants():
-    with pytest.raises(PreconditionError):
-        verify.lemld_sweep(c1=0.2)
-    with pytest.raises(PreconditionError):
-        verify.cordiv_sweep(half_c1=0.1)
-    with pytest.raises(PreconditionError):
-        verify.two_scale_sweep(coeff=0.01)
