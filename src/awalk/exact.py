@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import (DomainError, PreconditionError, ResourceError,
@@ -258,6 +257,7 @@ def _band_series(spec: SequenceSpec, n: int, band: int | float, absorb: bool, mo
         probs = [Fraction(m, 1 << (i + 1)) for i, m in enumerate(masses)]
         report.per_n = list(zip(steps, probs))
         return report, sum(probs, Fraction(0))
+    import mpmath  # float256 alone needs it, so no other job pays for its import
     with mpmath.workprec(256):
         masses, _ = _band_masses(weights, band, absorb, mpmath.mpf(1))
         probs = [mpmath.ldexp(m, -(i + 1)) for i, m in enumerate(masses)]

@@ -5,7 +5,10 @@ a Philox generator keyed by seed*2^64 + p, and bit j of their little-endian
 unpacking is the sign bit of step j.  The signs of path p therefore do not
 depend on how paths are partitioned over workers, on chunk or refill sizes,
 or on which other paths run, and experiment reports are byte-identical for a
-fixed seed no matter how many workers run (AWALK_THREADS caps the pool).
+fixed seed no matter how many workers run.  AWALK_THREADS caps the pool, and
+a job forks at most one worker per `_WORKER_PATH_STEPS` path-steps it walks,
+so a job of fewer than twice that walks its work units in process
+(`_run_blocks`).
 Philox is counter-based, so each process re-keys one generator per path and
 draws only the words the path reads, refill by refill.
 
@@ -115,6 +118,14 @@ _INT_LIMIT = 1 << 62
 # integer walking on one core at 2.4 ns per step, and a thousand times the
 # largest criterion-8 job.
 MAX_PATH_STEPS = 10 ** 12
+# The fewest path-steps (paths x steps) that pay for one forked pool worker:
+# a job forks at most one worker per this many, so two from 2^25.  On a
+# 2-vCPU Xeon (Python 3.11, numpy 2.4), a 6,144-path linear walk at 2
+# workers saved 0.66 s of wall time per CPU second it added at 2^25
+# path-steps and 0.72 at 2^26, but only 0.39 at 2^24 and 0.03 at 2^22:
+# there a fork, its copy-on-write faults and the pickled results cost
+# about as much as the walking a second worker takes over (BENCH_23.json).
+_WORKER_PATH_STEPS = 1 << 24
 
 
 def _sign_byte() -> int:
@@ -143,7 +154,10 @@ PROXY_NOTE = ("finite-horizon diagnostic with frozen seeds; asymptotic and "
 
 
 def worker_count() -> int:
-    """Worker pool size: AWALK_THREADS, the one worker setting, else the CPU count."""
+    """The cap on the worker pool: AWALK_THREADS, the one worker setting,
+    else the CPU count.  `_run_blocks` forks at most one worker per
+    `_WORKER_PATH_STEPS` path-steps of the job, and none when that allows
+    only one."""
     env = os.environ.get("AWALK_THREADS", "")
     try:
         n = int(env) if env.strip() else (os.cpu_count() or 1)
@@ -1002,12 +1016,17 @@ def _run_blocks(spec: SequenceSpec, horizon: int, paths: int, seed: int,
     `reducer(paths)` builds the reducer of a pass over that many paths: a
     `_PathTally`, a `_GrowthTest` (whose `results` name the arrays) or None
     for S(n) alone, as "final", in int64 for integer weights and float64
-    for real ones.  The parent builds the kernel, which checks the weights,
-    and imports numpy.random, which numpy loads lazily, before the pool
-    forks, so that no worker repeats either.  The workers inherit the pass
-    state in `_CTX`, the kernel and its spec object itself (any spec, a
-    callable block rule included); nothing is pickled.  `_CTX` is cleared
-    when the job ends, so no kernel outlives it.
+    for real ones.
+
+    The pool has min(AWALK_THREADS, work units, paths x steps //
+    `_WORKER_PATH_STEPS`) workers; with one the parent walks every unit
+    itself.  A pool hands out one unit per task, so a worker that the host
+    slows walks fewer units.  The parent builds the kernel, which checks
+    the weights, and imports numpy.random, which numpy loads lazily, before
+    the pool forks, so that no worker repeats either.  The workers inherit
+    the pass state in `_CTX`, the kernel and its spec object itself (any
+    spec, a callable block rule included); nothing is pickled.  `_CTX` is
+    cleared when the job ends, so no kernel outlives it.
     """
     if paths < 1:
         raise PreconditionError(f"paths must be >= 1, got {paths}")
@@ -1017,7 +1036,8 @@ def _run_blocks(spec: SequenceSpec, horizon: int, paths: int, seed: int,
     kernel = _PathKernel(spec, horizon, [c - first + 1 for c in checkpoints])
     import numpy.random  # noqa: F401  (the parent's one import, see above)
     blocks = [(lo, min(lo + _BLOCK, paths)) for lo in range(0, paths, _BLOCK)]
-    workers = min(worker_count(), len(blocks))
+    workers = min(worker_count(), len(blocks),
+                  max(1, paths * kernel.steps // _WORKER_PATH_STEPS))
     _CTX.update(kernel=kernel, seed=seed, reducer=reducer, stream=_BitStream())
     try:
         if workers <= 1:
@@ -1060,6 +1080,15 @@ def _bootstrap_lcbs(values: np.ndarray, seed: int, resamples: int = 2000) -> lis
     """Per row of ``values``: the 2.5th percentile of resampled means (95% lower
     confidence bound).  Every row is resampled with the same index draws.
 
+    ``values`` must hold non-negative integers (as float64), and n times
+    the largest of them must stay below 2^53, n being the row length; the
+    growths of `recurrence_experiment` do, as a growth is at most the
+    walk's steps and paths x steps <= `MAX_PATH_STEPS`.  Then every sum of
+    a resample is exact in float64 in any order, so a resample's mean is
+    its sum, one matrix product of its per-index draw counts with the
+    values, divided by n, and equals numpy's mean of the gathered values
+    bit for bit.
+
     The draws do not depend on the chunk size (a Philox Generator yields the
     same integers in one call or in several), so chunks stay small, about
     2^16 indices: chunks of tens of MB leave freed heap pages resident, and
@@ -1067,14 +1096,16 @@ def _bootstrap_lcbs(values: np.ndarray, seed: int, resamples: int = 2000) -> lis
     """
     gen = np.random.Generator(np.random.Philox(key=(seed << 64) | _BOOTSTRAP_SALT))
     n = values.shape[1]
-    means = np.empty((len(values), resamples))
+    means = np.empty((resamples, len(values)))
     step = max(1, (1 << 16) // max(1, n))
     for lo in range(0, resamples, step):
         hi = min(lo + step, resamples)
         idx = gen.integers(0, n, size=(hi - lo, n))
-        for row, out in zip(values, means):
-            out[lo:hi] = row[idx].mean(axis=1)
-    return [float(np.percentile(m, 2.5)) for m in means]
+        idx += np.arange(0, (hi - lo) * n, n)[:, None]  # resample r counts in row r
+        counts = np.bincount(idx.ravel(), minlength=(hi - lo) * n).reshape(hi - lo, n)
+        np.matmul(counts.astype(np.float64), values.T, out=means[lo:hi])
+    means /= n
+    return [float(np.percentile(m, 2.5)) for m in means.T]
 
 
 def _quantiles(values: np.ndarray) -> dict:

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -116,6 +119,23 @@ def test_zero_hit_float_mode_agrees():
     with mpmath.workprec(256):
         assert abs(mpmath.mpf(a.hit_probability.numerator) / a.hit_probability.denominator
                    - b.hit_probability) < mpmath.mpf(2) ** -200
+
+
+def test_mpmath_is_imported_by_float256_alone(tmp_path):
+    # a fresh process: the CLI and a Monte Carlo run leave mpmath unloaded,
+    # and float256 still loads and runs it
+    code = ("import sys; from awalk.cli import main; from awalk import exact; "
+            "from awalk.sequences import Linear; "
+            "assert main(['recurrence', '--spec', 'linear', '--n', '200', '--paths', '70', "
+            "'--seed', '1', '--bands', '0', '--out', sys.argv[1]]) == 0; "
+            "assert 'mpmath' not in sys.modules; "
+            "rep = exact.expected_visits(Linear(), 30, 0, mode='float256'); "
+            "print(type(rep.expected_visits).__module__, rep.mode)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["mpmath.ctx_mp_python", "float256"]
 
 
 def test_degenerate_band_covers_first_step():

@@ -406,6 +406,13 @@ def _assert_results(got, per_path):
         assert np.moveaxis(array, -1, 0).tolist() == want.tolist(), name
 
 
+def _threads(monkeypatch, threads):
+    """AWALK_THREADS = threads, and a pool for a job of any size, so that a
+    small job at 2 workers still forks them."""
+    monkeypatch.setenv("AWALK_THREADS", threads)
+    monkeypatch.setattr(mc, "_WORKER_PATH_STEPS", 1)
+
+
 def _tallies(first, bands, full):
     """A reducer factory: `_PathTally`s over the given number of paths."""
     return lambda paths: mc._PathTally(first, bands, 1e-9, full=full, paths=paths)
@@ -418,7 +425,7 @@ def test_real_path_blocks_match_single_paths(threads, monkeypatch):
     # 1024 steps per path and a unit of 6 that walks chunks of 10,912, with
     # checkpoints at chunk edges and inside refills, against `simulate`,
     # which walks each segment as one chunk
-    monkeypatch.setenv("AWALK_THREADS", threads)
+    _threads(monkeypatch, threads)
     spec, n, paths, seed = parse_spec("logcont:1.4426950408889634"), 70_000, 70, 29
     unit_chunk = mc._REAL_CHUNK // mc._BLOCK
     tail_chunk = mc._REAL_CHUNK // (paths - mc._BLOCK) // mc._STRIDE * mc._STRIDE
@@ -438,7 +445,7 @@ def test_real_path_blocks_match_single_paths(threads, monkeypatch):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_real_walks_that_could_overflow_are_refused(threads, monkeypatch, tmp_path):
     # partial sums past the float64 range were written as Infinity
-    monkeypatch.setenv("AWALK_THREADS", threads)
+    _threads(monkeypatch, threads)
     monkeypatch.chdir(tmp_path)
     spec = ["--spec", "constant:1e308", "--n", "40", "--seed", "1", "--bands", "0"]
     assert main(["simulate", *spec, "--out", "s.json"]) == 2
@@ -540,7 +547,7 @@ def test_long_walk_units_match_single_paths(text, threads, monkeypatch):
     # 70 paths of more than three refills: a 64-path unit walks chunks of
     # 1024 bytes per path, the unit of 6 chunks of 10,922 bytes that cross
     # refills, and `simulate` one chunk of the whole walk
-    monkeypatch.setenv("AWALK_THREADS", threads)
+    _threads(monkeypatch, threads)
     spec, n, paths, seed = parse_spec(text), 3 * (1 << 16) + 77, 70, 17
     first = spec.first_index
     unit_chunk = 8 * (mc._BYTE_CHUNK // mc._BLOCK)
@@ -773,7 +780,7 @@ def test_monte_carlo_never_builds_the_whole_horizon(monkeypatch):
                 monkeypatch.setattr(cls, name, fail)
     logceil, logcont = LogCeilBlocks(2), LogContinuous(1.4426950408889634)
     for threads in ("1", "2"):
-        monkeypatch.setenv("AWALK_THREADS", threads)
+        _threads(monkeypatch, threads)
         assert mc.simulate(logceil, 300_000, mc.RngSpec(1), (0,)).steps == 299_999
         assert mc.simulate(logcont, 70_000, mc.RngSpec(1), (3,)).steps == 69_999
         for spec in (Linear(), logcont):
@@ -881,7 +888,7 @@ def test_truncated_refill_reads_the_same_bits():
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("text", ["linear", "logcont:1.4426950408889634"])
 def test_tomaszewski_mc_counts_simulated_final_values(text, threads, monkeypatch):
-    monkeypatch.setenv("AWALK_THREADS", threads)
+    _threads(monkeypatch, threads)
     spec = parse_spec(text)
     n, paths, seed = 300, 150, 13
     root = _fsum_root(spec.terms(n).astype(np.float64))
@@ -904,7 +911,7 @@ def test_tomaszewski_mc_compares_integer_sums_exactly():
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_pass_state_is_cleared_when_a_job_ends(threads, monkeypatch):
     # no kernel outlives its job, whether it returns or raises
-    monkeypatch.setenv("AWALK_THREADS", threads)
+    _threads(monkeypatch, threads)
     res = mc._run_blocks(Linear(), 50, 128, 1, (), lambda k: None)
     assert res["final"].shape == (128,) and mc._CTX == {}
 
@@ -913,6 +920,40 @@ def test_pass_state_is_cleared_when_a_job_ends(threads, monkeypatch):
     with pytest.raises(RuntimeError, match="no reducer"):
         mc._run_blocks(Linear(), 50, 128, 1, (), broken)
     assert mc._CTX == {}
+
+
+def test_a_pool_forks_only_for_jobs_that_pay_for_its_workers(monkeypatch):
+    # 300 paths (5 work units) of 200 steps at AWALK_THREADS=2: with fewer
+    # than `_WORKER_PATH_STEPS` path-steps per worker the job walks in
+    # process and builds no pool; with that many it forks both workers;
+    # the arrays are the same
+    monkeypatch.setenv("AWALK_THREADS", "2")
+    spec, n, paths, seed = Linear(), 200, 300, 3
+    job = paths * spec.steps(n)
+    reducer = _tallies(spec.first_index, [0, 2], True)
+    fork = mc.get_context
+
+    def no_pool(method):
+        raise AssertionError(f"a {method} pool was built")
+    monkeypatch.setattr(mc, "get_context", no_pool)
+    alone = []
+    for steps in (job + 1, job, job // 2 + 1):
+        monkeypatch.setattr(mc, "_WORKER_PATH_STEPS", steps)
+        alone.append(mc._run_blocks(spec, n, paths, seed, [10, n], reducer))
+    pools = []
+
+    class Recorded:
+        def Pool(self, processes):
+            pools.append(processes)
+            return fork("fork").Pool(processes=processes)
+    monkeypatch.setattr(mc, "get_context", lambda method: Recorded())
+    monkeypatch.setattr(mc, "_WORKER_PATH_STEPS", job // 2)
+    pooled = mc._run_blocks(spec, n, paths, seed, [10, n], reducer)
+    assert pools == [2]
+    for res in alone:
+        assert sorted(res) == sorted(pooled)
+        for name, array in pooled.items():
+            assert array.shape[-1] == paths and np.array_equal(res[name], array), name
 
 
 def test_consistency_with_exact_visits():
@@ -930,7 +971,7 @@ def test_recurrence_report_structure_and_determinism(monkeypatch):
     spec = Linear()
     monkeypatch.setenv("AWALK_THREADS", "1")
     r1 = mc.recurrence_experiment(spec, 4000, [0, 3], 128, 9)
-    monkeypatch.setenv("AWALK_THREADS", "2")
+    _threads(monkeypatch, "2")
     r2 = mc.recurrence_experiment(spec, 4000, [0, 3], 128, 9)
     assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(r2.to_dict(), sort_keys=True)
     assert r1.schema == "awalk-report/1"
@@ -946,7 +987,7 @@ def test_experiments_accept_a_callable_block_rule(tmp_path, monkeypatch):
     n, paths, seed = 2000, 150, 11
     written = []
     for threads in ("1", "2"):
-        monkeypatch.setenv("AWALK_THREADS", threads)
+        _threads(monkeypatch, threads)
         rec = mc.recurrence_experiment(spec, n, [0, 2], paths, seed)
         tz = mc.tomaszewski_check(spec, n, "mc", paths=paths, seed=seed)
         path = tmp_path / f"reports-{threads}.json"
@@ -1000,7 +1041,7 @@ class _ZeroThird(SequenceSpec):
 def test_bad_weights_are_refused_at_any_worker_count(threads, monkeypatch):
     # the parent checks the weights before any worker starts, so the refusal
     # reaches the caller at any worker count
-    monkeypatch.setenv("AWALK_THREADS", threads)
+    _threads(monkeypatch, threads)
     for spec in (_ZeroThird(1), _ZeroThird(0.5)):
         with pytest.raises(DomainError, match="must be positive"):
             mc.simulate(spec, 10, mc.RngSpec(1))
@@ -1158,7 +1199,7 @@ def test_jobs_over_the_path_step_budget_are_refused_before_they_start(threads, m
                                                                       tmp_path, capsys):
     # paths x steps above MAX_PATH_STEPS (10^12) is refused with exit 3, at any
     # worker count, before any weight or run of the walk is built
-    monkeypatch.setenv("AWALK_THREADS", threads)
+    _threads(monkeypatch, threads)
     logceil, budget = LogCeilBlocks(2), mc.MAX_PATH_STEPS
     assert budget == 10 ** 12
     _guard_only(monkeypatch)
@@ -1243,14 +1284,36 @@ def test_rngspec_validation():
         mc.RngSpec(0, -2)
 
 
-@pytest.mark.parametrize("paths", [1, 7, 6144, 70_000])
-def test_bootstrap_matches_one_draw_per_row(paths):
-    # reference: each row resampled on its own, from one (resamples, paths) draw
-    values = np.random.default_rng(paths).random((3, paths)) * 100
-    seed, resamples = 5, 50
+def _gathered_lcbs(values, seed, resamples):
+    """The bootstrap bounds with each row resampled on its own, by gathering
+    its values from one (resamples, paths) draw."""
     want = []
     for row in values:
         gen = np.random.Generator(np.random.Philox(key=(seed << 64) | mc._BOOTSTRAP_SALT))
-        idx = gen.integers(0, paths, size=(resamples, paths))
+        idx = gen.integers(0, values.shape[1], size=(resamples, values.shape[1]))
         want.append(float(np.percentile(row[idx].mean(axis=1), 2.5)))
-    assert mc._bootstrap_lcbs(values, seed, resamples) == want
+    return want
+
+
+@pytest.mark.parametrize("paths", [1, 7, 6144, 70_000])
+def test_bootstrap_matches_one_draw_per_row(paths):
+    # the growths it resamples are integer counts
+    values = np.random.default_rng(paths).integers(0, 100, (3, paths)).astype(np.float64)
+    assert mc._bootstrap_lcbs(values, 5, 50) == _gathered_lcbs(values, 5, 50)
+
+
+_SUM_LIMIT = 1 << 53  # the bootstrap's sums stay below it, so every one is exact
+
+
+@given(strategies.integers(1, 300).flatmap(lambda paths: strategies.lists(
+    strategies.lists(strategies.integers(0, (_SUM_LIMIT - 1) // paths),
+                     min_size=paths, max_size=paths), min_size=1, max_size=3)),
+    strategies.integers(0, (1 << 64) - 1))
+@example([[(_SUM_LIMIT - 1) // 257] * 257, [0] * 256 + [(_SUM_LIMIT - 1) // 257]], 7)
+@example([[(_SUM_LIMIT - 1) // 3 - k for k in range(3)]], 1)
+@settings(max_examples=40, deadline=None)
+def test_bootstrap_counts_match_gathered_means(rows, seed):
+    # one matrix product of draw counts against the gather, bit for bit,
+    # for integer values up to those whose largest resample sum is 2^53 - 1
+    values = np.array(rows, dtype=np.float64)
+    assert mc._bootstrap_lcbs(values, seed, 30) == _gathered_lcbs(values, seed, 30)
