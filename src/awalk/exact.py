@@ -319,9 +319,9 @@ class DominanceReport:
     first_violation: int | None
 
 
-def dominance_check(tail_weights: Sequence[float], start: float,
-                    horizon: int | None = None) -> DominanceReport:
-    """Exhaustively verify P(tau > j) <= P(tau~ > j) for j = 0..H.
+def dominance_check(tail_weights: Sequence[float], start: float) -> DominanceReport:
+    """Exhaustively verify P(tau > j) <= P(tau~ > j) for j = 0..H, H the
+    number of weights.
 
     tau is the first j with start + a_1 y_1 + ... + a_j y_j <= 0 for the
     non-decreasing positive weights a; tau~ is the first passage of a unit
@@ -330,9 +330,7 @@ def dominance_check(tail_weights: Sequence[float], start: float,
     """
     weights = _descent_weights([[float(w) for w in tail_weights]])
     _check_start(start)
-    h = weights.shape[1] if horizon is None else int(horizon)
-    if h != weights.shape[1]:
-        raise PreconditionError(f"horizon {h} must match weight count {weights.shape[1]}")
+    h = weights.shape[1]
     (r,), (surv_w,), (surv_u,) = _descent_survivals(weights, [start])
     total = 1 << h
     violation = _first_violation(surv_w[0], surv_u[0])

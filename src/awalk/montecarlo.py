@@ -28,13 +28,10 @@ name.  The kernel walks in one of two ways:
 - a sign byte at a time, for positive integer weights.  Byte b of a path's
   words holds steps 8b..8b+7, and two 256-entry tables give its sums of x_j
   and j*x_j, so a byte whose weights run w0 + j*delta moves S by
-  w0*sum + delta*moment; one cumsum per 8 steps gives S at every byte end.
-  Each chunk's w0 and affine flags come from the runs that overlap it.
-  Two more tables bound how far S strays from a byte's end inside the
-  byte, and only the bytes that end within that reach of a band (or a
-  growth threshold) are expanded to exact per-step sums; every other byte
-  keeps one sign and stays outside every band.  A chunk is one array of
-  (paths, sign bytes), 2^16 bytes in all;
+  w0*sum + delta*moment; one cumsum per 8 steps gives S at every byte end,
+  exact in int64.  Each chunk's w0 and affine flags come from the runs
+  that overlap it.  A chunk is one array of (paths, sign bytes), 2^16
+  bytes in all;
 - a chunk at a time, for real weights: the paths of a pass walk each
   segment together, a (paths, 2^16/paths) long-double chunk at a time,
   with one cumsum per step in extended precision (long double) and a
@@ -42,10 +39,16 @@ name.  The kernel walks in one of two ways:
   million-step sum far below the 1e-9 zero-detection tolerance.  A chunk
   holds the weights with the sign bit set where x_j = -1.  Only every 16th
   partial sum is cast to float64, with the cumsum and the carry rounded
-  apart; from these and an a-priori rounding margin, a screen reads the
-  16-step blocks where S can come within one step of zero, a level or the
-  path's largest |S|, and rounds their partial sums once each from the
-  long-double sum (`_PathKernel._screen`).
+  apart.
+
+Both ways hand the reducer the steps it reads by one rule, proved once in
+`_PathKernel`: a block of steps (a sign byte, or 16 steps of the real
+walk) is read where |S| can come within max(level, zero_tol + d) of zero,
+level being the widest band or growth threshold and d a bound on a step's
+move, or, with max |S| tracked, can pass the path's largest |S|; the
+reducer gets the read steps with |S| within that bound, exact in int64 or
+rounded once from the long-double sum.  They hold every zero, band hit and
+sign change, so each reducer has one update for both ways.
 
 Whether the spec is integer-valued alone picks the way.  Building the
 kernel refuses a weight that is not positive and a walk whose partial sums
@@ -291,7 +294,8 @@ def _check_cost(paths: int, steps: int) -> None:
 
 class _PathKernel:
     """The one path kernel: partial sums S of one or several paths of the
-    walk of `spec` to `horizon`, fed to a reducer.
+    walk of `spec` to `horizon`, of which it hands a reducer the steps that
+    the reducer reads.
 
     The byte path (`bytewise`) takes every walk with integer weights.  It
     keeps the walk's arithmetic runs (`SequenceSpec.runs`: first step,
@@ -305,10 +309,7 @@ class _PathKernel:
     byte's sum from the sign tables (`_byte_sums`); a byte that is not
     affine takes an exact row sum.  The last byte of a walk of n steps,
     n mod 8 > 0, gets weight 0 on its missing steps, so S stays at S(n)
-    there and reducers skip them.  One cumsum per path gives S at the
-    chunk's byte ends, which reducer.update_bytes reads; it expands only
-    the bytes that end within their reach (`reach`, from the tables A and
-    B) of what it looks for, to exact per-step sums (`expand`).
+    there.  One cumsum per path gives S at the chunk's byte ends.
 
     A pass walks all its paths together, at most a 64-path work unit, in
     either walk.
@@ -329,40 +330,59 @@ class _PathKernel:
     partial sums are S_j = RN64(sums_j + carry): the cumsum and the path's
     carry added in long double, then rounded to float64.
 
-    `_screen` decides every step from every 16th partial sum.  Let a_j =
-    RN64(sums_j) + RN64(carry) in float64, W the segment's weight sum, c
-    the largest |carry| of the pass and w the segment's largest weight.
-    Each of a_j and S_j is a few roundings, relative 2^-53 or finer, of
-    sums of at most W + c, plus a few 2^-1075 for subnormals (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 2), so before any
-    sum is seen
-        |a_j - S_j| <= M = 2^-50 (W + 3c) + 2^-1070,
-        |S_j - S_{j-1}| <= d = w + M,
-    the latter across chunks and segments too (S before the walk is 0).
-    At a step j of a block (p, e] of at most 16 steps, p the step before
-    it, |S_j| lies within 8d of (|S_p| + |S_e|) / 2, by the triangle
-    inequality from both ends.  The screen casts a_p and a_e only; with the
-    mean's own rounding, within M, |S_j| lies within spread = 8d + 2M of
-    (|a_p| + |a_e|) / 2.  It reads a block, rounding its sums once each,
-    where that mean is at most low + spread, low = max(levels, zero_tol +
-    d), and, with max |S| tracked, where it is at least B - spread, B =
-    max(top, the chunk's largest |a| - M), top being the path's largest
-    |S| before the chunk.  B is at most the path's largest |S| up to the
-    chunk's end, so a block holding that |S|, if it exceeds top, is read,
-    and top becomes exact again.  The reducer gets the steps of the read
+    One rule picks the steps a reducer reads in both walks.  Let level be
+    the largest |S| the reducer looks for (`reducer.level`: its widest
+    band, or its growth threshold at the chunk's last step), zero_tol the
+    largest |S| that counts as a zero, M a bound on the error of the sums
+    the kernel screens with and d a bound on |S_j - S_{j-1}| at the steps
+    of a block, across chunks and segments too (S before the walk is 0).
+    A block is read where |S| can come within low = max(level, zero_tol +
+    d) at one of its steps, and the reducer gets the steps of the read
     blocks with |S| <= low.
 
-    Those are every zero and band hit, as every level is at most low, and
-    every step where S changes sign: if S_i and S_k are nonzero with
-    opposite signs and only zeros between, then |S_k| <= d when k = i + 1
-    (|S_i| + |S_k| = |S_k - S_i|) and |S_k| <= zero_tol + d otherwise.  So
-    between two nonzero steps read one after the other no change ends at a
-    step, and every nonzero S between them has the sign of the first: the
-    changes the reducer counts, from its last sign (`_PathTally.last_sign`)
-    across chunks and segments too, are the path's.  max |S| and S(n) are
-    exact.  A segment's steps reach the reducer at once
-    (reducer.update_real), with the segment's end as its one checkpoint
-    when a checkpoint ends it.
+    - The byte path (`_read`) is the case M = 0: its blocks are sign bytes,
+      S is exact, a zero is S == 0 (zero_tol = 0), d is the byte's largest
+      weight (w0 + 7|delta|, or the largest in its row) and level is
+      floored, as |S| <= c iff |S| <= floor(c).  At every step of a byte S
+      lies within its reach (`reach`, from the tables A and B, or w_1 + ...
+      + w_7 for a byte that is not affine) of S at its end, so a byte is
+      expanded to exact per-step sums (`expand`) where |S at its end| <=
+      reach + low.  The steps past n that pad the last byte are dropped.
+      With max |S| tracked, a byte is expanded too where |S at its end| +
+      8d, a bound on its reach, exceeds the largest |S| at the byte ends so
+      far.
+    - The real walk decides every step from every 16th partial sum
+      (`_screen`).  Let a_j = RN64(sums_j) + RN64(carry) in float64, W the
+      segment's weight sum, c the largest |carry| of the pass and w the
+      segment's largest weight.  Each of a_j and S_j is a few roundings,
+      relative 2^-53 or finer, of sums of at most W + c, plus a few
+      2^-1075 for subnormals (Higham, Accuracy and Stability of Numerical
+      Algorithms, ch. 2), so before any sum is seen
+          |a_j - S_j| <= M = 2^-50 (W + 3c) + 2^-1070,
+          |S_j - S_{j-1}| <= d = w + M.
+      At a step j of a block (p, e] of at most 16 steps, p the step before
+      it, |S_j| lies within 8d of (|S_p| + |S_e|) / 2, by the triangle
+      inequality from both ends.  The screen casts a_p and a_e only; with
+      the mean's own rounding, within M, |S_j| lies within spread = 8d +
+      2M of (|a_p| + |a_e|) / 2.  It reads a block, rounding its sums once
+      each, where that mean is at most low + spread, and, with max |S|
+      tracked, where it is at least B - spread, B = max(top, the chunk's
+      largest |a| - M), top being the path's largest |S| before the chunk.
+      B is at most the path's largest |S| up to the chunk's end, so a
+      block holding that |S|, if it exceeds top, is read, and top becomes
+      exact again.
+
+    The steps read are every zero and band hit, as every level is at most
+    low, and every step where S changes sign: if S_i and S_k are nonzero
+    with opposite signs and only zeros between, then |S_k| <= d when k = i
+    + 1 (|S_i| + |S_k| = |S_k - S_i|) and |S_k| <= zero_tol + d otherwise.
+    So between two nonzero steps read one after the other no change ends
+    at a step, and every nonzero S between them has the sign of the first:
+    the changes the reducer counts, from its last sign
+    (`_PathTally.last_sign`) across chunks and segments too, are the
+    path's.  max |S| and S(n) are exact.  A byte-path chunk, or a
+    real-walk segment, reaches the reducer at once (reducer.update), with
+    the checkpoints that end in it.
     """
 
     def __init__(self, spec: SequenceSpec, horizon: int, checkpoint_steps: Sequence[int] = ()):
@@ -376,9 +396,9 @@ class _PathKernel:
             self._init_runs()
             size = min(_BYTE_CHUNK, _BLOCK * self.nbytes)
             self._index = np.empty(size, dtype=np.intp)
-            # sums, moment, a reducer's array and a limit per byte
-            self._work = np.empty((4, size), dtype=np.int64)
-            self._bound = np.empty(min(_BYTE_CHUNK, self.nbytes), dtype=np.int64)
+            self._work = np.empty((2, size), dtype=np.int64)  # sums, then moment or |S|
+            # per byte: d, 8d and a prefilter limit
+            self._bounds = np.empty((3, min(_BYTE_CHUNK, self.nbytes)), dtype=np.int64)
             self._byte_cps = np.asarray(sorted(self.checkpoints), dtype=np.int64)
             return
         self._check_real()
@@ -438,6 +458,7 @@ class _PathKernel:
         self._nonaffine = odd
         self._odd = self._rows(odd)
         self._odd_reach = self._odd @ _REACH_LANES
+        self._odd_top = self._odd.max(axis=1)
         if steps.any():  # the first step of each byte of a chunk, less its first
             self._eights = np.arange(0, 8 * min(_BYTE_CHUNK, self.nbytes), 8)
         self._loaded = None
@@ -492,26 +513,26 @@ class _PathKernel:
         self._cols = self._nonaffine[i:j] - lo
         self._affine = np.ones(hi - lo, dtype=bool)
         self._affine[self._cols] = False
-        self._bound_ready = False
+        self._bounds_ready = False
 
-    def reach_bound(self) -> np.ndarray:
-        """w_1 + ... + w_7 of each byte of the loaded chunk: a bound on
-        `reach` for any code.  The array is the kernel's, kept until the
+    def _byte_bounds(self) -> np.ndarray:
+        """Per byte of the loaded chunk: d, a bound on its largest weight
+        (w0 + 7|delta|, or the largest in its row), and 8d, which bounds
+        `reach` for any code.  The arrays are the kernel's, kept until the
         next chunk is loaded."""
-        bound = self._bound[:self._w0.size]
-        if not self._bound_ready:
-            self._bound_ready = True
-            np.multiply(self._w0, 7, out=bound)
-            if self._delta:
-                bound += abs(self._delta) * 28
-            bound[self._cols] = self._odd_reach[self._odd_at]
-        return bound
+        d, eight = self._bounds[:2, :self._w0.size]
+        if not self._bounds_ready:
+            self._bounds_ready = True
+            np.add(self._w0, abs(self._delta) * 7, out=d)
+            d[self._cols] = self._odd_top[self._odd_at]
+            np.multiply(d, 8, out=eight)
+        return d, eight
 
-    def reach(self, index: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    def reach(self, at: np.ndarray, code: np.ndarray) -> np.ndarray:
         """How far S can lie from S at the byte's end, at any step of the
-        bytes at flat positions `flat` of the chunk: w0*A[c] + |delta|*B[c]
-        for an affine byte with code c, `reach_bound` for the others."""
-        at, code = flat % index.shape[1], index.ravel()[flat]
+        loaded chunk's bytes `at` with sign bytes `code`: w0*A[c] +
+        |delta|*B[c] for an affine byte with code c, w_1 + ... + w_7 for the
+        others."""
         reach = _REACH_SUM[code] * self._w0[at]
         if self._delta:
             reach += _REACH_MOMENT[code] * abs(self._delta)
@@ -519,23 +540,6 @@ class _PathKernel:
         if odd.any():
             reach[odd] = self._odd_reach[self._odd_at.start + self._cols.searchsorted(at[odd])]
         return reach
-
-    def near(self, index: np.ndarray, abs_ends: np.ndarray, band) -> np.ndarray:
-        """Flat positions of the chunk's bytes with |S| <= band possible at
-        some step, |S at the end| <= reach + band, found by `reach_bound`
-        first and `reach` on what passes it."""
-        k = index.shape[1]
-        limit = self.reach_bound()
-        if band:
-            limit = np.add(limit, band, out=self._work[3, :k])
-        pass_ = np.flatnonzero(abs_ends <= limit)
-        return pass_[abs_ends.ravel()[pass_] <= self.reach(index, pass_) + band]
-
-    def buffer(self, shape) -> np.ndarray:
-        """An int64 array of this shape for a reducer, reused for the next
-        chunk.  The kernel keeps its per-chunk arrays, because fresh arrays
-        this large cost more than the work on them."""
-        return _shaped(self._work[2], shape)
 
     def _byte_sums(self, index: np.ndarray) -> np.ndarray:
         """The sum of w_j * x_j over each byte of the loaded chunk, whose codes
@@ -555,10 +559,9 @@ class _PathKernel:
             sums[:, cols] = (self._odd[self._odd_at] * _BYTE_SIGNS[index[:, cols]]).sum(axis=2)
         return sums
 
-    def expand(self, near: np.ndarray, index: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """Exact S at the 8 steps of the bytes at flat positions `near` of the
-        chunk's (paths, bytes) arrays, (k, 8), from S at their ends."""
-        at, code = near % index.shape[1], index.ravel()[near]
+    def expand(self, at: np.ndarray, code: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """Exact S at the 8 steps of the loaded chunk's bytes `at` with sign
+        bytes `code`, (k, 8), from S at their ends, `end`."""
         rows = np.take(_BYTE_PREFIX, code, axis=0)
         rows *= self._w0[at][:, None]
         if self._delta:
@@ -567,24 +570,28 @@ class _PathKernel:
         if odd.any():
             w = self._odd[self._odd_at.start + self._cols.searchsorted(at[odd])]
             rows[odd] = np.cumsum(w * _BYTE_SIGNS[code[odd]], axis=1)
-        rows += (ends.ravel()[near] - rows[:, -1])[:, None]
+        rows += (end - rows[:, -1])[:, None]
         return rows
 
     def run(self, stream, reducer=None) -> np.ndarray:
         """Walk the `paths` paths of `stream`, whose sign bytes its
-        `take_bytes` gives one row per path, into the reducer (the byte path
-        stops once reducer.update_bytes returns True); return the last
-        partial sum formed, one per path."""
+        `take_bytes` gives one row per path, into the reducer (a pass stops
+        once reducer.update returns True); return the last partial sum
+        formed, one per path."""
         if self.bytewise:
             return self._run_bytes(stream.take_bytes, reducer, stream.paths)
         return self._run_real(stream.take_bytes, reducer, stream.paths)
 
     def _run_bytes(self, take_bytes, reducer, paths):
+        """Walk the chunks and feed reducer.update the steps `_read` finds
+        in each; return S(n) of each path, in int64."""
         carry = np.zeros(paths, dtype=np.int64)
+        top = np.zeros(paths, dtype=np.int64) if reducer is not None and reducer.full else None
         chunk = _BYTE_CHUNK // paths
         for lo in range(0, self.nbytes, chunk):
             codes = take_bytes(min(chunk, self.nbytes - lo))
-            self._load(lo, lo + codes.shape[-1])
+            hi = lo + codes.shape[-1]
+            self._load(lo, hi)
             index = _shaped(self._index, codes.shape)
             index[...] = codes  # np.take is several times slower on uint8
             sums = self._byte_sums(index)
@@ -594,15 +601,56 @@ class _PathKernel:
             sums[:, 0] += carry  # exact in int64
             ends = np.add.accumulate(sums, axis=1, out=sums)
             carry = ends[:, -1].copy()
-            a, b = np.searchsorted(self._byte_cps, (8 * lo, 8 * (lo + index.shape[1])), "right")
-            if reducer.update_bytes(self, lo, index, ends, self._byte_cps[a:b]):
+            keys, s = self._read(lo, index, ends, reducer.level(min(8 * hi, self.steps) - 1), top)
+            a, b = np.searchsorted(self._byte_cps, (8 * lo, 8 * hi), "right")
+            if reducer.update(8 * lo, 8 * (hi - lo), keys, s,
+                              None if top is None else top.astype(np.float64),
+                              carry.astype(np.float64), self._byte_cps[a:b]):
                 break
         return carry
 
+    def _read(self, lo, index, ends, level, top):
+        """The steps of a chunk of bytes lo, lo+1, ... that a reducer reads,
+        as sorted flat keys row*8k + step (k bytes per row), with their
+        exact S; `ends` holds S at the byte ends and `index` the sign bytes,
+        one row per path.  Given `top` (each path's largest |S| so far),
+        raise it to each path's largest |S| in the chunk.  `_PathKernel`
+        proves what is read, with low = max(floor(level), d)."""
+        k = ends.shape[1]
+        d, eight = self._byte_bounds()
+        level = min(math.floor(level), _INT_LIMIT)
+        abs_ends = np.abs(ends, out=_shaped(self._work[1], ends.shape))
+
+        def byte(flat):  # the byte and code of flat positions, and S at their ends
+            at = flat - flat // k * k  # numpy divides by a scalar fast, but not %
+            return at, index.ravel()[flat], ends.ravel()[flat]
+        # first by reach + low <= 8d + level
+        near = np.flatnonzero(abs_ends <= (np.add(eight, level, out=self._bounds[2, :k])
+                                           if level else eight))
+        at, code, end = byte(near)
+        low = np.maximum(d[at], level)
+        close = np.flatnonzero(np.abs(end) <= self.reach(at, code) + low)
+        near, at, code, end, low = near[close], at[close], code[close], end[close], low[close]
+        s = self.expand(at, code, end)
+        read = np.abs(s) <= low[:, None]
+        if 8 * (lo + k) > self.steps:  # the steps past n that pad the last byte
+            read &= (8 * at)[:, None] + _LANES < self.steps - 8 * lo
+        step = np.flatnonzero(read)
+        if top is not None:
+            # only a byte that reaches past the largest |S| at a byte end can beat it
+            np.maximum(top, abs_ends.max(axis=1), out=top)
+            flat = np.flatnonzero(abs_ends > (top - eight.max())[:, None])
+            at, code, end = byte(flat)
+            beat = np.flatnonzero(np.abs(end) + eight[at] > top[flat // k])
+            if beat.size:
+                np.maximum.at(top, flat[beat] // k,
+                              np.abs(self.expand(at[beat], code[beat], end[beat])).max(axis=1))
+        return 8 * near[step >> 3] + (step & 7), s.ravel()[step]
+
     def _run_real(self, take_bytes, reducer, paths):
-        """Walk the segments a chunk at a time and feed reducer.update_real
-        the steps `_screen` finds in each segment; return the last partial
-        sum of each path, in long double."""
+        """Walk the segments a chunk at a time and feed reducer.update the
+        steps `_screen` finds in each segment; return the last partial sum
+        of each path, in long double."""
         carry = np.zeros(paths, dtype=np.longdouble)
         width = min(self.steps, _CHUNK, max(_STRIDE, _REAL_CHUNK // paths // _STRIDE * _STRIDE))
         top = np.zeros(paths) if reducer is not None and reducer.full else None
@@ -615,7 +663,7 @@ class _PathKernel:
                 margin = 2.0 ** -50 * (float(weights.sum()) + 3 * float(np.abs(carry).max())) \
                     + 2.0 ** -1070
                 step = float(weights.max()) + margin  # |S_j - S_{j-1}| <= step
-                low = max(*reducer.levels, reducer.zero_tol + step)
+                low = max(reducer.level(end - 1), reducer.zero_tol + step)
                 bounds = margin, _STRIDE / 2 * step + 2 * margin, low
                 rounded = carry.astype(np.float64)
                 found = []
@@ -645,8 +693,9 @@ class _PathKernel:
                 if len(found) > 1:  # from chunk-major to row-major: a merge of sorted runs
                     order = np.argsort(keys, kind="stable")
                     keys, s = keys[order], s[order]
-                reducer.update_real(pos, span, keys, s, top, carry.astype(np.float64),
-                                    (end,) if end in self.checkpoints else ())
+                if reducer.update(pos, span, keys, s, top, carry.astype(np.float64),
+                                  (end,) if end in self.checkpoints else ()):
+                    break
         return carry
 
     def _screen(self, sums, carry, before, bounds, top):
@@ -727,11 +776,9 @@ class _PathTally:
         self.first = first
         self.bands = [float(c) if not float(c).is_integer() else int(c) for c in bands]
         self.zero_tol = zero_tol
-        self.levels = (zero_tol, *self.bands)  # what the real walk's rounding must keep
         self.full = full
-        # the byte path's bands: |S| <= c iff |S| <= floor(c), and |S| < 2^62
+        # an integer walk's bands: |S| <= c iff |S| <= floor(c), and |S| < 2^62
         self.int_bands = [min(math.floor(c), _INT_LIMIT) for c in self.bands]
-        self.widest = max(self.int_bands, default=0)
         self.zero_hits = np.zeros(paths, dtype=np.int64)
         self.sign_changes = np.zeros(paths, dtype=np.int64)
         self.last_zero = np.full(paths, -1, dtype=np.int64)
@@ -743,127 +790,47 @@ class _PathTally:
         # (step, zero hits, sign changes, band hits) at each checkpoint
         self.snapshots: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def update_real(self, pos: int, span: int, keys: np.ndarray, s: np.ndarray,
-                    peak, final: np.ndarray, cps) -> None:
-        """Real-walk update from a segment of `span` steps from step pos of
-        each path: S at the flat keys row*span + step (sorted), which hold
-        every zero (|S| <= zero_tol), every band hit and every step at which
-        S changes sign (see `_PathKernel`); with ``full``, each path's
-        largest |S| so far (`peak`) and its S at the segment's last step.
-        `cps` holds the segment's end (a step count) if a checkpoint ends it."""
+    def level(self, step: int):
+        """The widest band: the largest |S| counted at any step."""
+        return max(self.bands, default=0)
+
+    def update(self, base: int, span: int, keys: np.ndarray, s: np.ndarray,
+               peak, final: np.ndarray, cps) -> bool:
+        """Add a chunk of `span` steps from step `base` of each path: S at
+        the flat keys row*span + step (sorted), which hold every zero, every
+        band hit and every step at which S changes sign (see `_PathKernel`);
+        with ``full``, each path's largest |S| so far (`peak`) and its S at
+        the chunk's last step.  `cps` holds the checkpoints (step counts)
+        that end in the chunk.  A zero is |S| <= zero_tol; S in int64 is an
+        integer walk's exact sum, so there a zero is S == 0, whatever
+        zero_tol is, and the bands compare in int64.  Never stops a pass."""
         abs_s = np.abs(s)
-        zero = abs_s <= self.zero_tol
-        events = [keys[zero]] + [keys[abs_s <= c] for c in self.bands]
+        tol, bands = (0, self.int_bands) if s.dtype == np.int64 else (self.zero_tol, self.bands)
+        zero = abs_s <= tol
+        # np.compress gathers several times faster than a boolean index here
+        events = [np.compress(zero, keys)] + [np.compress(abs_s <= c, keys) for c in bands]
         # sign changes among the nonzero S; a zero never counts as a sign
-        live = ~zero
+        live = np.flatnonzero(~zero)
         at, up = keys[live], s[live] > 0
-        if at.size:
-            row = at // span
-            head = np.ones(at.size, dtype=bool)  # each row's first nonzero S
-            head[1:] = row[1:] != row[:-1]
-            before = np.empty_like(up)
-            before[1:] = up[:-1]
-            known = self.last_sign[row[head]]
-            before[head] = known > 0
-            change = up != before
-            change[head] &= known != 0
-            tail = np.append(head[1:], True)  # each row's last nonzero S
-            self.last_sign[row[tail]] = np.where(up[tail], 1, -1)
-            at = at[change]
-        self._count(events, [at], span, pos, cps)
+        edge = np.searchsorted(at, np.arange(self.last_sign.size + 1) * span)  # row by row
+        rows = np.flatnonzero(edge[1:] > edge[:-1])
+        first, last = edge[rows], edge[rows + 1] - 1
+        change = np.empty(at.size, dtype=bool)
+        np.not_equal(up[1:], up[:-1], out=change[1:])
+        known = self.last_sign[rows]
+        change[first] = (known != 0) & (up[first] != (known > 0))
+        self.last_sign[rows] = np.where(up[last], 1, -1)
+        self._count(events, at[change], span, base, cps)
         if self.full:
             self.max_abs = np.maximum(self.max_abs, peak)
             self.final = final
-
-    def update_bytes(self, kernel: _PathKernel, lo: int, index: np.ndarray,
-                     ends: np.ndarray, cps: np.ndarray) -> bool:
-        """Byte-path update: `ends` holds S at the last step of bytes lo,
-        lo+1, ... (one row per path), `index` their sign bytes and `cps` the
-        checkpoints (step counts) that fall in them.
-
-        Only a byte that ends within its reach of the widest band (0
-        included) can hold a zero, a band hit or a sign change between its
-        steps, so only those are expanded.  Every other byte has the sign of
-        its end throughout.  Weights are positive, so zeros are isolated and
-        every byte has a nonzero step; a change between bytes sits at the
-        later byte's first nonzero step.  Events are keyed row * 8k + step
-        in the chunk (k bytes per row), so each row's keys form one sorted
-        run, which snapshots and totals count.
-        """
-        paths, k = ends.shape
-        span, base = 8 * k, 8 * lo
-        abs_ends = np.abs(ends, out=kernel.buffer(ends.shape))
-        near = kernel.near(index, abs_ends, self.widest)
-        s = kernel.expand(near, index, ends)
-        key0 = 8 * near  # the key of each expanded byte's first step
-
-        def keys(mask):  # the keys of the steps where mask holds
-            at = np.flatnonzero(mask)
-            return key0[at >> 3] + (at & 7)
-
-        zero = s == 0
-        real = kernel.steps - base
-        if real < span:  # the steps past n that pad the last byte hold no event
-            exists = (key0 % span)[:, None] + _LANES < real
-        else:
-            exists = True
-        zeros_at = keys(zero & exists)
-        events = [zeros_at] + [zeros_at if c == 0 else keys((s <= c) & (s >= -c) & exists)
-                               for c in self.int_bands]
-        # sign changes inside expanded bytes: zeros are isolated, so the last
-        # sign before step j is that of step j-1 or, over a zero, of step j-2
-        # (flat arrays, because short rows make numpy slow)
-        up = s > 0
-        u, z = up.ravel(), zero.ravel()
-        filled = np.zeros_like(u)  # up, and a zero takes the sign of the step before it
-        np.logical_and(z[1:], u[:-1], out=filled[1:])
-        filled |= u
-        inner = np.zeros_like(u)
-        np.not_equal(u[1:], filled[:-1], out=inner[1:])
-        inner &= ~z
-        inner = inner.reshape(-1, 8)
-        inner[:, 0] = False  # a change at a byte's first steps is counted between bytes
-        inner[:, 1] &= ~zero[:, 0]
-        inner_at = keys(inner)
-        # ... and between bytes, from each byte's first and last nonzero sign
-        end_up = ends > 0
-        lead = zero[:, 0]
-        first_up = end_up.copy()
-        first_up.ravel()[near] = np.where(lead, up[:, 1], up[:, 0])
-        last_up = end_up
-        end_zero = zero[:, 7]
-        if end_zero.any():
-            last_up = end_up.copy()
-            last_up.ravel()[near[end_zero]] = up[end_zero, 6]
-        change = np.empty_like(end_up)
-        change[:, 1:] = last_up[:, :-1] != first_up[:, 1:]
-        change[:, 0] = (self.last_sign != 0) & (first_up[:, 0] != (self.last_sign > 0))
-        between = np.flatnonzero(change)
-        opens_zero = np.zeros(end_up.size, dtype=bool)  # a byte whose first step is a zero
-        opens_zero[near] = lead
-        between_at = 8 * between + opens_zero[between]
-        if real < span:
-            between_at = between_at[between_at % span < real]
-        self.last_sign = np.where(last_up[:, -1], 1, -1)
-        self._count(events, [between_at, inner_at], span, base, cps)
-        if self.full:
-            # only a byte that reaches past the largest |S| at a byte end can beat it
-            top = np.maximum(self.max_abs.astype(np.int64), abs_ends.max(axis=1))
-            bound = kernel.reach_bound()
-            beat = np.flatnonzero(abs_ends > (top - bound.max())[:, None])
-            beat = beat[abs_ends.ravel()[beat] + bound[beat % k] > top[beat // k]]
-            if beat.size:
-                np.maximum.at(top, beat // k,
-                              np.abs(kernel.expand(beat, index, ends)).max(axis=1))
-            self.max_abs = top.astype(np.float64)
-            self.final = ends[:, -1].astype(np.float64)
         return False
 
     def _count(self, events, changes, span: int, base: int, cps) -> None:
         """Add a chunk's events, given as sorted flat keys row*span + step
         (step 0 is step `base` of the walk): `events` those of the zeros and
-        of each band's hits, `changes` those of the sign changes, in one or
-        more arrays; `cps` the checkpoints (step counts) in the chunk."""
+        of each band's hits, `changes` those of the sign changes; `cps` the
+        checkpoints (step counts) in the chunk."""
         paths = self.zero_hits.size
         # per row: the events up to each checkpoint, then in the whole chunk
         starts = np.arange(paths) * span
@@ -872,9 +839,8 @@ class _PathTally:
         def count(e):  # per later edge and row: the events before it; where the last stop
             stop = np.searchsorted(e, edges)
             return stop[1:] - stop[0], stop[-1]
-        zeros = count(events[0])
-        tallies = [zeros] + [zeros if e is events[0] else count(e) for e in events[1:]]
-        changed = sum(count(e)[0] for e in changes)
+        tallies = [count(e) for e in events]
+        zeros, changed = tallies[0], count(changes)[0]
         band_counts = np.array([n for n, _ in tallies[1:]], dtype=np.int64).reshape(
             len(self.bands), len(edges) - 1, paths)
         for i, cp in enumerate(cps):
@@ -919,12 +885,16 @@ class _PathTally:
 
 
 class _GrowthTest:
-    """Reducer: does |S(m)| exceed m^exponent at every step of the window?
+    """Reducer: does |S(m)| exceed m^exponent, exponent > 0, at every step
+    m of the window?
 
-    Thresholds are computed for the expanded steps only, always by numpy's
+    A path fails at a step it reads in the window where |S| <= m^exponent.
+    Thresholds are computed for the read steps only, always by numpy's
     array power, whose last bit can differ from its scalar power.  `ok`
     holds one flag per path of the pass (`paths`).
     """
+
+    full = False
 
     def __init__(self, window_start: int, first: int, exponent: float, paths: int = 1):
         self.window_start = window_start
@@ -938,29 +908,21 @@ class _GrowthTest:
     def _thresholds(self, steps: np.ndarray) -> np.ndarray:
         return np.power((self.first + steps).astype(np.float64), self.exponent)
 
-    def update_bytes(self, kernel: _PathKernel, lo: int, index: np.ndarray,
-                     ends: np.ndarray, cps: np.ndarray) -> bool:
-        """Only a byte that ends within its reach plus the chunk's largest
-        threshold, its last one rounded up, can hold a failing step, so
-        only those are expanded.  The growth experiment's weights are
-        integers, so the byte path always runs it."""
-        k = ends.shape[1]
-        start = max(lo, self.window_start // 8)
-        if start >= lo + k:
-            return False
-        last = min(8 * (lo + k), kernel.steps) - 1
-        top = math.ceil(self._thresholds(np.array([last]))[0])
-        near = kernel.near(index, np.abs(ends, out=kernel.buffer(ends.shape)), top)
-        near = near[near % k >= start - lo]
-        if near.size:
-            row = near // k
-            # a padded step stands for step n, whose S it repeats
-            step = np.minimum((8 * (lo + near % k))[:, None] + _LANES, kernel.steps - 1)
-            s = kernel.expand(near, index, ends)
-            fail = (np.abs(s) <= self._thresholds(step)) & (step >= self.window_start)
-            self.ok[row[fail.any(axis=1)]] = False
-            return not self.ok.any()
-        return False
+    def level(self, step: int):
+        """The threshold at `step`, the largest of any step up to it."""
+        return self._thresholds(np.array([step]))[0]
+
+    def update(self, base: int, span: int, keys: np.ndarray, s: np.ndarray,
+               peak, final, cps) -> bool:
+        """Fail the paths with a read step in the window at or below its
+        threshold (`_PathTally.update` names the arguments); stop the pass
+        once every path has failed."""
+        row = keys // span
+        step = base + keys - row * span
+        late = np.flatnonzero(step >= self.window_start)
+        fail = np.abs(s[late]) <= self._thresholds(step[late])
+        self.ok[row[late[fail]]] = False
+        return not self.ok.any()
 
 
 def simulate(spec: SequenceSpec, n: int, rng: RngSpec, bands: Sequence[float] = (),

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import sys
 import warnings
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -645,6 +647,83 @@ def test_byte_path_growth_test_matches_step_loop(text, signs, exponent, window_s
     test = mc._GrowthTest(window_start, first, exponent)
     mc._PathKernel(spec, first + len(signs) - 1).run(SignSource(signs), test)
     assert test.ok == want
+
+
+def _integer_cases():
+    """(name, spec, signs, bands, checkpoints) of the byte path's oracle
+    cases: every spec of `_INTEGER_SPECS` on runs of signs, with and without
+    bands, and a linear walk whose one sign change, from S(8) = -6 to S(9) =
+    3, crosses a byte boundary with no zero near it."""
+    cases = [(f"{text[:24]} {bands}", parse_spec(text), _sign_runs(2000, seed), bands,
+              [1, 8, 9, 1000, 2000])
+             for seed, text in enumerate(_INTEGER_SPECS) for bands in ((), (0, 2.5))]
+    signs = [-1] * 6 + [1] * 4 + [-1, 1, -1, 1, 1, -1]
+    cases.append(("change across a byte boundary", Linear(), signs, (), [8, 9, 16]))
+    return cases
+
+
+def _failed_integer_cases():
+    """The names of the `_integer_cases` whose `simulate_signs` statistics
+    differ from the Python step loop's, with the fields that differ."""
+    failed = []
+    names = ("zero_hits", "sign_changes", "last_zero_hit", "max_abs", "final_value",
+             "band_hits", "last_band_hit", "checkpoints")
+    for name, spec, signs, bands, checkpoints in _integer_cases():
+        got = simulate_signs(spec, np.array(signs, dtype=np.int8), bands=bands,
+                             checkpoints=checkpoints)
+        want = _step_loop_stats(spec, signs, bands, set(checkpoints))
+        got = (*(getattr(got, f) for f in names[:7]),
+               [(c.at, c.zero_hits, c.sign_changes, c.band_hits) for c in got.checkpoints])
+        fields = {f for f, a, b in zip(names, got, want) if a != b}
+        if fields:
+            failed.append((name, fields))
+    return failed
+
+
+def test_byte_path_cases_catch_a_read_without_the_step_bound(monkeypatch):
+    # the byte path reads a byte up to max(level, d), d its largest weight;
+    # the mutation that reads only up to the reducer's level misses the
+    # sign changes that jump over zero, the one across a byte boundary too
+    assert _failed_integer_cases() == []
+    bounds = mc._PathKernel._byte_bounds
+
+    def no_step(kernel):  # d = 0 in low = max(level, d); 8d still bounds the reach
+        d, eight = bounds(kernel)
+        return np.zeros_like(d), eight
+    monkeypatch.setattr(mc._PathKernel, "_byte_bounds", no_step)
+    failed = dict(_failed_integer_cases())
+    assert "sign_changes" in failed["change across a byte boundary"]
+    assert all("sign_changes" in fields for fields in failed.values())
+
+
+def test_integer_walks_ignore_zero_tol_and_compare_bands_exactly():
+    # an integer walk's sums are exact: a zero is S == 0 whatever zero_tol
+    # is, and a band compares in int64, where float64 would round S to 2^53
+    spec, rng = Constant(1), mc.RngSpec(4)
+    assert mc.simulate(spec, 3000, rng, (0, 1), zero_tol=1.5) == \
+        mc.simulate(spec, 3000, rng, (0, 1), zero_tol=0.0)
+    st = mc.simulate(spec, 3000, rng, (0, 1), zero_tol=1.5)
+    assert st.zero_hits == st.band_hits[0] < st.band_hits[1]
+    st = mc.simulate(Explicit([2 ** 53 + 1]), 1, mc.RngSpec(0), [2.0 ** 53])
+    assert st.band_hits == {2 ** 53: 0} and abs(st.final_value) == 2.0 ** 53
+
+
+def test_reducers_call_no_kernel_method():
+    # the kernel picks the steps each reducer reads, and each reducer has
+    # one update for both walks: a reducer that called back into the kernel
+    # would read by a rule of its own
+    tree = ast.parse(Path(mc.__file__).read_text())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    kernel = {node.name for node in classes["_PathKernel"].body
+              if isinstance(node, ast.FunctionDef)} | {"_PathKernel"}
+    for name in ("_PathTally", "_GrowthTest"):
+        used = {node.attr if isinstance(node, ast.Attribute) else node.id
+                for node in ast.walk(classes[name])
+                if isinstance(node, (ast.Attribute, ast.Name))}
+        assert used & kernel == set(), name
+        updates = [node.name for node in classes[name].body
+                   if isinstance(node, ast.FunctionDef) and node.name.startswith("update")]
+        assert updates == ["update"], name
 
 
 # walks whose sign bytes have affine weights with more than one step
