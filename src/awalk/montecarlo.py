@@ -350,7 +350,8 @@ class _PathKernel:
       reach + low.  The steps past n that pad the last byte are dropped.
       With max |S| tracked, a byte is expanded too where |S at its end| +
       8d, a bound on its reach, exceeds the largest |S| at the byte ends so
-      far.
+      far.  Every |S| is below 2^62, so 8d and the prefilter's 8d + level
+      are cut at 2^62: they stay in int64 and still pass every byte.
     - The real walk decides every step from every 16th partial sum
       (`_screen`).  Let a_j = RN64(sums_j) + RN64(carry) in float64, W the
       segment's weight sum, c the largest |carry| of the pass and w the
@@ -517,15 +518,16 @@ class _PathKernel:
 
     def _byte_bounds(self) -> np.ndarray:
         """Per byte of the loaded chunk: d, a bound on its largest weight
-        (w0 + 7|delta|, or the largest in its row), and 8d, which bounds
-        `reach` for any code.  The arrays are the kernel's, kept until the
-        next chunk is loaded."""
+        (w0 + 7|delta|, or the largest in its row), and min(8d, 2^62), which
+        bounds `reach` for any code or lies above every |S|.  The arrays are
+        the kernel's, kept until the next chunk is loaded."""
         d, eight = self._bounds[:2, :self._w0.size]
         if not self._bounds_ready:
             self._bounds_ready = True
             np.add(self._w0, abs(self._delta) * 7, out=d)
             d[self._cols] = self._odd_top[self._odd_at]
-            np.multiply(d, 8, out=eight)
+            np.minimum(d, _INT_LIMIT >> 3, out=eight)  # 8d itself can pass 2^63
+            eight *= 8
         return d, eight
 
     def reach(self, at: np.ndarray, code: np.ndarray) -> np.ndarray:
@@ -624,12 +626,16 @@ class _PathKernel:
         def byte(flat):  # the byte and code of flat positions, and S at their ends
             at = flat - flat // k * k  # numpy divides by a scalar fast, but not %
             return at, index.ravel()[flat], ends.ravel()[flat]
-        # first by reach + low <= 8d + level
-        near = np.flatnonzero(abs_ends <= (np.add(eight, level, out=self._bounds[2, :k])
-                                           if level else eight))
+        # first by reach + low <= 8d + level, cut at 2^62 (above every |S|)
+        # to stay in int64; |S| - low and |S| + 8d below stay in it too
+        bound = eight
+        if level:
+            bound = np.minimum(eight, _INT_LIMIT - level, out=self._bounds[2, :k])
+            bound += level
+        near = np.flatnonzero(abs_ends <= bound)
         at, code, end = byte(near)
         low = np.maximum(d[at], level)
-        close = np.flatnonzero(np.abs(end) <= self.reach(at, code) + low)
+        close = np.flatnonzero(np.abs(end) - low <= self.reach(at, code))
         near, at, code, end, low = near[close], at[close], code[close], end[close], low[close]
         s = self.expand(at, code, end)
         read = np.abs(s) <= low[:, None]

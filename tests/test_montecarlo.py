@@ -706,6 +706,17 @@ def test_integer_walks_ignore_zero_tol_and_compare_bands_exactly():
     assert st.zero_hits == st.band_hits[0] < st.band_hits[1]
     st = mc.simulate(Explicit([2 ** 53 + 1]), 1, mc.RngSpec(0), [2.0 ** 53])
     assert st.band_hits == {2 ** 53: 0} and abs(st.final_value) == 2.0 ** 53
+    # weights near the 2^62 limit on the weight sum, where 8 times a weight
+    # or a band of 2^62 plus a byte's reach would pass 2^63: every step is
+    # read all the same, and a band of 2^62 holds every partial sum
+    for spec, signs, bands, checkpoints in [
+            (Constant(2 ** 60), [1, -1, 1], (), [1, 2, 3]),
+            (Constant(2 ** 59), [1, -1] * 3 + [1], (2.0 ** 62, 0), [3, 7]),
+            (Explicit([2 ** 61 - 1, 2 ** 61 - 2]), [1, -1], (2.0 ** 62, 1), [1, 2])]:
+        want = _step_loop_stats(spec, signs, bands, set(checkpoints))
+        assert want[0] or want[3] == 2.0 ** 61 - 1
+        _assert_stats_equal(simulate_signs(spec, np.array(signs, dtype=np.int8), bands=bands,
+                                           checkpoints=checkpoints), want)
 
 
 def test_reducers_call_no_kernel_method():
