@@ -10,11 +10,10 @@ One band DP, `_band_masses`, computes every lattice quantity: the pmf
 (`distribution`), first-hit and visit series (`zero_hit_probability`,
 `expected_visits`) and integer Azuma tails.  The signs are symmetric, so
 every mass is, m(-z) = m(z): the DP keeps the cells z >= 0 in a numpy
-object buffer of big-int counts, or of 256-bit mpmath floats for mode
-"float256", and each weight a makes m'(z) = m(z+a) + m(|z-a|).  One
-addition per cell gives every cell its full-lattice twin bit for bit.  The
-buffer holds unnormalised masses; step i's band mass is scaled by 2^-(i+1)
-once, which is exact in both arithmetics.
+object buffer of big-int counts, and each weight a makes m'(z) = m(z+a) +
+m(|z-a|).  The buffer holds unnormalised masses, so step i's band mass m is
+2^(i+1) times its probability.  Mode "float256" reports the same exact
+masses as float64, each m / 2^(i+1) rounded once, to nearest.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ __all__ = [
 # MAX_BUFFER_BYTES (see `_cell_bytes`).
 MAX_CELLS = 50_000_000
 MAX_BUFFER_BYTES = 2 << 30
-# Mode "auto" uses exact rationals while the denominator 2^steps stays below
-# this many decimal digits; beyond it the band DP runs on 256-bit floats.
+# Mode "auto" reports exact rationals while the denominator 2^steps stays
+# below this many decimal digits, and rounded float64 (mode "float256") beyond.
 DIGIT_BUDGET = 5000
 
 _MAGIC = b"AWLD"
@@ -152,37 +151,31 @@ def distribution(spec: SequenceSpec, n: int) -> LatticeDist:
 def _lattice(weights: list[int]) -> LatticeDist:
     """Exact pmf of sum w_i x_i for a list of integer weights (zeros allowed)."""
     total = sum(weights)
-    half = _band_masses(weights, None, False, 1)[1].tolist()
+    half = _band_masses(weights, None, False)[1].tolist()
     return LatticeDist(n=len(weights), offset=-total, counts=half[::-1] + half[1 - (total & 1):])
 
 
-def _band_masses(weights: list[int], band: int | float | None, absorb: bool,
-                 one) -> tuple[list, np.ndarray]:
+def _band_masses(weights: list[int], band: int | float | None,
+                 absorb: bool) -> tuple[list[int], np.ndarray]:
     """The band DP: (per-step masses with |S| <= band, final half buffer).
 
     Cell i of the buffer holds the mass at S = p + 2i >= 0, p being the
     parity of the weights summed so far; the cells S < 0 are its mirror
-    image.  ``one`` is the starting mass and sets the arithmetic (int 1 for
-    counts, mpmath.mpf(1) for float256, which must run under workprec(256)).
-    Masses are never halved, so the mass recorded after k weights is 2^k
-    times its probability.  ``band`` None records no masses; ``absorb``
-    removes each step's band mass from the walk.
-
-    A band mass is summed in the full lattice's order, S = -band up to
-    +band, so float256 rounds it as before (2*sum + m(0) would not).  The
+    image.  Masses are big-int counts, never halved, so the mass recorded
+    after k weights is 2^k times its probability.  ``band`` None records no
+    masses; ``absorb`` removes each step's band mass from the walk.  The
     guards count all sum(weights) + 1 cells: about twice this buffer.
     """
     span = sum(weights) + 1
     if span > MAX_CELLS:
         raise ResourceError(f"band DP needs {span} lattice cells (budget {MAX_CELLS})",
                             required=span, budget=MAX_CELLS)
-    need = span * _cell_bytes(one, len(weights))
+    need = span * _cell_bytes(len(weights))
     if need > MAX_BUFFER_BYTES:
         raise ResourceError(f"band DP needs about {need} bytes for {span} lattice cells "
                             f"(budget {MAX_BUFFER_BYTES})",
                             required=need, budget=MAX_BUFFER_BYTES)
-    zero = one - one
-    buf = np.full(1, one, dtype=object)
+    buf = np.ones(1, dtype=object)
     masses = []
     total = p = 0
     for a in weights:
@@ -192,29 +185,22 @@ def _band_masses(weights: list[int], band: int | float | None, absorb: bool,
         # k - t (S - a), or for k < t the mirror cell t - k - p (a - S)
         s, t = (q + a - p) // 2, (a + p - q) // 2
         mirrored = buf[1 - p:t + 1 - p][::-1]
-        new = np.concatenate((np.full(t - len(mirrored), zero, dtype=object), mirrored, buf))
+        new = np.concatenate((np.zeros(t - len(mirrored), dtype=object), mirrored, buf))
         new[:max(len(buf) - s, 0)] += buf[s:]
         buf, p = new, q
         if band is not None:
             cells = buf[:(math.floor(band) - p) // 2 + 1]
-            masses.append(sum(cells[1 - p:], sum(cells[::-1], zero)))
+            masses.append(sum(cells) + sum(cells[1 - p:]))  # S = 0 counts once
             if absorb:
-                cells[:] = zero
+                cells[:] = 0
     return masses, buf
 
 
-def _cell_bytes(one, steps: int) -> int:
+def _cell_bytes(steps: int) -> int:
     """Predicted bytes of one band-DP cell after ``steps`` weights: the
-    buffer's pointer and a count of up to steps + 1 bits, or a 256-bit mpf
-    (its object, its tuple, a mantissa and an exponent)."""
-    if isinstance(one, int):
-        return 8 + _int_bytes(steps + 1)
-    return 8 + sys.getsizeof(one) + sys.getsizeof(one._mpf_) + 2 * _int_bytes(256)
-
-
-def _int_bytes(bits: int) -> int:
-    """Size of a CPython int of ``bits`` bits."""
-    return int.__basicsize__ + int.__itemsize__ * -(-bits // sys.int_info.bits_per_digit)
+    buffer's pointer and a CPython int of up to steps + 1 bits."""
+    digits = -(-(steps + 1) // sys.int_info.bits_per_digit)
+    return 8 + int.__basicsize__ + int.__itemsize__ * digits
 
 
 def _band_slice(offset: int, length: int, band: int | float) -> tuple[int, int]:
@@ -230,7 +216,7 @@ class HitReport:
     spec: str
     horizon: int
     band: float
-    mode: str  # "exact-rational" | "float256"
+    mode: str  # "exact-rational" (Fractions) | "float256" (the same values rounded to float64)
     hit_probability: Fraction | float | None = None
     expected_visits: Fraction | float | None = None
     per_n: list[tuple[int, object]] = field(default_factory=list)
@@ -251,18 +237,13 @@ def _band_series(spec: SequenceSpec, n: int, band: int | float, absorb: bool, mo
     weights = _integer_weights(spec, n)
     chosen = _pick_mode(spec, n, mode)
     report = HitReport(spec=spec.canonical(), horizon=n, band=band, mode=chosen)
-    steps = range(spec.first_index, spec.first_index + len(weights))
-    if chosen == "exact-rational":
-        masses, _ = _band_masses(weights, band, absorb, 1)
-        probs = [Fraction(m, 1 << (i + 1)) for i, m in enumerate(masses)]
-        report.per_n = list(zip(steps, probs))
-        return report, sum(probs, Fraction(0))
-    import mpmath  # float256 alone needs it, so no other job pays for its import
-    with mpmath.workprec(256):
-        masses, _ = _band_masses(weights, band, absorb, mpmath.mpf(1))
-        probs = [mpmath.ldexp(m, -(i + 1)) for i, m in enumerate(masses)]
-        report.per_n = [(k, float(p)) for k, p in zip(steps, probs)]
-        return report, sum(probs, mpmath.mpf(0))  # 256-bit value, not downcast
+    masses, _ = _band_masses(weights, band, absorb)
+    # int / int rounds the exact quotient once, to nearest
+    value = Fraction if chosen == "exact-rational" else lambda m, d: m / d
+    report.per_n = [(spec.first_index + i, value(m, 1 << (i + 1)))
+                    for i, m in enumerate(masses)]
+    top = len(masses)
+    return report, value(sum(m << (top - 1 - i) for i, m in enumerate(masses)), 1 << top)
 
 
 def zero_hit_probability(spec: SequenceSpec, n: int, band: int | float = 0,

@@ -749,10 +749,11 @@ class _PathKernel:
                 new = np.flatnonzero(new)
                 peak[row[new]] = np.maximum.reduceat(abs_s, new * _STRIDE)
         near = np.flatnonzero(abs_s <= low)
-        keys = lead[near // _STRIDE] + near % _STRIDE
+        blk = near // _STRIDE  # numpy divides by a scalar fast, but not %
+        keys = lead[blk] + (near - blk * _STRIDE)
         if whole < nb:
-            keep = keys < (row[near // _STRIDE] + 1) * m
-            keys, near = keys[keep], near[keep]
+            keep = keys < (row[blk] + 1) * m
+            keys, near = np.compress(keep, keys), np.compress(keep, near)
         return keys, s[near], peak
 
 

@@ -75,7 +75,8 @@ def write_csv(path: str, header: list[str], rows, force: bool = False) -> None:
 
 def fraction_fields(x) -> dict:
     """A probability as {"fraction": "p/q", "float": p/q}; a value that is
-    not a Fraction (a float, a float256 mpf, or None) has fraction None."""
+    not a Fraction (a float, as mode float256 reports, or None) has
+    fraction None."""
     if isinstance(x, Fraction):
         return {"fraction": _fraction_text(x), "float": float(x)}
     return {"fraction": None, "float": None if x is None else float(x)}

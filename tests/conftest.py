@@ -72,14 +72,12 @@ def visit_expectation(weights, band) -> Fraction:
     return Fraction(total, 2 ** m)
 
 
-def full_lattice_band_masses(weights, band, absorb, one):
+def full_lattice_band_masses(weights, band, absorb):
     """`exact._band_masses` on the full lattice -A..A, as it was before the
     half-lattice DP: (per-step band masses, final buffer of all A + 1
-    cells), by one in-place shift-add per weight and band sums from -band
-    up to +band.  Run float256 under workprec(256)."""
-    zero = one - one
-    buf = np.full(sum(weights) + 1, zero, dtype=object)
-    buf[0] = one
+    big-int counts), by one in-place shift-add per weight."""
+    buf = np.zeros(sum(weights) + 1, dtype=object)
+    buf[0] = 1
     masses = []
     length, offset = 1, 0
     for a in weights:
@@ -90,9 +88,9 @@ def full_lattice_band_masses(weights, band, absorb, one):
         if band is not None:
             b = math.floor(band)
             jlo, jhi = max(0, -((b + offset) // 2)), min(length, (b - offset) // 2 + 1)
-            masses.append(sum(buf[jlo:jhi], zero))
+            masses.append(sum(buf[jlo:jhi]))
             if absorb:
-                buf[jlo:jhi] = zero
+                buf[jlo:jhi] = 0
     return masses, buf
 
 

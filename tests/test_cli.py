@@ -100,7 +100,7 @@ def test_band_dp_refuses_oversized_buffers_at_once(tmp_path):
     with pytest.raises(ResourceError) as exc:
         exact.distribution(Linear(), 9999)
     assert exc.value.budget == exact.MAX_BUFFER_BYTES < exc.value.required
-    # 12.5 million cells of 256-bit floats
+    # float256 runs the same DP: 12.5 million cells of counts up to 5,001 bits
     with pytest.raises(ResourceError) as exc:
         exact.expected_visits(Linear(), 5000, mode="float256")
     assert exc.value.budget == exact.MAX_BUFFER_BYTES < exc.value.required

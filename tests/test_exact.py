@@ -5,7 +5,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -109,33 +108,47 @@ def test_zero_hit_first_hit_mass_sums_to_probability():
     assert sum(p for _, p in rep.per_n) == rep.hit_probability <= 1
 
 
+def assert_float_report(fl, ex, field):
+    """The float256 report holds float() of every exact value, bit for bit."""
+    assert (ex.mode, fl.mode) == ("exact-rational", "float256")
+    assert [k for k, _ in fl.per_n] == [k for k, _ in ex.per_n]
+    got = [getattr(fl, field)] + [p for _, p in fl.per_n]
+    want = [getattr(ex, field)] + [p for _, p in ex.per_n]
+    assert all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [float(x).hex() for x in want]
+
+
 def test_zero_hit_float_mode_agrees():
     spec = Linear()
     a = exact.zero_hit_probability(spec, 14, 0, mode="exact")
     b = exact.zero_hit_probability(spec, 14, 0, mode="float256")
-    assert b.mode == "float256"
-    import mpmath
-    assert isinstance(b.hit_probability, mpmath.mpf)
-    with mpmath.workprec(256):
-        assert abs(mpmath.mpf(a.hit_probability.numerator) / a.hit_probability.denominator
-                   - b.hit_probability) < mpmath.mpf(2) ** -200
+    assert_float_report(b, a, "hit_probability")
 
 
-def test_mpmath_is_imported_by_float256_alone(tmp_path):
-    # a fresh process: the CLI and a Monte Carlo run leave mpmath unloaded,
-    # and float256 still loads and runs it
-    code = ("import sys; from awalk.cli import main; from awalk import exact; "
-            "from awalk.sequences import Linear; "
+def test_auto_reports_floats_above_the_digit_budget(monkeypatch):
+    fns = ((exact.zero_hit_probability, "hit_probability"),
+           (exact.expected_visits, "expected_visits"))
+    exact_reports = [fn(Linear(), 60, 2) for fn, _ in fns]
+    monkeypatch.setattr(exact, "DIGIT_BUDGET", 10)  # 2^60 has 19 digits
+    for (fn, field), ex in zip(fns, exact_reports):
+        assert_float_report(fn(Linear(), 60, 2), ex, field)
+
+
+def test_no_command_imports_mpmath(tmp_path):
+    # a fresh process: float256 reports the big-int DP in float64, so it
+    # loads mpmath no more than a Monte Carlo run does
+    code = ("import sys; from awalk.cli import main; "
             "assert main(['recurrence', '--spec', 'linear', '--n', '200', '--paths', '70', "
-            "'--seed', '1', '--bands', '0', '--out', sys.argv[1]]) == 0; "
-            "assert 'mpmath' not in sys.modules; "
-            "rep = exact.expected_visits(Linear(), 30, 0, mode='float256'); "
-            "print(type(rep.expected_visits).__module__, rep.mode)")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.json")],
+            "'--seed', '1', '--bands', '0', '--out', sys.argv[1] + '/r.json']) == 0; "
+            "assert main(['visits', '--spec', 'linear', '--n', '60', '--mode', 'float256', "
+            "'--out', sys.argv[1] + '/v.csv']) == 0; "
+            "assert main(['hit', '--spec', 'linear', '--n', '60', '--mode', 'float256', "
+            "'--out', sys.argv[1] + '/h.json']) == 0; "
+            "assert 'mpmath' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["mpmath.ctx_mp_python", "float256"]
 
 
 def test_degenerate_band_covers_first_step():
@@ -334,23 +347,16 @@ def test_serialization_roundtrip_random(ws):
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(1, 6), min_size=56, max_size=80), st.integers(0, 4))
+@example([1, 2] * 150, 2)
 def test_float256_agrees_with_exact(ws, band):
-    # over 53 steps, so counts and sums need more than float64's 53 bits
+    # over 53 steps, so counts and sums need more than float64's 53 bits;
+    # the example's 300 steps need more than 256
     spec = Explicit(ws)
     n = len(ws)
     for fn, field in ((exact.zero_hit_probability, "hit_probability"),
                       (exact.expected_visits, "expected_visits")):
-        ex = fn(spec, n, band, mode="exact")
-        fl = fn(spec, n, band, mode="float256")
-        assert (ex.mode, fl.mode) == ("exact-rational", "float256")
-        assert isinstance(getattr(fl, field), mpmath.mpf)
-        with mpmath.workprec(256):
-            want = getattr(ex, field)
-            gap = abs(getattr(fl, field) - mpmath.mpf(want.numerator) / want.denominator)
-            assert gap <= mpmath.mpf(2) ** -200
-        # float256 per_n entries are downcast to float64; so is the exact series
-        assert [k for k, _ in fl.per_n] == [k for k, _ in ex.per_n]
-        assert [p for _, p in fl.per_n] == [float(p) for _, p in ex.per_n]
+        assert_float_report(fn(spec, n, band, mode="float256"),
+                            fn(spec, n, band, mode="exact"), field)
 
 
 # 0.5 and, on an odd lattice, 0 lie below the first cell; 10**9 covers every cell
@@ -363,8 +369,8 @@ DP_BANDS = st.sampled_from([None, 0, 0.5, 1, 2.5, 3, 10**9])
 @example([0, 2, 0, 3], 0.5, False)
 @example([0], 10**9, True)
 def test_half_lattice_dp_equals_full_lattice_counts(ws, band, absorb):
-    masses, half = exact._band_masses(ws, band, absorb, 1)
-    want, full = full_lattice_band_masses(ws, band, absorb, 1)
+    masses, half = exact._band_masses(ws, band, absorb)
+    want, full = full_lattice_band_masses(ws, band, absorb)
     assert masses == want
     total = sum(ws)
     assert len(half) == total // 2 + 1
@@ -373,22 +379,6 @@ def test_half_lattice_dp_equals_full_lattice_counts(ws, band, absorb):
         assert exact._lattice(ws).counts == full.tolist()
         if all(ws):
             assert exact.distribution(Explicit(ws), len(ws)).counts == full.tolist()
-
-
-@settings(max_examples=6, deadline=None)
-@given(st.lists(st.integers(1, 2), min_size=300, max_size=310).map(
-           lambda ws: ws[:150] + [0] + ws[150:]),
-       st.sampled_from([0, 0.5, 2.5, 10**9]))
-def test_half_lattice_dp_equals_full_lattice_float256(ws, band):
-    for absorb in (True, False):
-        with mpmath.workprec(256):
-            masses, half = exact._band_masses(ws, band, absorb, mpmath.mpf(1))
-            want, full = full_lattice_band_masses(ws, band, absorb, mpmath.mpf(1))
-        assert [m._mpf_ for m in masses] == [m._mpf_ for m in want]
-        assert [c._mpf_ for c in half] == [c._mpf_ for c in full[(sum(ws) + 1) // 2:]]
-    # 300 signed steps: the counts outgrow 256 bits, so the additions rounded
-    counts = exact._band_masses(ws, None, False, 1)[1]
-    assert any(int(c) != k for c, k in zip(half, counts))
 
 
 @settings(max_examples=60, deadline=None)
