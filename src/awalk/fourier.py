@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ToleranceError
-from .sequences import SequenceSpec
+from .sequences import SequenceSpec, sum_squares_exact
 
 __all__ = [
     "QuadratureResult",
@@ -76,7 +76,7 @@ class CosineProfile:
         self.mults = np.asarray([float(c) for _, c in runs], dtype=np.float64)
         self.odd = np.flatnonzero([c & 1 for _, c in runs])  # columns that flip the sign
         if spec.is_integer_valued:
-            self.sum_squares = float(sum(int(v) * int(v) * int(c) for v, c in runs))
+            self.sum_squares = float(sum_squares_exact(spec, n))
         else:  # the float squares summed exactly, rounded once
             self.sum_squares = sum(_fixed(float(v) * float(v)) * c
                                    for v, c in runs) / _FIXED_ONE

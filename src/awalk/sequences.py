@@ -6,13 +6,13 @@ L_k times), continuous logarithm (a_k = c*ln(k)), and explicit finite lists.
 
 Every term is positive.  Because ceil(log_gamma(1)) = 0 and c*ln(1) = 0, the
 two logarithmic variants start at index 2; their walks simply have one fewer
-step per horizon.  Every variant lists its terms as (value, multiplicity)
-runs (`value_runs`), which the spectral layer uses to evaluate cosine
-products over distinct values instead of individual terms.  Any index range
-k = start..stop-1 comes as arithmetic runs (first value, step, length;
-`runs`, where `linear` is one run of step 1) or as its array of terms
-(`terms_between`), so that a walk's weights are built a range at a time,
-never for the whole horizon at once.
+step per horizon.  Each variant declares its two flags (`is_integer_valued`,
+`is_non_decreasing`) and defines `term` or `runs`; `SequenceSpec` derives
+the rest.  Any index range k = start..stop-1 comes as arithmetic runs (first
+value, step, length; `runs`, where `linear` is one run of step 1) or as its
+array of terms (`terms_between`), so that a walk's weights are built a range
+at a time.  The three block families (powfloor, logceil, blocks) share one
+run rule: value m fills the indices start(m)..start(m+1)-1, maybe none.
 
 Integer-valued variants do all index/boundary arithmetic in exact integer or
 rational form, so term values are reproducible bit-for-bit and run boundaries
@@ -95,19 +95,20 @@ def _format_number(x) -> str:
 
 
 class SequenceSpec:
-    """Common interface of all weight-sequence variants."""
+    """Common interface of all weight-sequence variants.
+
+    A variant declares the flags `is_integer_valued` and `is_non_decreasing`
+    as data (class attributes, or set in `__init__`), gives `canonical`, and
+    defines `term` or `runs`; the base class derives the other, `value_runs`,
+    `terms` and `int_terms`.  Reading an undeclared flag raises AttributeError;
+    defining neither `term` nor `runs` raises NotImplementedError.
+    """
 
     kind: str = ""
     first_index: int = 1
     max_index: int | None = None
-
-    @property
-    def is_integer_valued(self) -> bool:
-        raise NotImplementedError
-
-    @property
-    def is_non_decreasing(self) -> bool:
-        raise NotImplementedError
+    is_integer_valued: bool
+    is_non_decreasing: bool
 
     def canonical(self) -> str:
         """Canonical textual form, parseable by :func:`parse_spec` except for
@@ -116,7 +117,19 @@ class SequenceSpec:
 
     def term(self, k: int):
         """a_k; raises DomainError outside the valid index range."""
-        raise NotImplementedError
+        if type(self).runs is SequenceSpec.runs:
+            raise NotImplementedError(f"{type(self).__name__} defines neither term nor runs")
+        self._check_index(k)
+        return self.runs(k, k + 1)[0][0]
+
+    def runs(self, start: int, stop: int) -> list[tuple]:
+        """a_k for k = start..stop-1 as ordered arithmetic runs (first value,
+        step, length): the runs of the sequence that overlap the range, cut
+        to it, so that their lengths sum to stop - start; by default one per term."""
+        if type(self).term is SequenceSpec.term:
+            raise NotImplementedError(f"{type(self).__name__} defines neither term nor runs")
+        self._check_range(start, stop)
+        return [(self.term(k), 0, 1) for k in range(start, stop)]
 
     def value_runs(self, n: int) -> list[tuple[float, int]]:
         """(value, multiplicity) runs covering indices first_index..n."""
@@ -130,22 +143,6 @@ class SequenceSpec:
         """Vector of a_k for k = first_index..n (int64 or float64)."""
         self._check_horizon(n)
         return self.terms_between(self.first_index, max(n + 1, self.first_index))
-
-    def runs(self, start: int, stop: int) -> list[tuple]:
-        """a_k for k = start..stop-1 as ordered arithmetic runs (first value,
-        step, length): the runs of the sequence that overlap the range, cut
-        to it, so that their lengths sum to stop - start."""
-        self._check_range(start, stop)
-        out = []
-        while start < stop:
-            value, end = self._run_at(start)
-            out.append((value, 0, min(end, stop) - start))
-            start = end
-        return out
-
-    def _run_at(self, k: int):
-        """a_k and the first index past the run of equal values that holds k."""
-        return self.term(k), k + 1
 
     def terms_between(self, start: int, stop: int) -> np.ndarray:
         """a_k for k = start..stop-1 (int64 or float64), equal bit for bit to
@@ -162,8 +159,7 @@ class SequenceSpec:
 
     def int_terms(self, n: int) -> list[int]:
         if not self.is_integer_valued:
-            raise UnsupportedVariantError(
-                f"{self.canonical()} is not integer-valued")
+            raise UnsupportedVariantError(f"{self.canonical()} is not integer-valued")
         return [int(v) for v in self.terms(n)]
 
     def steps(self, n: int) -> int:
@@ -204,29 +200,37 @@ class SequenceSpec:
         return hash(self.canonical())
 
 
+class _ValueBlocks(SequenceSpec):
+    """Integer, non-decreasing variants in which value m sits on the indices
+    start(m) .. start(m+1) - 1, a block that may be empty."""
+
+    is_integer_valued = True
+    is_non_decreasing = True
+
+    def runs(self, start, stop):
+        self._check_range(start, stop)
+        out, m = [], self.term(start) if start < stop else 0
+        while start < stop:
+            end = self.start(m + 1)
+            if end > start:  # skip the empty blocks
+                out.append((m, 0, min(end, stop) - start))
+            start, m = end, m + 1
+        return out
+
+
 class Constant(SequenceSpec):
     kind = "constant"
+    is_non_decreasing = True
 
     def __init__(self, value):
         value = _coerce_number(value)
         if value <= 0:
             raise DomainError(f"constant weight must be positive, got {value}")
         self.value = value
-
-    @property
-    def is_integer_valued(self):
-        return isinstance(self.value, int)
-
-    @property
-    def is_non_decreasing(self):
-        return True
+        self.is_integer_valued = isinstance(value, int)
 
     def canonical(self):
         return f"constant:{_format_number(self.value)}"
-
-    def term(self, k):
-        self._check_index(k)
-        return self.value
 
     def runs(self, start, stop):
         self._check_range(start, stop)
@@ -237,28 +241,18 @@ class Linear(SequenceSpec):
     """a_k = k."""
 
     kind = "linear"
-
-    @property
-    def is_integer_valued(self):
-        return True
-
-    @property
-    def is_non_decreasing(self):
-        return True
+    is_integer_valued = True
+    is_non_decreasing = True
 
     def canonical(self):
         return "linear"
-
-    def term(self, k):
-        self._check_index(k)
-        return k
 
     def runs(self, start, stop):
         self._check_range(start, stop)
         return [(start, 1, stop - start)] if stop > start else []
 
 
-class PowerFloor(SequenceSpec):
+class PowerFloor(_ValueBlocks):
     """a_k = floor(k**beta) with beta in (0, 1].
 
     beta is held as an exact rational (decimal inputs like "0.8" mean 4/5),
@@ -273,14 +267,6 @@ class PowerFloor(SequenceSpec):
             raise DomainError(f"beta must lie in (0, 1], got {beta}")
         self.beta = beta
 
-    @property
-    def is_integer_valued(self):
-        return True
-
-    @property
-    def is_non_decreasing(self):
-        return True
-
     def canonical(self):
         return f"powfloor:{_format_number(self.beta)}"
 
@@ -289,27 +275,17 @@ class PowerFloor(SequenceSpec):
         p, q = self.beta.numerator, self.beta.denominator
         return integer_nth_root(int(k) ** p, q)
 
-    def value_start(self, m: int) -> int:
+    def start(self, m: int) -> int:
         """Smallest k with floor(k**beta) >= m, i.e. k**p >= m**q."""
         p, q = self.beta.numerator, self.beta.denominator
         return integer_nth_root(m ** q - 1, p) + 1 if m > 1 else 1
 
-    def runs(self, start, stop):
-        # floor(k**beta) rises by at most 1 per index, so run m + 1 follows run m
-        self._check_range(start, stop)
-        out, m = [], self.term(start) if start < stop else 0
-        while start < stop:
-            end = self.value_start(m + 1)
-            out.append((m, 0, min(end, stop) - start))
-            start, m = end, m + 1
-        return out
 
-
-class LogCeilBlocks(SequenceSpec):
+class LogCeilBlocks(_ValueBlocks):
     """a_k = ceil(log_gamma(k)) for k >= 2 and gamma > 1.
 
-    Value m occupies the index block (gamma**(m-1), gamma**m]; gamma is kept
-    as an exact rational so block boundaries are computed without rounding.
+    Value m occupies the index block (gamma**(m-1), gamma**m], maybe empty;
+    gamma is an exact rational, so block boundaries are computed without rounding.
     """
 
     kind = "logceil"
@@ -320,14 +296,6 @@ class LogCeilBlocks(SequenceSpec):
         if not isinstance(gamma, Fraction) or gamma <= 1:
             raise DomainError(f"gamma must exceed 1, got {gamma}")
         self.gamma = gamma
-
-    @property
-    def is_integer_valued(self):
-        return True
-
-    @property
-    def is_non_decreasing(self):
-        return True
 
     def canonical(self):
         return f"logceil:{_format_number(self.gamma)}"
@@ -343,18 +311,16 @@ class LogCeilBlocks(SequenceSpec):
             m -= 1
         return m
 
-    def block(self, m: int) -> tuple[int, int]:
-        """(first index, length) of the run of value m."""
+    def start(self, m: int) -> int:
+        """First index floor(gamma**(m-1)) + 1 of the block of value m."""
         if m < 1:
             raise DomainError(f"block label must be >= 1, got {m}")
-        lo = _floor_rational_power(self.gamma, m - 1)
-        hi = _floor_rational_power(self.gamma, m)
-        return lo + 1, hi - lo
+        return _floor_rational_power(self.gamma, m - 1) + 1
 
-    def _run_at(self, k):
-        m = self.term(k)
-        start, length = self.block(m)
-        return m, start + length
+    def block(self, m: int) -> tuple[int, int]:
+        """(first index, length) of the run of value m."""
+        first = self.start(m)
+        return first, self.start(m + 1) - first
 
 
 LENGTH_RULES: dict[str, Callable[[int], int]] = {}
@@ -385,7 +351,7 @@ register_length_rule("pow2", _rule_pow2)
 register_length_rule("k4lnk", _rule_k4lnk)
 
 
-class GeneralBlocks(SequenceSpec):
+class GeneralBlocks(_ValueBlocks):
     """Block k consists of L_k copies of the value k.
 
     Lengths come from a registered named rule ("pow2", "one", ...) or an
@@ -413,21 +379,8 @@ class GeneralBlocks(SequenceSpec):
             self.rule_name = None
             self._rule = None
             self.explicit_lengths = vals
+        self.max_index = None if self.explicit_lengths is None else sum(self.explicit_lengths)
         self._starts = [1]  # cumulative first indices i_1, i_2, ...
-
-    @property
-    def is_integer_valued(self):
-        return True
-
-    @property
-    def is_non_decreasing(self):
-        return True
-
-    @property
-    def max_index(self):
-        if self.explicit_lengths is None:
-            return None
-        return sum(self.explicit_lengths)
 
     def canonical(self):
         if self.explicit_lengths is not None:
@@ -462,16 +415,14 @@ class GeneralBlocks(SequenceSpec):
             self.start(len(self._starts) + 1)
         return bisect.bisect_right(self._starts, i)
 
-    def _run_at(self, i):
-        k = self.term(i)
-        return k, self.start(k + 1)
-
 
 class LogContinuous(SequenceSpec):
     """a_k = c * ln(k) for k >= 2, c > 0.  Real-valued, strictly increasing."""
 
     kind = "logcont"
     first_index = 2
+    is_integer_valued = False
+    is_non_decreasing = True
 
     def __init__(self, c):
         c = float(c)
@@ -479,29 +430,16 @@ class LogContinuous(SequenceSpec):
             raise DomainError(f"c must be a positive finite real, got {c}")
         self.c = c
 
-    @property
-    def is_integer_valued(self):
-        return False
-
-    @property
-    def is_non_decreasing(self):
-        return True
-
     def canonical(self):
         return f"logcont:{repr(self.c)}"
 
-    def term(self, k):
-        self._check_index(k)
-        return float(self.terms_between(k, k + 1)[0])
-
     def terms_between(self, start, stop):
-        # np.log is elementwise, so a range gives the bits of the whole horizon;
-        # `term` and `value_runs` read the same bits
+        # np.log is elementwise, so a range gives the bits of the whole horizon
         self._check_range(start, stop)
         return self.c * np.log(np.arange(start, stop, dtype=np.float64))
 
-    def value_runs(self, n):
-        return [(v, 1) for v in self.terms(n).tolist()]
+    def runs(self, start, stop):  # so `term` and `value_runs` read the walk's bits
+        return [(v, 0, 1) for v in self.terms_between(start, stop).tolist()]
 
 
 class Explicit(SequenceSpec):
@@ -519,26 +457,12 @@ class Explicit(SequenceSpec):
         if not vals:
             raise DomainError("explicit sequence needs at least one weight")
         self.values = tuple(vals)
-        self._integer = all(isinstance(v, int) for v in vals)
-
-    @property
-    def max_index(self):
-        return len(self.values)
-
-    @property
-    def is_integer_valued(self):
-        return self._integer
-
-    @property
-    def is_non_decreasing(self):
-        return all(a <= b for a, b in zip(self.values, self.values[1:]))
+        self.max_index = len(vals)
+        self.is_integer_valued = all(isinstance(v, int) for v in vals)
+        self.is_non_decreasing = all(a <= b for a, b in zip(vals, vals[1:]))
 
     def canonical(self):
         return "explicit:" + ",".join(_format_number(v) for v in self.values)
-
-    def term(self, k):
-        self._check_index(k)
-        return self.values[k - 1]
 
     def runs(self, start, stop):
         self._check_range(start, stop)
@@ -547,7 +471,7 @@ class Explicit(SequenceSpec):
     def terms_between(self, start, stop):
         self._check_range(start, stop)
         return np.asarray(self.values[start - 1:stop - 1],
-                          dtype=np.int64 if self._integer else np.float64)
+                          dtype=np.int64 if self.is_integer_valued else np.float64)
 
 
 def _coerce_number(v):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from awalk.errors import DomainError, PreconditionError
 from awalk.montecarlo import default_checkpoints
 from awalk.sequences import (Constant, Explicit, GeneralBlocks, LogCeilBlocks,
-                             LogContinuous, Linear, PowerFloor, integer_nth_root,
-                             parse_spec, register_length_rule, sum_squares_exact)
+                             LogContinuous, Linear, PowerFloor, SequenceSpec,
+                             integer_nth_root, parse_spec, register_length_rule,
+                             sum_squares_exact)
 
 ALL_TEXTS = ["constant:1", "constant:2.5", "linear", "powfloor:0.5", "powfloor:0.8",
              "logceil:2", "logceil:1.5", "blocks:pow2", "blocks:one", "blocks:1,2,4,8",
@@ -214,7 +215,8 @@ def test_general_blocks_explicit_lengths():
 
 
 RANGE_TEXTS = ALL_TEXTS + ["powfloor:0.9", "powfloor:1", "blocks:k4lnk", "constant:0.7",
-                           "explicit:3,1,2,2,7,7,7,8,9,10,11,12,13,14,15,16,1"]
+                           "explicit:3,1,2,2,7,7,7,8,9,10,11,12,13,14,15,16,1",
+                           "logceil:1.1", "blocks:3,1,2"]
 
 
 def _expand(runs):
@@ -273,3 +275,79 @@ def test_logcont_term_and_value_runs_read_the_walk_bits():
     terms = spec.terms(n).tolist()
     assert [spec.term(k) for k in range(2, n + 1)] == terms
     assert spec.value_runs(n) == [(v, 1) for v in terms]
+
+
+def test_block_runs_skip_empty_blocks_and_stop_at_max_index():
+    # logceil:1.1 gives no index to the values 1..7 and 9..11: it jumps
+    # from 8 at k = 2 to 12 at k = 3
+    spec = LogCeilBlocks(1.1)
+    assert [spec.block(m)[1] for m in range(1, 13)] == [0] * 7 + [1, 0, 0, 0, 1]
+    assert spec.runs(2, 4) == [(8, 0, 1), (12, 0, 1)]
+    # a range that ends at the last index of explicit block lengths
+    spec = GeneralBlocks([3, 1, 2])
+    assert spec.runs(2, spec.max_index + 1) == [(1, 0, 2), (2, 0, 1), (3, 0, 2)]
+    assert spec.runs(6, 7) == [(3, 0, 1)]
+
+
+class _Bare(SequenceSpec):
+    """Declares its flags but defines neither `term` nor `runs`."""
+
+    is_integer_valued = True
+    is_non_decreasing = True
+
+    def canonical(self):
+        return "bare"
+
+
+class _Unflagged(SequenceSpec):
+    """Defines `runs` but declares no flag."""
+
+    def canonical(self):
+        return "unflagged"
+
+    def runs(self, start, stop):
+        self._check_range(start, stop)
+        return [(start, 1, stop - start)] if stop > start else []
+
+
+class _TermOnly(SequenceSpec):
+    """Defines `term` alone: 2, 3, 1, 2, 3, 1, ..."""
+
+    is_integer_valued = True
+    is_non_decreasing = False
+
+    def canonical(self):
+        return "termonly"
+
+    def term(self, k):
+        self._check_index(k)
+        return (k % 3) + 1
+
+
+def test_a_variant_with_neither_term_nor_runs_says_so():
+    spec = _Bare()
+    for call in (lambda: spec.term(1), lambda: spec.runs(1, 3), lambda: spec.terms(3),
+                 lambda: spec.value_runs(3)):
+        with pytest.raises(NotImplementedError, match="_Bare defines neither"):
+            call()
+
+
+def test_an_undeclared_flag_is_never_taken_as_integer():
+    spec = _Unflagged()
+    assert spec.term(4) == 4
+    for flag in ("is_integer_valued", "is_non_decreasing"):
+        with pytest.raises(AttributeError, match=flag):
+            getattr(spec, flag)
+    with pytest.raises(AttributeError, match="is_integer_valued"):
+        spec.terms(3)
+
+
+def test_a_term_only_variant_gets_runs_of_its_terms():
+    spec = _TermOnly()
+    want = [spec.term(k) for k in range(1, 8)]
+    assert want == [2, 3, 1, 2, 3, 1, 2]
+    assert spec.runs(1, 8) == [(v, 0, 1) for v in want]
+    assert _expand(spec.runs(3, 6)) == want[2:5]
+    assert spec.terms(7).tolist() == spec.int_terms(7) == want
+    assert spec.value_runs(7) == [(v, 1) for v in want]
+    assert sum_squares_exact(spec, 7) == sum(v * v for v in want)
