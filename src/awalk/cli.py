@@ -5,6 +5,13 @@ recording the argv, parameters, seed, tool version, timestamps and SHA-256
 digests of the outputs.  Exact-mode subcommands reproduce their outputs byte
 for byte when re-run from a manifest's argv.
 
+Each `_cmd_*` handler computes and writes nothing: it returns ``(files,
+summary)``, ``files`` an ordered list of ``(path, content)`` pairs whose
+content is a dict (written as JSON), a ``(header, rows)`` pair (CSV) or
+``bytes`` (as they are).  `main` refuses an existing output path before the
+handler runs, then writes the files in order, records their digests in the
+manifest and prints the summary.
+
 Exit codes: 0 success, 2 precondition error, 3 resource error, 4 tolerance
 or verification failure.
 """
@@ -39,6 +46,40 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
+# Flags that several commands share, each defined once as (flag, keywords).
+_N = ("--n", dict(type=int, required=True, help="horizon"))
+_PATHS = ("--paths", dict(type=int, required=True, help="number of paths"))
+_SEED = ("--seed", dict(type=int, default=None, help="RNG seed (required)"))
+_BAND = ("--band", dict(type=float, default=0.0, help="band half-width C (default 0)"))
+_DP_MODE = ("--mode", dict(choices=["auto", "exact", "float256"], default="auto",
+                           help="arithmetic mode (default auto)"))
+_Z = ("--z", dict(type=int, default=0, help="lattice point (default 0)"))
+_ZERO_TOL = ("--zero-tol", dict(type=float, default=1e-9,
+                                help="zero-detection tolerance for real weights"))
+_CHECKPOINTS = ("--checkpoints", dict(type=_int_list, default=None,
+                                      help="sub-horizon snapshot indices (default n/100,n/10,n)"))
+_CSV = ("--csv", dict(default=None, help="per-checkpoint CSV (default: OUT stem + .csv)"))
+_COMMON = (
+    ("--out", dict(required=True, help="output file path")),
+    ("--force", dict(action="store_true", help="overwrite existing output files")),
+    ("--config", dict(default=None, help="JSON file with default flag values (flags override)")),
+    ("--manifest", dict(default=None, help="manifest path (default: OUT.manifest.json)")),
+)
+
+
+def _spec(help_text: str = "sequence spec"):
+    return ("--spec", dict(required=True, help=help_text))
+
+
+def _tol(help_text: str):
+    return ("--tol", dict(type=float, default=1e-10, help=help_text))
+
+
+def _bands(default: list[float], help_text: str):
+    return ("--bands", dict(type=_float_list, default=default, metavar="C1,C2,...",
+                            help=help_text))
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="awalk",
@@ -47,113 +88,52 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     subs: dict[str, argparse.ArgumentParser] = {}
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, *flags) -> None:
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--force", action="store_true",
-                       help="overwrite existing output files")
-        p.add_argument("--config", default=None,
-                       help="JSON file with default flag values (flags override)")
-        p.add_argument("--manifest", default=None,
-                       help="manifest path (default: OUT.manifest.json)")
+        for flag, kwargs in _COMMON + flags:
+            p.add_argument(flag, **kwargs)
         subs[name] = p
-        return p
 
-    p = add("dist", "exact distribution of S(n) as CSV (z,count,prob)")
-    p.add_argument("--spec", required=True, help="sequence spec, e.g. linear or powfloor:0.5")
-    p.add_argument("--n", type=int, required=True, help="horizon")
-    p.add_argument("--binary", default=None, help="also write the compact binary form here")
-
-    p = add("qn", "zero-sum sign counts for the 1,2,...,n walk as CSV (n,count,prob)")
-    p.add_argument("--max-n", type=int, required=True, help="largest horizon")
-
-    p = add("hit", "first-passage probability into a band, as JSON")
-    p.add_argument("--spec", required=True, help="sequence spec")
-    p.add_argument("--n", type=int, required=True, help="horizon")
-    p.add_argument("--band", type=float, default=0.0, help="band half-width C (default 0)")
-    p.add_argument("--mode", choices=["auto", "exact", "float256"], default="auto",
-                   help="arithmetic mode (default auto)")
-
-    p = add("visits", "expected band visits per horizon as CSV (n,prob,cumulative)")
-    p.add_argument("--spec", required=True, help="sequence spec")
-    p.add_argument("--n", type=int, required=True, help="horizon")
-    p.add_argument("--band", type=float, default=0.0, help="band half-width C (default 0)")
-    p.add_argument("--mode", choices=["auto", "exact", "float256"], default="auto",
-                   help="arithmetic mode (default auto)")
-
-    p = add("fourier", "point mass by cosine-product inversion as CSV (n,value,error,nodes)")
-    p.add_argument("--spec", required=True, help="integer-valued sequence spec")
-    p.add_argument("--n", type=int, required=True, help="horizon")
-    p.add_argument("--z", type=int, default=0, help="lattice point (default 0)")
-    p.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance")
-
-    p = add("sullivan", "scaled absolute cosine-product integrals as CSV (n,value,error,nodes)")
-    p.add_argument("--beta", required=True, help="floor-power exponent in (0,1]")
-    p.add_argument("--n", type=_int_list, required=True, metavar="N1,N2,...",
-                   help="increasing horizons")
-
-    p = add("transience", "point-mass series with summability diagnostic, CSV (n,value,error,nodes)")
-    p.add_argument("--spec", required=True, help="integer-valued sequence spec")
-    p.add_argument("--n-max", type=int, required=True, help="largest horizon")
-    p.add_argument("--z", type=int, default=0, help="lattice point (default 0)")
-    p.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance per point")
-
-    p = add("simulate", "one simulated path's statistics as JSON")
-    p.add_argument("--spec", required=True, help="sequence spec")
-    p.add_argument("--n", type=int, required=True, help="horizon")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (required)")
-    p.add_argument("--stream", type=int, default=0, help="path stream index")
-    p.add_argument("--bands", type=_float_list, default=[], metavar="C1,C2,...",
-                   help="band half-widths to track")
-    p.add_argument("--zero-tol", type=float, default=1e-9,
-                   help="zero-detection tolerance for real weights")
-    p.add_argument("--checkpoints", type=_int_list, default=None,
-                   help="sub-horizon snapshot indices (default n/100,n/10,n)")
-
-    p = add("recurrence", "band-hit experiment over many paths: JSON report + checkpoint CSV")
-    p.add_argument("--spec", required=True, help="sequence spec")
-    p.add_argument("--n", type=int, required=True, help="horizon")
-    p.add_argument("--paths", type=int, required=True, help="number of paths")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (required)")
-    p.add_argument("--bands", type=_float_list, default=[0.0], metavar="C1,C2,...",
-                   help="band half-widths to track (default 0)")
-    p.add_argument("--zero-tol", type=float, default=1e-9,
-                   help="zero-detection tolerance for real weights")
-    p.add_argument("--checkpoints", type=_int_list, default=None,
-                   help="sub-horizon snapshot indices (default n/100,n/10,n)")
-    p.add_argument("--csv", default=None, help="per-checkpoint CSV (default: OUT stem + .csv)")
-
-    p = add("signs", "sign-change experiment over many paths: JSON report + checkpoint CSV")
-    p.add_argument("--spec", required=True, help="non-decreasing sequence spec")
-    p.add_argument("--n", type=int, required=True, help="horizon")
-    p.add_argument("--paths", type=int, required=True, help="number of paths")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (required)")
-    p.add_argument("--checkpoints", type=_int_list, default=None,
-                   help="sub-horizon snapshot indices (default n/100,n/10,n)")
-    p.add_argument("--csv", default=None, help="per-checkpoint CSV (default: OUT stem + .csv)")
-
-    p = add("growth", "fraction of paths staying above n^(beta/2-delta): JSON report")
-    p.add_argument("--beta", required=True, help="floor-power exponent in (0,1)")
-    p.add_argument("--delta", type=float, required=True, help="margin in (0, beta/2)")
-    p.add_argument("--n", type=int, required=True, help="horizon")
-    p.add_argument("--paths", type=int, required=True, help="number of paths")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (required)")
-
-    p = add("tomaszewski", "P(|S(n)| <= sqrt(sum a^2)) >= 1/2 check as JSON")
-    p.add_argument("--spec", required=True, help="sequence spec")
-    p.add_argument("--n", type=int, required=True, help="horizon")
-    p.add_argument("--mode", choices=["exact", "mc"], default="exact",
-                   help="exact enumeration or Monte Carlo")
-    p.add_argument("--paths", type=int, default=100_000, help="paths for mc mode")
-    p.add_argument("--seed", type=int, default=0, help="seed for mc mode")
-
-    p = add("verify", "run a verification suite and write its JSON report")
-    p.add_argument("--suite", required=True, choices=sorted(verify.SUITES),
-                   help="inequalities | oracles | patterns | bc")
-
-    p = add("pattern", "pattern-avoiding string counts as CSV (kappa,count,ratio)")
-    p.add_argument("--kappa-max", type=int, required=True, help="largest string length")
-
+    add("dist", "exact distribution of S(n) as CSV (z,count,prob)",
+        _spec("sequence spec, e.g. linear or powfloor:0.5"), _N,
+        ("--binary", dict(default=None, help="also write the compact binary form here")))
+    add("qn", "zero-sum sign counts for the 1,2,...,n walk as CSV (n,count,prob)",
+        ("--max-n", dict(type=int, required=True, help="largest horizon")))
+    add("hit", "first-passage probability into a band, as JSON", _spec(), _N, _BAND, _DP_MODE)
+    add("visits", "expected band visits per horizon as CSV (n,prob,cumulative)",
+        _spec(), _N, _BAND, _DP_MODE)
+    add("fourier", "point mass by cosine-product inversion as CSV (n,value,error,nodes)",
+        _spec("integer-valued sequence spec"), _N, _Z, _tol("absolute tolerance"))
+    add("sullivan", "scaled absolute cosine-product integrals as CSV (n,value,error,nodes)",
+        ("--beta", dict(required=True, help="floor-power exponent in (0,1]")),
+        ("--n", dict(type=_int_list, required=True, metavar="N1,N2,...",
+                     help="increasing horizons")))
+    add("transience", "point-mass series with summability diagnostic, CSV (n,value,error,nodes)",
+        _spec("integer-valued sequence spec"),
+        ("--n-max", dict(type=int, required=True, help="largest horizon")),
+        _Z, _tol("absolute tolerance per point"))
+    add("simulate", "one simulated path's statistics as JSON", _spec(), _N, _SEED,
+        ("--stream", dict(type=int, default=0, help="path stream index")),
+        _bands([], "band half-widths to track"), _ZERO_TOL, _CHECKPOINTS)
+    add("recurrence", "band-hit experiment over many paths: JSON report + checkpoint CSV",
+        _spec(), _N, _PATHS, _SEED, _bands([0.0], "band half-widths to track (default 0)"),
+        _ZERO_TOL, _CHECKPOINTS, _CSV)
+    add("signs", "sign-change experiment over many paths: JSON report + checkpoint CSV",
+        _spec("non-decreasing sequence spec"), _N, _PATHS, _SEED, _CHECKPOINTS, _CSV)
+    add("growth", "fraction of paths staying above n^(beta/2-delta): JSON report",
+        ("--beta", dict(required=True, help="floor-power exponent in (0,1)")),
+        ("--delta", dict(type=float, required=True, help="margin in (0, beta/2)")),
+        _N, _PATHS, _SEED)
+    add("tomaszewski", "P(|S(n)| <= sqrt(sum a^2)) >= 1/2 check as JSON", _spec(), _N,
+        ("--mode", dict(choices=["exact", "mc"], default="exact",
+                        help="exact enumeration or Monte Carlo")),
+        ("--paths", dict(type=int, default=100_000, help="paths for mc mode")),
+        ("--seed", dict(type=int, default=0, help="seed for mc mode")))
+    add("verify", "run a verification suite and write its JSON report",
+        ("--suite", dict(required=True, choices=sorted(verify.SUITES),
+                         help="inequalities | oracles | patterns | bc")))
+    add("pattern", "pattern-avoiding string counts as CSV (kappa,count,ratio)",
+        ("--kappa-max", dict(type=int, required=True, help="largest string length")))
     return parser, subs
 
 
@@ -236,29 +216,23 @@ def _require_seed(args, parser_map):
 
 # --- subcommand implementations ---------------------------------------------------
 
-def _cmd_dist(args, outputs):
+def _cmd_dist(args):
     spec = parse_spec(args.spec)
     dist = exact.distribution(spec, args.n)
-    write_csv(args.out, ["z", "count", "prob"], dist.csv_rows(), force=args.force)
-    outputs.append(args.out)
+    files = [(args.out, (["z", "count", "prob"], dist.csv_rows()))]
     if args.binary:
-        ensure_writable(args.binary, args.force)
-        with open(args.binary, "wb") as fh:
-            fh.write(dist.to_bytes())
-        outputs.append(args.binary)
-    return {"spec": spec.canonical(), "n": args.n, "steps": dist.n}
+        files.append((args.binary, dist.to_bytes()))
+    return files, {"spec": spec.canonical(), "n": args.n, "steps": dist.n}
 
 
-def _cmd_qn(args, outputs):
+def _cmd_qn(args):
     # one incremental DP pass; the per-n zero masses are exactly count/2^n
     series = exact.expected_visits(parse_spec("linear"), args.max_n, 0).per_n
     rows = [(n, int(p * (1 << n)), float(p)) for n, p in series]
-    write_csv(args.out, ["n", "count", "prob"], rows, force=args.force)
-    outputs.append(args.out)
-    return {"max_n": args.max_n}
+    return [(args.out, (["n", "count", "prob"], rows))], {"max_n": args.max_n}
 
 
-def _cmd_hit(args, outputs):
+def _cmd_hit(args):
     spec = parse_spec(args.spec)
     rep = exact.zero_hit_probability(spec, args.n, args.band, mode=args.mode)
     payload = {
@@ -266,13 +240,11 @@ def _cmd_hit(args, outputs):
         "hit_probability": fraction_fields(rep.hit_probability),
         "per_n": [{"n": n, "first_hit_mass": float(p)} for n, p in rep.per_n],
     }
-    write_json(args.out, payload, force=args.force)
-    outputs.append(args.out)
-    return {"spec": rep.spec, "mode": rep.mode,
-            "hit_probability": float(rep.hit_probability)}
+    return [(args.out, payload)], {"spec": rep.spec, "mode": rep.mode,
+                                   "hit_probability": float(rep.hit_probability)}
 
 
-def _cmd_visits(args, outputs):
+def _cmd_visits(args):
     spec = parse_spec(args.spec)
     rep = exact.expected_visits(spec, args.n, args.band, mode=args.mode)
     rows = []
@@ -280,42 +252,36 @@ def _cmd_visits(args, outputs):
     for n, p in rep.per_n:
         running += float(p)
         rows.append((n, float(p), running))
-    write_csv(args.out, ["n", "prob", "cumulative"], rows, force=args.force)
-    outputs.append(args.out)
-    return {"spec": rep.spec, "mode": rep.mode,
-            "expected_visits": float(rep.expected_visits)}
+    return [(args.out, (["n", "prob", "cumulative"], rows))], {
+        "spec": rep.spec, "mode": rep.mode, "expected_visits": float(rep.expected_visits)}
 
 
-def _cmd_fourier(args, outputs):
+def _cmd_fourier(args):
     spec = parse_spec(args.spec)
     res = fourier.point_mass_fourier(spec, args.n, args.z, abs_tol=args.tol)
-    write_csv(args.out, ["n", "value", "error", "nodes"],
-              [(args.n, res.value, res.abs_error_estimate, res.nodes)], force=args.force)
-    outputs.append(args.out)
-    return {"spec": spec.canonical(), "z": args.z, "value": res.value}
+    rows = [(args.n, res.value, res.abs_error_estimate, res.nodes)]
+    return [(args.out, (["n", "value", "error", "nodes"], rows))], {
+        "spec": spec.canonical(), "z": args.z, "value": res.value}
 
 
-def _cmd_sullivan(args, outputs):
+def _cmd_sullivan(args):
     rep = fourier.sullivan_constant_estimate(args.beta, args.n)
     rows = [(e.n, e.scaled, e.abs_error, e.nodes) for e in rep.entries]
-    write_csv(args.out, ["n", "value", "error", "nodes"], rows, force=args.force)
-    outputs.append(args.out)
-    return {"beta": rep.beta, "target": rep.target,
-            "extrapolated": rep.extrapolated, "rel_gap_last": rep.rel_gap_last}
+    return [(args.out, (["n", "value", "error", "nodes"], rows))], {
+        "beta": rep.beta, "target": rep.target,
+        "extrapolated": rep.extrapolated, "rel_gap_last": rep.rel_gap_last}
 
 
-def _cmd_transience(args, outputs):
+def _cmd_transience(args):
     spec = parse_spec(args.spec)
     rep = fourier.transience_report(spec, args.n_max, args.z, abs_tol=args.tol)
     rows = [(e.n, e.value, e.abs_error, e.nodes) for e in rep.entries]
-    write_csv(args.out, ["n", "value", "error", "nodes"], rows, force=args.force)
-    outputs.append(args.out)
-    return {"spec": rep.spec, "z": rep.z, "slope": rep.slope,
-            "summable_trend": rep.summable_trend, "fit_points": rep.fit_points,
-            "note": rep.note}
+    return [(args.out, (["n", "value", "error", "nodes"], rows))], {
+        "spec": rep.spec, "z": rep.z, "slope": rep.slope,
+        "summable_trend": rep.summable_trend, "fit_points": rep.fit_points, "note": rep.note}
 
 
-def _cmd_simulate(args, outputs):
+def _cmd_simulate(args):
     spec = parse_spec(args.spec)
     cps = args.checkpoints if args.checkpoints is not None \
         else montecarlo.default_checkpoints(args.n, spec.first_index)
@@ -323,90 +289,73 @@ def _cmd_simulate(args, outputs):
                              args.bands, zero_tol=args.zero_tol, checkpoints=cps)
     payload = {"schema": montecarlo.REPORT_SCHEMA, "kind": "simulate",
                "spec": spec.canonical(), "seed": args.seed, "stream": args.stream,
-               "path": jsonable(asdict(st))}
-    write_json(args.out, payload, force=args.force)
-    outputs.append(args.out)
-    return {"spec": spec.canonical(), "zero_hits": st.zero_hits,
-            "sign_changes": st.sign_changes}
+               "path": asdict(st)}
+    return [(args.out, payload)], {"spec": spec.canonical(), "zero_hits": st.zero_hits,
+                                   "sign_changes": st.sign_changes}
 
 
-def _checkpoint_csv_rows(report):
-    rows = []
-    for label, stats in report.aggregates.get("per_band", {}).items():
-        for cp, mean in stats["mean_hits_at_checkpoint"].items():
-            rows.append((int(cp), label, "mean_hits", mean))
-    for cp, fracs in report.aggregates.get("fraction_at_least", {}).items():
-        for k, frac in fracs.items():
-            rows.append((int(cp), f">={k}", "fraction_sign_changes", frac))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
+def _csv_path(args) -> str:
+    """The checkpoint CSV: --csv, or OUT without .json, plus .csv."""
+    return args.csv or (args.out[:-5] if args.out.endswith(".json") else args.out) + ".csv"
 
 
-def _write_report(args, rep, outputs):
-    """The report's JSON at --out and its checkpoint CSV at --csv (default:
-    OUT without .json, plus .csv)."""
-    write_json(args.out, rep.to_dict(), force=args.force)
-    outputs.append(args.out)
-    csv_path = args.csv or (args.out[:-5] if args.out.endswith(".json") else args.out) + ".csv"
-    write_csv(csv_path, ["checkpoint", "target", "statistic", "value"],
-              _checkpoint_csv_rows(rep), force=args.force)
-    outputs.append(csv_path)
+def _report_files(args, report):
+    """The report's JSON at --out and its per-checkpoint CSV at `_csv_path`."""
+    agg = report.aggregates
+    rows = [(int(cp), label, "mean_hits", mean)
+            for label, stats in agg.get("per_band", {}).items()
+            for cp, mean in stats["mean_hits_at_checkpoint"].items()]
+    rows += [(int(cp), f">={k}", "fraction_sign_changes", frac)
+             for cp, fracs in agg.get("fraction_at_least", {}).items()
+             for k, frac in fracs.items()]
+    rows.sort(key=lambda r: r[:3])
+    return [(args.out, report.to_dict()),
+            (_csv_path(args), (["checkpoint", "target", "statistic", "value"], rows))]
 
 
-def _cmd_recurrence(args, outputs):
+def _cmd_recurrence(args):
     spec = parse_spec(args.spec)
     rep = montecarlo.recurrence_experiment(spec, args.n, args.bands, args.paths,
                                            args.seed, checkpoints=args.checkpoints,
                                            zero_tol=args.zero_tol)
-    _write_report(args, rep, outputs)
-    return {"spec": spec.canonical(), "paths": args.paths}
+    return _report_files(args, rep), {"spec": spec.canonical(), "paths": args.paths}
 
 
-def _cmd_signs(args, outputs):
+def _cmd_signs(args):
     spec = parse_spec(args.spec)
     rep = montecarlo.sign_change_experiment(spec, args.n, args.paths, args.seed,
                                             checkpoints=args.checkpoints)
-    _write_report(args, rep, outputs)
-    return {"spec": spec.canonical(), "paths": args.paths,
-            "mean_sign_changes": rep.aggregates["mean_sign_changes"]}
+    return _report_files(args, rep), {
+        "spec": spec.canonical(), "paths": args.paths,
+        "mean_sign_changes": rep.aggregates["mean_sign_changes"]}
 
 
-def _cmd_growth(args, outputs):
+def _cmd_growth(args):
     from .sequences import PowerFloor
     spec = PowerFloor(args.beta)
     rep = montecarlo.growth_experiment(spec, args.n, args.delta, args.paths, args.seed)
-    write_json(args.out, rep.to_dict(), force=args.force)
-    outputs.append(args.out)
-    return {"spec": spec.canonical(),
-            "fraction_maintaining": rep.aggregates["fraction_maintaining"]}
+    return [(args.out, rep.to_dict())], {
+        "spec": spec.canonical(), "fraction_maintaining": rep.aggregates["fraction_maintaining"]}
 
 
-def _cmd_tomaszewski(args, outputs):
+def _cmd_tomaszewski(args):
     spec = parse_spec(args.spec)
     rep = montecarlo.tomaszewski_check(spec, args.n, args.mode,
                                        paths=args.paths, seed=args.seed)
-    payload = {"spec": rep.spec, "horizon": rep.horizon, "mode": rep.mode,
-               "probability": fraction_fields(rep.probability),
-               "passed": rep.passed, "paths": rep.paths, "stderr": rep.stderr}
-    write_json(args.out, payload, force=args.force)
-    outputs.append(args.out)
-    return {"spec": rep.spec, "passed": rep.passed}
+    payload = {**asdict(rep), "probability": fraction_fields(rep.probability)}
+    return [(args.out, payload)], {"spec": rep.spec, "passed": rep.passed}
 
 
-def _cmd_verify(args, outputs):
+def _cmd_verify(args):
     result = verify.run_suite(args.suite)
-    write_json(args.out, result.to_dict(), force=args.force)
-    outputs.append(args.out)
-    return {"suite": args.suite, "passed": result.passed}
+    return [(args.out, result.to_dict())], {"suite": args.suite, "passed": result.passed}
 
 
-def _cmd_pattern(args, outputs):
+def _cmd_pattern(args):
     counts = exact.pattern_free_counts(args.kappa_max)
     rows = [(kappa, count, "" if kappa == 1 else count / counts[kappa - 2])
             for kappa, count in enumerate(counts, start=1)]
-    write_csv(args.out, ["kappa", "count", "ratio"], rows, force=args.force)
-    outputs.append(args.out)
-    return {"kappa_max": args.kappa_max}
+    return [(args.out, (["kappa", "count", "ratio"], rows))], {"kappa_max": args.kappa_max}
 
 
 _HANDLERS = {
@@ -416,6 +365,18 @@ _HANDLERS = {
     "growth": _cmd_growth, "tomaszewski": _cmd_tomaszewski, "verify": _cmd_verify,
     "pattern": _cmd_pattern,
 }
+
+
+def _write(path: str, content, force: bool) -> None:
+    """One output: a dict as JSON, a (header, rows) pair as CSV, bytes as they are."""
+    if isinstance(content, dict):
+        write_json(path, content, force=force)
+    elif isinstance(content, bytes):
+        ensure_writable(path, force)
+        with open(path, "wb") as fh:
+            fh.write(content)
+    else:
+        write_csv(path, *content, force=force)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -428,11 +389,19 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_help()
             return EXIT_PRECONDITION
         _require_seed(args, subs)
-        started = datetime.now(timezone.utc).isoformat()
-        outputs: list[str] = []
-        summary = _HANDLERS[args.command](args, outputs)
-        finished = datetime.now(timezone.utc).isoformat()
         manifest_path = args.manifest or args.out + ".manifest.json"
+        # refuse an existing output before computing anything
+        for path in (args.out, manifest_path, getattr(args, "binary", None),
+                     _csv_path(args) if hasattr(args, "csv") else None):
+            if path:
+                ensure_writable(path, args.force)
+        started = datetime.now(timezone.utc).isoformat()
+        files, summary = _HANDLERS[args.command](args)
+        outputs: list[str] = []
+        for path, content in files:
+            _write(path, content, args.force)
+            outputs.append(path)
+        finished = datetime.now(timezone.utc).isoformat()
         manifest = RunManifest(
             tool="awalk", version=__version__, subcommand=args.command, argv=argv,
             parameters={k: v for k, v in sorted(vars(args).items())

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ToleranceError
-from .sequences import SequenceSpec, sum_squares_exact
+from .sequences import SequenceSpec
 
 __all__ = [
     "QuadratureResult",
@@ -75,8 +75,8 @@ class CosineProfile:
         self.values = np.asarray([float(v) for v, _ in runs], dtype=np.float64)
         self.mults = np.asarray([float(c) for _, c in runs], dtype=np.float64)
         self.odd = np.flatnonzero([c & 1 for _, c in runs])  # columns that flip the sign
-        if spec.is_integer_valued:
-            self.sum_squares = float(sum_squares_exact(spec, n))
+        if spec.is_integer_valued:  # the exact sum in Python ints, rounded once
+            self.sum_squares = float(sum(int(v) * int(v) * c for v, c in runs))
         else:  # the float squares summed exactly, rounded once
             self.sum_squares = sum(_fixed(float(v) * float(v)) * c
                                    for v, c in runs) / _FIXED_ONE

@@ -61,7 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from multiprocessing import get_context
 from typing import Sequence
@@ -1036,13 +1036,7 @@ class ExperimentReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema, "kind": self.kind, "spec": self.spec,
-            "horizon": self.horizon, "paths": self.paths, "seed": self.seed,
-            "bands": [float(c) for c in self.bands], "zero_tol": self.zero_tol,
-            "checkpoints": list(self.checkpoints), "aggregates": self.aggregates,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def _bootstrap_lcbs(values: np.ndarray, seed: int, resamples: int = 2000) -> list[float]:

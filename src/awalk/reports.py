@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
@@ -135,10 +135,4 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)  # path -> sha256
 
     def write(self, path: str, force: bool = False) -> None:
-        write_json(path, {
-            "tool": self.tool, "version": self.version,
-            "subcommand": self.subcommand, "argv": self.argv,
-            "parameters": self.parameters, "seed": self.seed,
-            "started_at": self.started_at, "finished_at": self.finished_at,
-            "outputs": self.outputs,
-        }, force=force)
+        write_json(path, asdict(self), force=force)

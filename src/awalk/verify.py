@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -63,13 +63,7 @@ class SuiteResult:
     checks: list[CheckResult]
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "awalk-verify/1",
-            "suite": self.suite,
-            "passed": self.passed,
-            "checks": [{"name": c.name, "passed": c.passed, "details": c.details}
-                       for c in self.checks],
-        }
+        return {"schema": "awalk-verify/1", **asdict(self)}
 
 
 # --- sub-Gaussian tail bound ------------------------------------------------------

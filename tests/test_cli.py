@@ -65,6 +65,62 @@ def test_overwrite_protection(tmp_path):
     assert run(["pattern", "--kappa-max", "5", "--out", "p.csv", "--force"], tmp_path) == 0
 
 
+@pytest.mark.parametrize("argv, existing", [
+    (["dist", "--spec", "linear", "--n", "8", "--out", "d.csv", "--binary", "d.bin"], "d.bin"),
+    (["pattern", "--kappa-max", "5", "--out", "p.csv"], "p.csv.manifest.json"),
+    (["signs", "--spec", "linear", "--n", "50", "--paths", "2", "--seed", "1",
+      "--out", "s.json"], "s.csv"),
+], ids=["binary", "manifest", "checkpoint-csv"])
+def test_an_existing_output_is_refused_before_any_file_is_written(argv, existing, tmp_path):
+    (tmp_path / existing).write_text("kept")
+    assert run(argv, tmp_path) == 2
+    assert [p.name for p in tmp_path.iterdir()] == [existing]
+    assert (tmp_path / existing).read_text() == "kept"
+
+
+def test_an_existing_output_is_refused_before_computing(tmp_path, monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli.montecarlo, "recurrence_experiment", computed)
+    (tmp_path / "r.json").write_text("kept")
+    assert run(["recurrence", "--spec", "linear", "--n", "1000000", "--paths", "640",
+                "--seed", "1", "--out", "r.json"], tmp_path) == 2
+
+
+# every command at a tiny size; `out` has no suffix, so the checkpoint CSV is out.csv
+TINY = {
+    "dist": ["--spec", "linear", "--n", "6", "--binary", "d.bin"],
+    "qn": ["--max-n", "6"],
+    "hit": ["--spec", "linear", "--n", "4"],
+    "visits": ["--spec", "linear", "--n", "6"],
+    "fourier": ["--spec", "linear", "--n", "6"],
+    "sullivan": ["--beta", "0.5", "--n", "10,20"],
+    "transience": ["--spec", "linear", "--n-max", "6"],
+    "simulate": ["--spec", "linear", "--n", "50", "--seed", "1"],
+    "recurrence": ["--spec", "linear", "--n", "50", "--paths", "4", "--seed", "1"],
+    "signs": ["--spec", "linear", "--n", "50", "--paths", "4", "--seed", "1"],
+    "growth": ["--beta", "0.5", "--delta", "0.2", "--n", "50", "--paths", "4", "--seed", "1"],
+    "tomaszewski": ["--spec", "linear", "--n", "4"],
+    "verify": ["--suite", "bc"],
+    "pattern": ["--kappa-max", "5"],
+}
+
+
+def test_tiny_runs_cover_every_command():
+    assert set(TINY) == set(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("command", TINY)
+def test_manifest_records_exactly_the_files_written(command, tmp_path, capsys):
+    assert run([command, *TINY[command], "--out", "out"], tmp_path) == 0
+    written = {p.name: sha256_file(p) for p in tmp_path.iterdir()
+               if p.name != "out.manifest.json"}
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["outputs"] == written
+    assert sorted(json.loads(capsys.readouterr().out)["outputs"]) == sorted(written)
+
+
 def test_unknown_spec_usage_error(tmp_path, capsys):
     assert run(["dist", "--spec", "bogus:1", "--n", "5", "--out", "x.csv"], tmp_path) == 2
     err = capsys.readouterr().err
@@ -108,7 +164,7 @@ def test_band_dp_refuses_oversized_buffers_at_once(tmp_path):
 
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     # the handler raises at once: nothing is really allocated
-    def exhausted(args, outputs):
+    def exhausted(args):
         raise MemoryError
 
     monkeypatch.setitem(cli._HANDLERS, "pattern", exhausted)

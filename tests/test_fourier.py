@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from awalk import exact, fourier
+from awalk import exact, fourier, verify
 from awalk.errors import PreconditionError, ToleranceError
-from awalk.sequences import Constant, Explicit, Linear, parse_spec
+from awalk.sequences import Constant, Explicit, Linear, parse_spec, sum_squares_exact
 from conftest import BATTERY_TEXTS, panel_adaptive_integral
 
 
@@ -22,6 +22,15 @@ def test_cosine_profile_examples():
     assert profile.signed(t).shape == (2, 33)
     np.testing.assert_allclose(profile.signed(t), alone, rtol=1e-12, atol=1e-300)
     np.testing.assert_allclose(profile.absolute(t), np.abs(alone), rtol=1e-12, atol=1e-300)
+
+
+# 10**14: the block families' sums of squares pass 2^53, so the float is a rounding
+@pytest.mark.parametrize("text, n", [
+    (t, n) for t in (*verify.BATTERY, "logceil:2", "blocks:pow2") for n in (5, 2000)
+    if n <= (parse_spec(t).max_index or n)] + [("logceil:2", 10**14), ("blocks:pow2", 10**14)])
+def test_profile_sum_of_squares_is_the_exact_sum_rounded_once(text, n):
+    spec = parse_spec(text)
+    assert fourier.CosineProfile(spec, n).sum_squares == float(sum_squares_exact(spec, n))
 
 
 def test_cosine_profile_log_accumulation_matches_direct():
