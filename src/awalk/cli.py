@@ -8,9 +8,9 @@ for byte when re-run from a manifest's argv.
 Each `_cmd_*` handler computes and writes nothing: it returns ``(files,
 summary)``, ``files`` an ordered list of ``(path, content)`` pairs whose
 content is a dict (written as JSON), a ``(header, rows)`` pair (CSV) or
-``bytes`` (as they are).  `main` refuses an existing output path before the
-handler runs, then writes the files in order, records their digests in the
-manifest and prints the summary.
+``bytes`` (as they are).  `main` refuses an existing output path, and one
+path named for two outputs, before the handler runs, then writes the files
+in order, records their digests in the manifest and prints the summary.
 
 Exit codes: 0 success, 2 precondition error, 3 resource error, 4 tolerance
 or verification failure.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -390,11 +391,14 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_PRECONDITION
         _require_seed(args, subs)
         manifest_path = args.manifest or args.out + ".manifest.json"
-        # refuse an existing output before computing anything
-        for path in (args.out, manifest_path, getattr(args, "binary", None),
-                     _csv_path(args) if hasattr(args, "csv") else None):
-            if path:
-                ensure_writable(path, args.force)
+        # refuse an existing or repeated output before computing anything
+        named: set[str] = set()
+        for path in filter(None, (args.out, manifest_path, getattr(args, "binary", None),
+                                  _csv_path(args) if hasattr(args, "csv") else None)):
+            ensure_writable(path, args.force)
+            if os.path.realpath(path) in named:
+                raise PreconditionError(f"{path} is named for two outputs")
+            named.add(os.path.realpath(path))
         started = datetime.now(timezone.utc).isoformat()
         files, summary = _HANDLERS[args.command](args)
         outputs: list[str] = []

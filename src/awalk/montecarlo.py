@@ -9,8 +9,9 @@ fixed seed no matter how many workers run.  AWALK_THREADS caps the pool, and
 a job forks at most one worker per `_WORKER_PATH_STEPS` path-steps it walks,
 so a job of fewer than twice that walks its work units in process
 (`_run_blocks`).
-Philox is counter-based, so each process re-keys one generator per path and
-draws only the words the path reads, refill by refill.
+Philox is counter-based, so each job or `simulate` call makes one generator
+and re-keys it per path to draw only the words the paths read, a whole
+refill of 2^16 steps at a time (`_refills`).
 
 Every experiment streams its paths through one kernel, `_PathKernel`, which
 never holds the whole walk's weights: it builds them a chunk or segment at
@@ -30,8 +31,8 @@ name.  The kernel walks in one of two ways:
   and j*x_j, so a byte whose weights run w0 + j*delta moves S by
   w0*sum + delta*moment; one cumsum per 8 steps gives S at every byte end,
   exact in int64.  Each chunk's w0 and affine flags come from the runs
-  that overlap it.  A chunk is one array of (paths, sign bytes), 2^16
-  bytes in all;
+  that overlap it.  A chunk is a (paths, sign bytes) slice of a refill,
+  1,024 bytes per path in a 64-path unit and 8,192 in `simulate`;
 - a chunk at a time, for real weights: the paths of a pass walk each
   segment together, a (paths, 2^16/paths) long-double chunk at a time,
   with one cumsum per step in extended precision (long double) and a
@@ -86,10 +87,10 @@ __all__ = [
 
 REPORT_SCHEMA = "awalk-report/1"
 
-_CHUNK = 1 << 16
 _BLOCK = 64          # paths per work unit; fixed so partitioning never varies
-_WORDS = 1 << 10     # most uint64 words per RNG refill
-_BYTE_CHUNK = 1 << 16  # sign bytes per byte-path chunk, over all the paths of a pass
+_WORDS = 1 << 10     # uint64 words per RNG refill
+_CHUNK = 64 * _WORDS  # steps per refill, and per real-walk segment at most
+_BYTE_CHUNK = 1 << 16  # most sign bytes per byte-path chunk, over all the paths of a pass
 _REAL_CHUNK = 1 << 16  # steps per real-walk chunk, over all the paths of a pass
 _STRIDE = 16           # the real walk casts every 16th partial sum
 
@@ -189,75 +190,29 @@ class RngSpec:
         return np.random.Generator(np.random.Philox(key=(self.seed << 64) | self.stream))
 
 
-class _BitStream:
-    """Sign bytes of the paths of a pass, refill by refill, from one re-keyed
-    Philox generator.
+def _refills(philox: np.random.Philox, seed: int, streams: range, nbits: int):
+    """The sign bytes of paths (seed, s), s in streams, of `nbits` bits
+    each: refill r of every path as one (paths, <= 8192) array, drawn when
+    it is read, the last cut to the bytes that hold the bits.
 
     Path (seed, stream) reads the words ``RngSpec(seed, stream).generator()
     .integers(0, 2**64, dtype=np.uint64)`` returns; byte b holds its steps
     8b..8b+7.  Refill r of a path is its words 1024r..1024r+1023.  Philox
-    makes 4 words per counter value, so re-keying the generator and setting
-    its counter to 256r draws them, and the refills of all the paths of a
-    pass are drawn together and kept packed: at most (64, 1024) words.
-    Re-keying through the ``state`` setter costs a fraction of building a
-    new generator.  A path's last refill draws only the words the path
-    reads; refill sizes never change which bit a step reads.
+    makes 4 words per counter value, so re-keying `philox` (through its
+    ``state`` setter, a fraction of the cost of a new generator) and setting
+    its counter to 256r draws them.  A pass starts from an empty buffer, as
+    the last pass on `philox` may have ended inside a counter value.
     """
-
-    __slots__ = ("_philox", "_state", "_seed", "_streams", "_nbits", "_raw", "_pos",
-                 "_refill")
-
-    def __init__(self, rng: RngSpec | None = None, nbits: int = 0):
-        self._philox = np.random.Philox(0)
-        self._state = self._philox.state  # counter 0, empty buffer; key set per path
-        self.start(0, range(0), 0)
-        if rng is not None:
-            self.start(rng.seed, range(rng.stream, rng.stream + 1), nbits)
-
-    def start(self, seed: int, streams: range, nbits: int) -> None:
-        """Read the paths (seed, s), s in streams, of `nbits` bits each."""
-        self._seed, self._streams, self._nbits = seed, streams, nbits
-        self._raw = np.empty((len(streams), 0), dtype=np.uint8)
-        self._pos = 0  # in bytes
-        self._refill = 0  # the next refill
-
-    @property
-    def paths(self) -> int:
-        return len(self._streams)
-
-    def _draw(self) -> None:
-        """Draw the next refill of every path."""
-        bits = min(64 * _WORDS, self._nbits - 64 * _WORDS * self._refill)
-        words = -(-bits // 64)
-        raw = np.empty((self.paths, words), dtype=np.uint64)
-        state = self._state["state"]
-        state["counter"] = np.array([_WORDS // 4 * self._refill, 0, 0, 0], dtype=np.uint64)
-        for row, stream in zip(raw, self._streams):
-            state["key"] = np.array([stream, self._seed], dtype=np.uint64)
-            self._philox.state = self._state
-            row[:] = self._philox.random_raw(words)
-        self._raw = raw.view(np.uint8)[:, :-(-bits // 8)]
-        self._pos = 0
-        self._refill += 1
-
-    def take_bytes(self, n: int) -> np.ndarray:
-        """The next n sign bytes of each path, one row per path (bit j
-        little-endian of a byte is its step j); a view within a refill."""
-        if self._pos == self._raw.shape[1]:
-            self._draw()
-        if self._pos + n <= self._raw.shape[1]:
-            self._pos += n
-            return self._raw[:, self._pos - n:self._pos]
-        out = np.empty((self.paths, n), dtype=np.uint8)
-        filled = 0
-        while filled < n:
-            if self._pos == self._raw.shape[1]:
-                self._draw()
-            k = min(n - filled, self._raw.shape[1] - self._pos)
-            out[:, filled:filled + k] = self._raw[:, self._pos:self._pos + k]
-            self._pos += k
-            filled += k
-        return out
+    state = {**philox.state, "buffer_pos": 4}
+    for r, lo in enumerate(range(0, nbits, _CHUNK)):
+        bits = min(_CHUNK, nbits - lo)
+        raw = np.empty((len(streams), -(-bits // 64)), dtype=np.uint64)
+        state["state"]["counter"] = np.array([_WORDS // 4 * r, 0, 0, 0], dtype=np.uint64)
+        for row, stream in zip(raw, streams):
+            state["state"]["key"] = np.array([stream, seed], dtype=np.uint64)
+            philox.state = state
+            row[:] = philox.random_raw(row.size)
+        yield raw.view(np.uint8)[:, :-(-bits // 8)]
 
 
 @dataclass
@@ -302,8 +257,10 @@ class _PathKernel:
     first value, step), which building it checked to be positive with a sum
     below 2^62, so that every partial sum is exact in int64, and the bytes
     that are not affine with the walk's one delta, with their weights
-    (`_init_runs`; about one per run).  It reads whole sign bytes, in chunks
-    of 2^16 bytes over all the paths of a pass, and builds each chunk's w0
+    (`_init_runs`; about one per run).  It cuts whole refills into chunks
+    of the most bytes per path, a power of two, that is at most a refill
+    (8,192) and 2^16 // paths: 1,024 in a 64-path unit, 8,192 in
+    `simulate`.  It builds each chunk's w0
     per byte from the runs that overlap it (`_load`), once per pass; a
     chunk holding a whole walk keeps it from pass to pass.  It forms each
     byte's sum from the sign tables (`_byte_sums`); a byte that is not
@@ -315,9 +272,10 @@ class _PathKernel:
     either walk.
 
     The real walk (`_run_real`) cuts the walk into segments that end at
-    every multiple of 2^16 steps, at each checkpoint and at the horizon.
-    The cut positions fix the rounding: keep them where they are, or
-    reports move.  A walk of no steps takes it too and returns at once.
+    every multiple of 2^16 steps, at each checkpoint and at the horizon,
+    so a segment reads within one refill.  The cut positions fix the
+    rounding: keep them where they are, or reports move.  A walk of no
+    steps takes it too and returns at once.
     A segment is walked a chunk at a time, one (paths, 2^16/paths)
     long-double array (1 MB), and each row of a chunk is cut into blocks
     of 16 steps (the last may be shorter).  Per chunk the segment's
@@ -399,7 +357,7 @@ class _PathKernel:
             self._index = np.empty(size, dtype=np.intp)
             self._work = np.empty((2, size), dtype=np.int64)  # sums, then moment or |S|
             # per byte: d, 8d and a prefilter limit
-            self._bounds = np.empty((3, min(_BYTE_CHUNK, self.nbytes)), dtype=np.int64)
+            self._bounds = np.empty((3, min(_CHUNK // 8, self.nbytes)), dtype=np.int64)
             self._byte_cps = np.asarray(sorted(self.checkpoints), dtype=np.int64)
             return
         self._check_real()
@@ -461,7 +419,7 @@ class _PathKernel:
         self._odd_reach = self._odd @ _REACH_LANES
         self._odd_top = self._odd.max(axis=1)
         if steps.any():  # the first step of each byte of a chunk, less its first
-            self._eights = np.arange(0, 8 * min(_BYTE_CHUNK, self.nbytes), 8)
+            self._eights = np.arange(0, 8 * min(_CHUNK // 8, self.nbytes), 8)
         self._loaded = None
 
     def _check_real(self) -> None:
@@ -575,23 +533,23 @@ class _PathKernel:
         rows += (end - rows[:, -1])[:, None]
         return rows
 
-    def run(self, stream, reducer=None) -> np.ndarray:
-        """Walk the `paths` paths of `stream`, whose sign bytes its
-        `take_bytes` gives one row per path, into the reducer (a pass stops
-        once reducer.update returns True); return the last partial sum
-        formed, one per path."""
+    def run(self, refills, paths: int, reducer=None) -> np.ndarray:
+        """Walk `paths` paths, whose sign bytes `refills` yields refill by
+        refill, one row per path (`_refills`), into the reducer (a pass
+        stops once reducer.update returns True, and reads no more refills);
+        return the last partial sum formed, one per path."""
         if self.bytewise:
-            return self._run_bytes(stream.take_bytes, reducer, stream.paths)
-        return self._run_real(stream.take_bytes, reducer, stream.paths)
+            return self._run_bytes(refills, reducer, paths)
+        return self._run_real(refills, reducer, paths)
 
-    def _run_bytes(self, take_bytes, reducer, paths):
+    def _run_bytes(self, refills, reducer, paths):
         """Walk the chunks and feed reducer.update the steps `_read` finds
         in each; return S(n) of each path, in int64."""
         carry = np.zeros(paths, dtype=np.int64)
         top = np.zeros(paths, dtype=np.int64) if reducer is not None and reducer.full else None
-        chunk = _BYTE_CHUNK // paths
-        for lo in range(0, self.nbytes, chunk):
-            codes = take_bytes(min(chunk, self.nbytes - lo))
+        chunk = min(_CHUNK // 8, 1 << ((_BYTE_CHUNK // paths).bit_length() - 1))
+        chunks = (r[:, a:a + chunk] for r in refills for a in range(0, r.shape[1], chunk))
+        for lo, codes in zip(range(0, self.nbytes, chunk), chunks):
             hi = lo + codes.shape[-1]
             self._load(lo, hi)
             index = _shaped(self._index, codes.shape)
@@ -653,7 +611,7 @@ class _PathKernel:
                               np.abs(self.expand(at[beat], code[beat], end[beat])).max(axis=1))
         return 8 * near[step >> 3] + (step & 7), s.ravel()[step]
 
-    def _run_real(self, take_bytes, reducer, paths):
+    def _run_real(self, refills, reducer, paths):
         """Walk the segments a chunk at a time and feed reducer.update the
         steps `_screen` finds in each segment; return the last partial sum
         of each path, in long double."""
@@ -663,7 +621,7 @@ class _PathKernel:
         for pos, end in self.segments:
             at, span = pos % _CHUNK, end - pos
             if not at:  # segments never cross a refill
-                codes = take_bytes(-(-min(_CHUNK, self.steps - pos) // 8))
+                codes = next(refills)
             weights = self.spec.terms_between(self.first + pos, self.first + end)
             if reducer is not None:
                 margin = 2.0 ** -50 * (float(weights.sum()) + 3 * float(np.abs(carry).max())) \
@@ -943,7 +901,8 @@ def simulate(spec: SequenceSpec, n: int, rng: RngSpec, bands: Sequence[float] = 
     cps = {int(c) for c in checkpoints if first <= c <= n}
     kernel = _PathKernel(spec, n, [c - first + 1 for c in cps])
     tally = _PathTally(first, bands, zero_tol)
-    kernel.run(_BitStream(rng, kernel.steps), tally)
+    kernel.run(_refills(np.random.Philox(0), rng.seed, range(rng.stream, rng.stream + 1),
+                        kernel.steps), 1, tally)
     return tally.stats(n, kernel.steps)
 
 
@@ -962,16 +921,16 @@ def _checked_bands(bands: Sequence[float], zero_tol: float) -> list[float]:
 # --- experiment plumbing -------------------------------------------------------
 
 # The pass state of the running `_run_blocks` job: the kernel, the seed, the
-# reducer factory and one bit stream.  Pool workers inherit it by fork.
+# reducer factory and one Philox generator.  Pool workers inherit it by fork.
 _CTX: dict = {}
 
 
 def _path_block(block: tuple[int, int]) -> dict:
     """The named per-path arrays of paths lo..hi-1, a work unit walked in one pass."""
     lo, hi = block
-    kernel, stream, reducer = _CTX["kernel"], _CTX["stream"], _CTX["reducer"](hi - lo)
-    stream.start(_CTX["seed"], range(lo, hi), kernel.steps)
-    last = kernel.run(stream, reducer)
+    kernel, reducer = _CTX["kernel"], _CTX["reducer"](hi - lo)
+    last = kernel.run(_refills(_CTX["philox"], _CTX["seed"], range(lo, hi), kernel.steps),
+                      hi - lo, reducer)
     if reducer is None:  # S(n) alone: exact in int64 for integer weights
         return {"final": last if kernel.bytewise else last.astype(np.float64)}
     return reducer.results()
@@ -991,10 +950,11 @@ def _run_blocks(spec: SequenceSpec, horizon: int, paths: int, seed: int,
     `_WORKER_PATH_STEPS`) workers; with one the parent walks every unit
     itself.  A pool hands out one unit per task, so a worker that the host
     slows walks fewer units.  The parent builds the kernel, which checks
-    the weights, and imports numpy.random, which numpy loads lazily, before
-    the pool forks, so that no worker repeats either.  The workers inherit
-    the pass state in `_CTX`, the kernel and its spec object itself (any
-    spec, a callable block rule included); nothing is pickled.  `_CTX` is
+    the weights, and the job's one Philox generator, which imports
+    numpy.random (numpy loads it lazily), before the pool forks, so that
+    no worker repeats either.  The workers inherit the pass state in
+    `_CTX`, the kernel, its spec object itself (any spec, a callable block
+    rule included) and the generator; nothing is pickled.  `_CTX` is
     cleared when the job ends, so no kernel outlives it.
     """
     if paths < 1:
@@ -1003,11 +963,10 @@ def _run_blocks(spec: SequenceSpec, horizon: int, paths: int, seed: int,
     _check_cost(paths, spec.steps(horizon))
     first = spec.first_index
     kernel = _PathKernel(spec, horizon, [c - first + 1 for c in checkpoints])
-    import numpy.random  # noqa: F401  (the parent's one import, see above)
     blocks = [(lo, min(lo + _BLOCK, paths)) for lo in range(0, paths, _BLOCK)]
     workers = min(worker_count(), len(blocks),
                   max(1, paths * kernel.steps // _WORKER_PATH_STEPS))
-    _CTX.update(kernel=kernel, seed=seed, reducer=reducer, stream=_BitStream())
+    _CTX.update(kernel=kernel, seed=seed, reducer=reducer, philox=np.random.Philox(0))
     try:
         if workers <= 1:
             parts = [_path_block(b) for b in blocks]

@@ -96,19 +96,12 @@ def full_lattice_band_masses(weights, band, absorb):
 
 # --- driving the Monte Carlo path kernel with given signs ----------------------
 
-class SignSource:
-    """`paths` and `take_bytes` of `montecarlo._BitStream`, over given +-1
-    signs: one path's, or one row per path."""
-
-    def __init__(self, signs):
-        self.packed = np.atleast_2d(np.packbits(np.asarray(signs) > 0, axis=-1,
-                                                bitorder="little"))
-        self.paths = self.packed.shape[0]
-        self.pos = 0
-
-    def take_bytes(self, m):
-        self.pos += m
-        return self.packed[:, self.pos - m:self.pos]
+def sign_refills(signs):
+    """(refills, paths) for `_PathKernel.run`, as `montecarlo._refills`
+    yields them, over given +-1 signs: one path's, or one row per path."""
+    packed = np.atleast_2d(np.packbits(np.asarray(signs) > 0, axis=-1, bitorder="little"))
+    size = mc._CHUNK // 8  # sign bytes per refill
+    return (packed[:, a:a + size] for a in range(0, packed.shape[1], size)), packed.shape[0]
 
 
 def path_signs(rng, steps):
@@ -126,7 +119,7 @@ def simulate_signs(spec, signs, bands=(), zero_tol=1e-9, checkpoints=()) -> mc.P
     cps = {int(c) for c in checkpoints if first <= c <= n}
     kernel = mc._PathKernel(spec, n, [c - first + 1 for c in cps])
     tally = mc._PathTally(first, bands, zero_tol)
-    kernel.run(SignSource(signs), tally)
+    kernel.run(*sign_refills(signs), tally)
     return tally.stats(n, kernel.steps)
 
 

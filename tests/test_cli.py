@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import subprocess
 import sys
 import time
 from decimal import Decimal
@@ -78,6 +79,20 @@ def test_an_existing_output_is_refused_before_any_file_is_written(argv, existing
     assert (tmp_path / existing).read_text() == "kept"
 
 
+@pytest.mark.parametrize("argv", [
+    ["dist", "--spec", "linear", "--n", "4", "--out", "x", "--binary", "x"],
+    ["dist", "--spec", "linear", "--n", "4", "--out", "x", "--manifest", "x"],
+    ["dist", "--spec", "linear", "--n", "4", "--out", "x", "--binary", "./sub/../x"],
+    ["recurrence", "--spec", "linear", "--n", "50", "--paths", "2", "--seed", "1",
+     "--out", "r.json", "--csv", "r.json"],
+], ids=["binary", "manifest", "binary-by-another-name", "checkpoint-csv"])
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+def test_a_path_named_for_two_outputs_is_refused(argv, force, tmp_path):
+    (tmp_path / "sub").mkdir()
+    assert run(argv + force, tmp_path) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
 def test_an_existing_output_is_refused_before_computing(tmp_path, monkeypatch):
     def computed(*args, **kwargs):
         raise AssertionError("the experiment ran")
@@ -86,6 +101,33 @@ def test_an_existing_output_is_refused_before_computing(tmp_path, monkeypatch):
     (tmp_path / "r.json").write_text("kept")
     assert run(["recurrence", "--spec", "linear", "--n", "1000000", "--paths", "640",
                 "--seed", "1", "--out", "r.json"], tmp_path) == 2
+
+
+def test_only_simulating_commands_import_numpy_random(tmp_path):
+    # numpy loads numpy.random lazily, and importing it costs about a tenth
+    # of the startup of a short exact command, so in a fresh process the
+    # exact, spectral and verify commands must leave it unloaded
+    code = """if True:
+        import sys
+        from awalk.cli import main
+        for argv in (["dist", "--spec", "linear", "--n", "40"],
+                     ["hit", "--spec", "powfloor:0.5", "--n", "70", "--band", "1"],
+                     ["visits", "--spec", "logceil:2", "--n", "60"], ["qn", "--max-n", "20"],
+                     ["pattern", "--kappa-max", "25"],
+                     ["transience", "--spec", "linear", "--n-max", "10", "--z", "0"],
+                     ["fourier", "--spec", "linear", "--n", "10", "--z", "0"],
+                     ["sullivan", "--beta", "0.9", "--n", "25,50"],
+                     *(["verify", "--suite", s] for s in ("patterns", "inequalities", "oracles"))):
+            assert main(argv + ["--out", argv[0] + argv[-1]]) == 0, argv
+        assert "numpy.random" not in sys.modules
+        assert main(["simulate", "--spec", "linear", "--n", "50", "--seed", "1",
+                     "--out", "s.json"]) == 0
+        assert "numpy.random" in sys.modules
+    """
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
 
 
 # every command at a tiny size; `out` has no suffix, so the checkpoint CSV is out.csv

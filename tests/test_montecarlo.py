@@ -21,10 +21,10 @@ from awalk.reports import write_json
 from awalk.sequences import (Constant, Explicit, GeneralBlocks, Linear, LogCeilBlocks,
                              LogContinuous, PowerFloor, SequenceSpec, parse_spec,
                              sum_squares_exact)
-from conftest import (SignSource, band_avoidance_block_estimate, bridge_touch,
+from conftest import (band_avoidance_block_estimate, bridge_touch,
                       enumerate_sign_change_counts, first_hit_probability,
-                      floor_sqrt_runs, killed_walk_survival, path_signs, simulate_signs,
-                      strict_sign_change_law)
+                      floor_sqrt_runs, killed_walk_survival, path_signs, sign_refills,
+                      simulate_signs, strict_sign_change_law)
 
 
 def test_simulate_hand_traces():
@@ -329,7 +329,7 @@ def _check_long_double_case(case):
     first = spec.first_index
     kernel = mc._PathKernel(spec, first + len(signs) - 1, [c - first + 1 for c in checkpoints])
     tally = mc._PathTally(first, bands, zero_tol, paths=mc._BLOCK)
-    kernel.run(SignSource(np.tile([signs, -signs], (mc._BLOCK // 2, 1))), tally)
+    kernel.run(*sign_refills(np.tile([signs, -signs], (mc._BLOCK // 2, 1))), tally)
     one = _tally_results(want, bands, True)
     _assert_results(tally.results(), [one, {**one, "final": -one["final"]}] * (mc._BLOCK // 2))
 
@@ -487,15 +487,15 @@ def test_block_pass_matches_single_paths(text, length, seeds, bands, offsets, fu
     kernel = mc._PathKernel(spec, first + length - 1, [c - first + 1 for c in checkpoints])
     assert kernel.bytewise
     tally = mc._PathTally(first, bands, 1e-9, full=full, paths=len(paths))
-    last = kernel.run(SignSource(paths), tally)
+    last = kernel.run(*sign_refills(paths), tally)
     _assert_results(tally.results(),
                     [_step_loop_results(spec, p, bands, set(checkpoints), full) for p in paths])
     assert last.tolist() == [int(np.dot(weights, p)) for p in paths]
-    assert kernel.run(SignSource(paths)).tolist() == last.tolist()  # the S(n) sum alone
+    assert kernel.run(*sign_refills(paths)).tolist() == last.tolist()  # the S(n) sum alone
     window = length // 3
     thresholds = np.arange(first, first + length, dtype=np.float64) ** exponent
     test = mc._GrowthTest(window, first, exponent, paths=len(paths))
-    kernel.run(SignSource(paths), test)
+    kernel.run(*sign_refills(paths), test)
     assert test.ok.tolist() == [
         bool(np.all(np.abs(np.cumsum(weights * p)[window:]) > thresholds[window:]))
         for p in map(np.array, paths)]
@@ -547,16 +547,15 @@ def test_path_blocks_match_step_path_runs(kind, monkeypatch):
 @pytest.mark.parametrize("text", ["powfloor:0.5", "linear"])
 def test_long_walk_units_match_single_paths(text, threads, monkeypatch):
     # 70 paths of more than three refills: a 64-path unit walks chunks of
-    # 1024 bytes per path, the unit of 6 chunks of 10,922 bytes that cross
-    # refills, and `simulate` one chunk of the whole walk
+    # 1024 bytes per path, and the unit of 6 and `simulate` whole refills
+    # of 8192 bytes, with checkpoints at chunk and refill edges, inside
+    # refills and at the horizon
     _threads(monkeypatch, threads)
     spec, n, paths, seed = parse_spec(text), 3 * (1 << 16) + 77, 70, 17
     first = spec.first_index
-    unit_chunk = 8 * (mc._BYTE_CHUNK // mc._BLOCK)
-    tail_chunk = 8 * (mc._BYTE_CHUNK // (paths - mc._BLOCK))
-    refill = 64 * mc._WORDS
-    steps = [1, unit_chunk, unit_chunk + 1, refill, refill + 1, tail_chunk, tail_chunk + 3,
-             n - first + 1]  # chunk and refill edges, the horizon
+    unit_chunk, refill = 8 * 1024, mc._CHUNK
+    steps = [1, unit_chunk, unit_chunk + 1, refill, refill + 1, refill + unit_chunk + 3,
+             2 * refill, n - first + 1]
     cps = [first + c - 1 for c in steps]
     bands = [0, 2.5, 40]
     single = [mc.simulate(spec, n, mc.RngSpec(seed, p), bands, checkpoints=cps)
@@ -583,12 +582,13 @@ def test_a_unit_stops_once_every_path_fails(monkeypatch):
     # 64-path unit draws its first refill, one per path, and stops there
     monkeypatch.setenv("AWALK_THREADS", "1")
     draws = []
-    draw = mc._BitStream._draw
+    refills = mc._refills
 
-    def counted(self):
-        draws.append(self.paths)
-        draw(self)
-    monkeypatch.setattr(mc._BitStream, "_draw", counted)
+    def counted(philox, seed, streams, nbits):
+        for r in refills(philox, seed, streams, nbits):
+            draws.append(r.shape[0])
+            yield r
+    monkeypatch.setattr(mc, "_refills", counted)
     spec, n = PowerFloor(0.5), 3 * (1 << 16) + 77
     res = mc._run_blocks(spec, n, 128, 5, (), lambda k: mc._GrowthTest(0, 1, 0.45, paths=k))
     assert res["ok"].tolist() == [False] * 128
@@ -645,7 +645,7 @@ def test_byte_path_growth_test_matches_step_loop(text, signs, exponent, window_s
     partial = np.cumsum(weights * np.array(signs))
     want = bool(np.all(np.abs(partial[window_start:]) > thresholds[window_start:]))
     test = mc._GrowthTest(window_start, first, exponent)
-    mc._PathKernel(spec, first + len(signs) - 1).run(SignSource(signs), test)
+    mc._PathKernel(spec, first + len(signs) - 1).run(*sign_refills(signs), test)
     assert test.ok == want
 
 
@@ -764,13 +764,13 @@ def test_mixed_delta_walks_match_step_loop(text, checkpoints):
                                            checkpoints=checkpoints), w)
     kernel = mc._PathKernel(spec, spec.max_index, [c - first + 1 for c in checkpoints])
     tally = mc._PathTally(first, bands, 1e-9, paths=len(paths))
-    kernel.run(SignSource(paths), tally)
+    kernel.run(*sign_refills(paths), tally)
     _assert_results(tally.results(),
                     [_step_loop_results(spec, p, bands, set(checkpoints), True) for p in paths])
     window, exponent = 5, 0.45
     thresholds = np.arange(first, first + n, dtype=np.float64) ** exponent
     test = mc._GrowthTest(window, first, exponent, paths=len(paths))
-    kernel.run(SignSource(paths), test)
+    kernel.run(*sign_refills(paths), test)
     want_ok = [bool(np.all(np.abs(np.cumsum(weights * p)[window:]) > thresholds[window:]))
                for p in map(np.array, paths)]
     assert test.ok.tolist() == want_ok and any(want_ok) and not all(want_ok)
@@ -781,17 +781,18 @@ def test_mixed_delta_walks_match_step_loop(text, checkpoints):
 def test_byte_path_final_value_matches_dot_product(text, signs):
     spec = parse_spec(text)
     n = spec.first_index + len(signs) - 1
-    assert mc._PathKernel(spec, n).run(SignSource(signs)) == int(np.dot(spec.terms(n), signs))
+    assert mc._PathKernel(spec, n).run(*sign_refills(signs)) == int(np.dot(spec.terms(n), signs))
 
 
 @pytest.mark.parametrize("text", ["logceil:2", "linear", "powfloor:0.5"])
 def test_byte_path_spans_chunks_of_a_philox_stream(text):
-    # 137,500 whole bytes: two full chunks, a short one and a 5-step tail
+    # about 137,500 whole bytes: 16 full refills, a short one and a tail of
+    # a few steps
     spec, n, rng = parse_spec(text), 1_100_005, mc.RngSpec(31, 4)
     first = spec.first_index
     weights = spec.terms(n)
     signs = path_signs(rng, weights.size)
-    checkpoints = [first + c - 1 for c in (1, 8 * mc._BYTE_CHUNK, 8 * mc._BYTE_CHUNK + 3,
+    checkpoints = [first + c - 1 for c in (1, mc._CHUNK, 8 * mc._CHUNK, 8 * mc._CHUNK + 3,
                                            1_000_003, n - first + 1)]
     got = mc.simulate(spec, n, rng, (0, 2, 2.5), checkpoints=checkpoints)
     _assert_stats_equal(got, _step_loop_stats(spec, signs, (0, 2, 2.5), set(checkpoints)))
@@ -801,9 +802,11 @@ def test_byte_path_spans_chunks_of_a_philox_stream(text):
     kernel = mc._PathKernel(spec, n)
     assert kernel.bytewise
     test = mc._GrowthTest(window, first, 0.05)
-    kernel.run(mc._BitStream(rng, n), test)
+    philox = np.random.Philox(0)
+    kernel.run(mc._refills(philox, 31, range(4, 5), kernel.steps), 1, test)
     assert test.ok.tolist() == [bool(np.all(np.abs(partial[window:]) > thresholds[window:]))]
-    assert kernel.run(mc._BitStream(rng, n)).tolist() == [int(partial[-1])]
+    assert kernel.run(mc._refills(philox, 31, range(4, 5), kernel.steps), 1).tolist() \
+        == [int(partial[-1])]
 
 
 def _whole_walk_tables(weights):
@@ -835,9 +838,9 @@ _WALKS = strategies.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(_WALKS, strategies.sampled_from([1, 2, 5, 64, 1 << 15]))
-@example((parse_spec("powfloor:0.5"), 1_100_005), 1 << 15)
-@example((parse_spec("linear"), 600_000), 1 << 15)
+@given(_WALKS, strategies.sampled_from([1, 2, 5, 64, 1 << 13]))  # 8192: a whole refill
+@example((parse_spec("powfloor:0.5"), 1_100_005), 1 << 13)
+@example((parse_spec("linear"), 600_000), 1 << 13)
 # a first byte in one run that ends with it, then runs of another step
 @example((parse_spec("linear"), 8), 1)
 @example((_explicit_from_runs([(1, 1, 8), (20, 0, 16)]), 24), 2)
@@ -946,33 +949,21 @@ class _Held(SequenceSpec):
 
 
 def test_truncated_refill_reads_the_same_bits():
-    def read(stream, nbits, k):  # all of a pass's sign bytes, k bytes at a time
-        nbytes = -(-nbits // 8)
-        return np.concatenate([stream.take_bytes(min(k, nbytes - at))
-                               for at in range(0, nbytes, k)], axis=1)
-
-    def words(p, nbits):
-        gen = mc.RngSpec(21, p).generator()
-        return gen.integers(0, 1 << 64, size=-(-nbits // 64), dtype=np.uint64)
-
-    for nbits in (1, 200, 64 * 1024 + 70, 3 * 64 * 1024):
-        want = words(5, nbits).view(np.uint8)[:-(-nbits // 8)]
-        for k in (8192, 5000, 40_000):  # in refills, across them and in one read
-            # the last refill is cut to the words read
-            assert np.array_equal(read(mc._BitStream(mc.RngSpec(21, 5), nbits), nbits, k),
-                                  want[None])
-    # re-keying one stream gives each path its own bits, and the paths of a
-    # pass draw refill r from words 1024r.. of their own streams
-    stream = mc._BitStream()
-    for p in (3, 0, 3):
-        stream.start(21, range(p, p + 1), 100)
-        assert np.array_equal(stream.take_bytes(13)[0], words(p, 100).view(np.uint8)[:13])
-    for nbits in (1, 200, 1003, 1 << 16, 3 * (1 << 16) + 70):
-        stream.start(21, range(2, 5), nbits)
-        rows = read(stream, nbits, 8192)
-        assert rows.shape == (3, -(-nbits // 8))
-        for row, p in zip(rows, range(2, 5)):
-            assert np.array_equal(row, words(p, nbits).view(np.uint8)[:-(-nbits // 8)])
+    # one Philox re-keyed for 1 and 3 paths: refill r of each path is its
+    # words 1024r.., the last refill is cut to the bytes that hold the bits,
+    # and each pass starts from an empty buffer, though the pass before
+    # ended inside a counter value (1, 200 or 1003 bits)
+    philox = np.random.Philox(0)
+    for streams in (range(5, 6), range(2, 5)):
+        for nbits in (1, 200, 1003, 1 << 16, (1 << 16) + 70, 3 * (1 << 16) + 70):
+            nbytes = -(-nbits // 8)
+            want = [mc.RngSpec(21, p).generator().integers(
+                0, 1 << 64, size=-(-nbits // 64), dtype=np.uint64).view(np.uint8)[:nbytes]
+                for p in streams]
+            refills = list(mc._refills(philox, 21, streams, nbits))
+            assert [r.shape for r in refills] == [(len(streams), min(8192, nbytes - a))
+                                                  for a in range(0, nbytes, 8192)]
+            assert np.array_equal(np.concatenate(refills, axis=1), want)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -1220,7 +1211,7 @@ def test_strict_sign_change_law_matches_enumeration():
         for lo in range(0, len(signs), mc._BLOCK):
             rows = signs[lo:lo + mc._BLOCK]
             tally = mc._PathTally(1, (), 1e-9, full=False, paths=len(rows))
-            kernel.run(SignSource(rows), tally)
+            kernel.run(*sign_refills(rows), tally)
             changes += tally.sign_changes.tolist()
         assert np.bincount(changes).tolist() == enumerate_sign_change_counts(steps)
 

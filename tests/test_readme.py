@@ -20,7 +20,8 @@ def test_readme_has_python_blocks():
     assert len(BLOCKS) >= 2
 
 
-@pytest.mark.parametrize("line, code", BLOCKS, ids=[f"line{line}" for line, _ in BLOCKS])
+# ids from each block's position, so that README edits above it keep them
+@pytest.mark.parametrize("line, code", BLOCKS, ids=[f"block{i}" for i in range(1, len(BLOCKS) + 1)])
 def test_readme_python_block_runs(line, code):
     exec(compile(code, f"README.md:{line}", "exec"), {"__name__": "__readme__"})
 
