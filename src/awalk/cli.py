@@ -19,6 +19,8 @@ or verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -139,16 +141,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 def _apply_config(parser_map, argv):
-    """Let a JSON config supply defaults; explicit flags still win."""
-    if not argv or argv[0] not in parser_map:
+    """Let a JSON config supply defaults; explicit flags still win.  A silent
+    parse, required flags relaxed, finds --config as argparse reads it (--conf too)."""
+    p = parser_map.get(argv[0]) if argv else None
+    if p is None:
         return
-    name = argv[0]
-    cfg_path = None
-    for i, a in enumerate(argv):
-        if a == "--config" and i + 1 < len(argv):
-            cfg_path = argv[i + 1]
-        elif a.startswith("--config="):
-            cfg_path = a.split("=", 1)[1]
+    required = [a for a in p._actions if a.required]
+    try:
+        for a in required:
+            a.required = False
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cfg_path = p.parse_known_args(argv[1:])[0].config
+    except SystemExit:  # --help or a bad flag: `main`'s own parse stops there and speaks
+        return
+    finally:
+        for a in required:
+            a.required = True
     if cfg_path is None:
         return
     try:
@@ -160,24 +168,18 @@ def _apply_config(parser_map, argv):
         raise PreconditionError(f"config {cfg_path!r} must hold a JSON object, "
                                 f"got {type(cfg).__name__}")
     merged = {}
-    for section in ("defaults", name):
+    for section in ("defaults", argv[0]):
         values = cfg.get(section, {})
         if not isinstance(values, dict):
             raise PreconditionError(f"config {cfg_path!r}: key {section!r} must map flags "
                                     f"to values, got {values!r}")
         merged.update(values)
-    p = parser_map[name]
-    dests = {a.dest for a in p._actions}
-    defaults = {}
+    actions = {a.dest: a for a in p._actions}
     for key, value in merged.items():
-        dest = key.replace("-", "_")
-        if dest in dests:
-            for a in p._actions:
-                if a.dest == dest:
-                    value = _config_value(a, value, f"config {cfg_path!r}: key {key!r}")
-                    a.required = False  # the config satisfies the requirement
-            defaults[dest] = value
-    p.set_defaults(**defaults)
+        a = actions.get(key.replace("-", "_"))
+        if a is not None:
+            a.default = _config_value(a, value, f"config {cfg_path!r}: key {key!r}")
+            a.required = False  # the config satisfies the requirement
 
 
 def _config_value(action, value, where: str):

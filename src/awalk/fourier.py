@@ -78,8 +78,11 @@ class CosineProfile:
         if spec.is_integer_valued:  # the exact sum in Python ints, rounded once
             self.sum_squares = float(sum(int(v) * int(v) * c for v, c in runs))
         else:  # the float squares summed exactly, rounded once
-            self.sum_squares = sum(_fixed(float(v) * float(v)) * c
-                                   for v, c in runs) / _FIXED_ONE
+            try:
+                self.sum_squares = sum(_fixed(float(v) * float(v)) * c
+                                       for v, c in runs) / _FIXED_ONE
+            except OverflowError:  # a square, or their sum, is past float64
+                raise DomainError(f"squares of {spec.canonical()} overflow float64") from None
         self.total_freq = float(sum(v * c for v, c in runs))
 
     def log_abs_and_parity(self, t: np.ndarray, parity: bool = True

@@ -17,14 +17,15 @@ Every experiment streams its paths through one kernel, `_PathKernel`, which
 never holds the whole walk's weights: it builds them a chunk or segment at
 a time from the spec's runs (`SequenceSpec.runs`) or terms
 (`SequenceSpec.terms_between`), so a process needs O(runs + 2^16) memory
-for a walk of any length.  A reducer per experiment reads the partial sums: the path
-statistics (`_PathTally`, for `simulate`, `recurrence` and `signs`), the
-growth window test (`_GrowthTest`) or, with no reducer, only S(n)
-(`tomaszewski_check`).  Every pass walks the paths of one 64-path work
-unit together (`simulate` walks one), and its reducer, built for that many
-paths, keeps one entry per path in each of its named arrays
-(`results`), paths on the last axis, which `_run_blocks` joins name by
-name.  The kernel walks in one of two ways:
+for a walk of any length.  It returns S(n) and, when asked, max |S|, and
+hands a reducer per experiment the steps it reads, whose events the
+reducer counts: the path statistics (`_PathTally`, for `simulate`,
+`recurrence` and `signs`), the growth window test (`_GrowthTest`) or
+none, for S(n) alone (`tomaszewski_check`).  Every pass walks the paths
+of one 64-path work unit together (`simulate` walks one), and its
+reducer, built for that many paths, keeps one entry per path in each of
+its named arrays (`results`), paths on the last axis, which `_run_blocks`
+joins name by name.  The kernel walks in one of two ways:
 
 - a sign byte at a time, for positive integer weights.  Byte b of a path's
   words holds steps 8b..8b+7, and two 256-entry tables give its sums of x_j
@@ -339,9 +340,10 @@ class _PathKernel:
     at a step, and every nonzero S between them has the sign of the first:
     the changes the reducer counts, from its last sign
     (`_PathTally.last_sign`) across chunks and segments too, are the
-    path's.  max |S| and S(n) are exact.  A byte-path chunk, or a
-    real-walk segment, reaches the reducer at once (reducer.update), with
-    the checkpoints that end in it.
+    path's.  A byte-path chunk, or a real-walk segment, reaches the
+    reducer at once (reducer.update) with the checkpoints that end in it;
+    max |S| (with ``reducer.full``) and S at the last step walked stay
+    with the kernel, exact, and `run` returns them.
     """
 
     def __init__(self, spec: SequenceSpec, horizon: int, checkpoint_steps: Sequence[int] = ()):
@@ -533,18 +535,18 @@ class _PathKernel:
         rows += (end - rows[:, -1])[:, None]
         return rows
 
-    def run(self, refills, paths: int, reducer=None) -> np.ndarray:
+    def run(self, refills, paths: int, reducer=None):
         """Walk `paths` paths, whose sign bytes `refills` yields refill by
         refill, one row per path (`_refills`), into the reducer (a pass
-        stops once reducer.update returns True, and reads no more refills);
-        return the last partial sum formed, one per path."""
-        if self.bytewise:
-            return self._run_bytes(refills, reducer, paths)
-        return self._run_real(refills, reducer, paths)
+        stops once reducer.update returns True, and reads no more refills).
+        Return (last, top), one entry per path: S at the last step walked,
+        in int64 on the byte path and in long double on the real walk, and
+        the largest |S| with ``reducer.full``, else None."""
+        return (self._run_bytes if self.bytewise else self._run_real)(refills, reducer, paths)
 
     def _run_bytes(self, refills, reducer, paths):
         """Walk the chunks and feed reducer.update the steps `_read` finds
-        in each; return S(n) of each path, in int64."""
+        in each; return (last, top) in int64."""
         carry = np.zeros(paths, dtype=np.int64)
         top = np.zeros(paths, dtype=np.int64) if reducer is not None and reducer.full else None
         chunk = min(_CHUNK // 8, 1 << ((_BYTE_CHUNK // paths).bit_length() - 1))
@@ -563,11 +565,9 @@ class _PathKernel:
             carry = ends[:, -1].copy()
             keys, s = self._read(lo, index, ends, reducer.level(min(8 * hi, self.steps) - 1), top)
             a, b = np.searchsorted(self._byte_cps, (8 * lo, 8 * hi), "right")
-            if reducer.update(8 * lo, 8 * (hi - lo), keys, s,
-                              None if top is None else top.astype(np.float64),
-                              carry.astype(np.float64), self._byte_cps[a:b]):
+            if reducer.update(8 * lo, 8 * (hi - lo), keys, s, self._byte_cps[a:b]):
                 break
-        return carry
+        return carry, top
 
     def _read(self, lo, index, ends, level, top):
         """The steps of a chunk of bytes lo, lo+1, ... that a reducer reads,
@@ -613,8 +613,7 @@ class _PathKernel:
 
     def _run_real(self, refills, reducer, paths):
         """Walk the segments a chunk at a time and feed reducer.update the
-        steps `_screen` finds in each segment; return the last partial sum
-        of each path, in long double."""
+        steps `_screen` finds in each segment; return (last, top)."""
         carry = np.zeros(paths, dtype=np.longdouble)
         width = min(self.steps, _CHUNK, max(_STRIDE, _REAL_CHUNK // paths // _STRIDE * _STRIDE))
         top = np.zeros(paths) if reducer is not None and reducer.full else None
@@ -657,10 +656,9 @@ class _PathKernel:
                 if len(found) > 1:  # from chunk-major to row-major: a merge of sorted runs
                     order = np.argsort(keys, kind="stable")
                     keys, s = keys[order], s[order]
-                if reducer.update(pos, span, keys, s, top, carry.astype(np.float64),
-                                  (end,) if end in self.checkpoints else ()):
+                if reducer.update(pos, span, keys, s, (end,) if end in self.checkpoints else ()):
                     break
-        return carry
+        return carry, top
 
     def _screen(self, sums, carry, before, bounds, top):
         """The steps of a (paths, m) chunk of cumsums that a reducer reads,
@@ -728,12 +726,11 @@ def _shaped(buf: np.ndarray, shape) -> np.ndarray:
 
 
 class _PathTally:
-    """Reducer for the path statistics of `PathStats`, one entry per path of
-    the pass (`paths`) in each array.
-
-    With ``full=False`` it keeps only the counts (zero hits, sign changes,
-    band hits and their checkpoint snapshots) and skips the last-hit
-    positions, max |S| and S(n).  A missing last hit is -1.
+    """Reducer for the event counts of `PathStats`, one entry per path of
+    the pass (`paths`) in each array and one row per target, the zeros and
+    then each band, in `hits` and `last` (the step of the last hit, -1 for
+    none).  With ``full=False`` it keeps only the counts (hits, sign
+    changes and their checkpoint snapshots), and the kernel no max |S|.
     """
 
     def __init__(self, first: int, bands: Sequence[float], zero_tol: float,
@@ -742,40 +739,36 @@ class _PathTally:
         self.bands = [float(c) if not float(c).is_integer() else int(c) for c in bands]
         self.zero_tol = zero_tol
         self.full = full
-        # an integer walk's bands: |S| <= c iff |S| <= floor(c), and |S| < 2^62
-        self.int_bands = [min(math.floor(c), _INT_LIMIT) for c in self.bands]
-        self.zero_hits = np.zeros(paths, dtype=np.int64)
+        # per target, the largest |S| it counts: for an integer walk a zero
+        # is S == 0, |S| <= c iff |S| <= floor(c), and |S| < 2^62
+        self.int_levels = [0] + [min(math.floor(c), _INT_LIMIT) for c in self.bands]
+        self.real_levels = [zero_tol] + self.bands
+        self.hits = np.zeros((1 + len(self.bands), paths), dtype=np.int64)
+        self.last = np.full(self.hits.shape, -1, dtype=np.int64)
         self.sign_changes = np.zeros(paths, dtype=np.int64)
-        self.last_zero = np.full(paths, -1, dtype=np.int64)
-        self.max_abs = np.zeros(paths)
-        self.final = np.zeros(paths)
-        self.band_hits = np.zeros((len(self.bands), paths), dtype=np.int64)
-        self.last_band = np.full((len(self.bands), paths), -1, dtype=np.int64)
         self.last_sign = np.zeros(paths, dtype=np.int64)
-        # (step, zero hits, sign changes, band hits) at each checkpoint
-        self.snapshots: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        # (step, hits, sign changes) at each checkpoint
+        self.snapshots: list[tuple[int, np.ndarray, np.ndarray]] = []
 
     def level(self, step: int):
         """The widest band: the largest |S| counted at any step."""
         return max(self.bands, default=0)
 
-    def update(self, base: int, span: int, keys: np.ndarray, s: np.ndarray,
-               peak, final: np.ndarray, cps) -> bool:
+    def update(self, base: int, span: int, keys: np.ndarray, s: np.ndarray, cps) -> bool:
         """Add a chunk of `span` steps from step `base` of each path: S at
         the flat keys row*span + step (sorted), which hold every zero, every
-        band hit and every step at which S changes sign (see `_PathKernel`);
-        with ``full``, each path's largest |S| so far (`peak`) and its S at
-        the chunk's last step.  `cps` holds the checkpoints (step counts)
-        that end in the chunk.  A zero is |S| <= zero_tol; S in int64 is an
-        integer walk's exact sum, so there a zero is S == 0, whatever
-        zero_tol is, and the bands compare in int64.  Never stops a pass."""
+        band hit and every step at which S changes sign (see `_PathKernel`).
+        `cps` holds the checkpoints (step counts) that end in the chunk.  A
+        zero is |S| <= zero_tol; S in int64 is an integer walk's exact sum,
+        so there a zero is S == 0, whatever zero_tol is, and the bands
+        compare in int64.  Never stops a pass."""
         abs_s = np.abs(s)
-        tol, bands = (0, self.int_bands) if s.dtype == np.int64 else (self.zero_tol, self.bands)
-        zero = abs_s <= tol
+        levels = self.int_levels if s.dtype == np.int64 else self.real_levels
+        within = [abs_s <= c for c in levels]
         # np.compress gathers several times faster than a boolean index here
-        events = [np.compress(zero, keys)] + [np.compress(abs_s <= c, keys) for c in bands]
+        events = [np.compress(w, keys) for w in within]
         # sign changes among the nonzero S; a zero never counts as a sign
-        live = np.flatnonzero(~zero)
+        live = np.flatnonzero(~within[0])
         at, up = keys[live], s[live] > 0
         edge = np.searchsorted(at, np.arange(self.last_sign.size + 1) * span)  # row by row
         rows = np.flatnonzero(edge[1:] > edge[:-1])
@@ -786,17 +779,14 @@ class _PathTally:
         change[first] = (known != 0) & (up[first] != (known > 0))
         self.last_sign[rows] = np.where(up[last], 1, -1)
         self._count(events, at[change], span, base, cps)
-        if self.full:
-            self.max_abs = np.maximum(self.max_abs, peak)
-            self.final = final
         return False
 
     def _count(self, events, changes, span: int, base: int, cps) -> None:
         """Add a chunk's events, given as sorted flat keys row*span + step
-        (step 0 is step `base` of the walk): `events` those of the zeros and
-        of each band's hits, `changes` those of the sign changes; `cps` the
-        checkpoints (step counts) in the chunk."""
-        paths = self.zero_hits.size
+        (step 0 is step `base` of the walk): `events` those of each target,
+        `changes` those of the sign changes; `cps` the checkpoints (step
+        counts) in the chunk."""
+        paths = self.sign_changes.size
         # per row: the events up to each checkpoint, then in the whole chunk
         starts = np.arange(paths) * span
         edges = starts + np.array([0] + [int(cp) - base for cp in cps] + [span])[:, None]
@@ -805,48 +795,43 @@ class _PathTally:
             stop = np.searchsorted(e, edges)
             return stop[1:] - stop[0], stop[-1]
         tallies = [count(e) for e in events]
-        zeros, changed = tallies[0], count(changes)[0]
-        band_counts = np.array([n for n, _ in tallies[1:]], dtype=np.int64).reshape(
-            len(self.bands), len(edges) - 1, paths)
+        hits = np.array([n for n, _ in tallies])  # (targets, edges, paths)
+        changed = count(changes)[0]
         for i, cp in enumerate(cps):
-            self.snapshots.append((self.first + int(cp) - 1, self.zero_hits + zeros[0][i],
-                                   self.sign_changes + changed[i],
-                                   self.band_hits + band_counts[:, i]))
-        self.zero_hits += zeros[0][-1]
+            self.snapshots.append((self.first + int(cp) - 1, self.hits + hits[:, i],
+                                   self.sign_changes + changed[i]))
+        self.hits += hits[:, -1]
         self.sign_changes += changed[-1]
-        self.band_hits += band_counts[:, -1]
         if self.full:
-            for e, (n, stop), last in zip(events, tallies, [self.last_zero, *self.last_band]):
+            for e, (n, stop), last in zip(events, tallies, self.last):
                 got = n[-1] > 0
                 last[got] = e[stop[got] - 1] - starts[got] + self.first + base
 
-    def stats(self, horizon: int, steps: int) -> PathStats:
-        """The `PathStats` of a one-path tally."""
+    def stats(self, horizon: int, steps: int, final: np.ndarray, top: np.ndarray) -> PathStats:
+        """The `PathStats` of a one-path tally, given the path's S(n) and
+        max |S| as `_PathKernel.run` returns them."""
         def step(v):
             return None if v < 0 else int(v)
+        (zeros, *hits), (last_zero, *last) = self.hits[:, 0].tolist(), self.last[:, 0]
         return PathStats(
-            horizon=horizon, steps=steps, zero_hits=int(self.zero_hits[0]),
-            sign_changes=int(self.sign_changes[0]), last_zero_hit=step(self.last_zero[0]),
-            max_abs=float(self.max_abs[0]), final_value=float(self.final[0]),
-            band_hits={c: int(h[0]) for c, h in zip(self.bands, self.band_hits)},
-            last_band_hit={c: step(h[0]) for c, h in zip(self.bands, self.last_band)},
+            horizon=horizon, steps=steps, zero_hits=zeros,
+            sign_changes=int(self.sign_changes[0]), last_zero_hit=step(last_zero),
+            max_abs=float(top[0]), final_value=float(final[0]),
+            band_hits=dict(zip(self.bands, hits)),
+            last_band_hit={c: step(v) for c, v in zip(self.bands, last)},
             checkpoints=[CheckpointSnapshot(
-                at=at, zero_hits=int(z[0]), sign_changes=int(ch[0]),
-                band_hits={c: int(h[0]) for c, h in zip(self.bands, hits)})
-                for at, z, ch, hits in self.snapshots])
+                at=at, zero_hits=int(h[0, 0]), sign_changes=int(ch[0]),
+                band_hits=dict(zip(self.bands, h[1:, 0].tolist())))
+                for at, h, ch in self.snapshots])
 
     def results(self) -> dict:
-        """The per-path arrays by name, paths on the last axis: at
-        checkpoint i, the counts are cp_zeros[i], cp_changes[i] and
-        cp_band_hits[i] (one row per band)."""
-        paths, snaps = self.zero_hits.size, self.snapshots
-        return {"zero_hits": self.zero_hits, "sign_changes": self.sign_changes,
-                "last_zero": self.last_zero, "max_abs": self.max_abs, "final": self.final,
-                "band_hits": self.band_hits, "last_band": self.last_band,
-                "cp_zeros": np.array([z for _, z, _, _ in snaps]).reshape(len(snaps), paths),
-                "cp_changes": np.array([c for _, _, c, _ in snaps]).reshape(len(snaps), paths),
-                "cp_band_hits": np.array([h for *_, h in snaps]).reshape(
-                    len(snaps), len(self.bands), paths)}
+        """The per-path arrays by name, paths on the last axis: `hits` and
+        `last` per target, and at checkpoint i the counts cp_hits[i] (one
+        row per target) and cp_changes[i]."""
+        snaps = self.snapshots
+        return {"hits": self.hits, "last": self.last, "sign_changes": self.sign_changes,
+                "cp_hits": np.array([h for _, h, _ in snaps]).reshape(-1, *self.hits.shape),
+                "cp_changes": np.array([c for *_, c in snaps]).reshape(-1, self.last_sign.size)}
 
 
 class _GrowthTest:
@@ -877,8 +862,7 @@ class _GrowthTest:
         """The threshold at `step`, the largest of any step up to it."""
         return self._thresholds(np.array([step]))[0]
 
-    def update(self, base: int, span: int, keys: np.ndarray, s: np.ndarray,
-               peak, final, cps) -> bool:
+    def update(self, base: int, span: int, keys: np.ndarray, s: np.ndarray, cps) -> bool:
         """Fail the paths with a read step in the window at or below its
         threshold (`_PathTally.update` names the arguments); stop the pass
         once every path has failed."""
@@ -901,9 +885,9 @@ def simulate(spec: SequenceSpec, n: int, rng: RngSpec, bands: Sequence[float] = 
     cps = {int(c) for c in checkpoints if first <= c <= n}
     kernel = _PathKernel(spec, n, [c - first + 1 for c in cps])
     tally = _PathTally(first, bands, zero_tol)
-    kernel.run(_refills(np.random.Philox(0), rng.seed, range(rng.stream, rng.stream + 1),
-                        kernel.steps), 1, tally)
-    return tally.stats(n, kernel.steps)
+    return tally.stats(n, kernel.steps, *kernel.run(
+        _refills(np.random.Philox(0), rng.seed, range(rng.stream, rng.stream + 1), kernel.steps),
+        1, tally))
 
 
 def _checked_bands(bands: Sequence[float], zero_tol: float) -> list[float]:
@@ -926,14 +910,15 @@ _CTX: dict = {}
 
 
 def _path_block(block: tuple[int, int]) -> dict:
-    """The named per-path arrays of paths lo..hi-1, a work unit walked in one pass."""
+    """The named per-path arrays of paths lo..hi-1, a work unit walked in
+    one pass (`_run_blocks` names them)."""
     lo, hi = block
     kernel, reducer = _CTX["kernel"], _CTX["reducer"](hi - lo)
-    last = kernel.run(_refills(_CTX["philox"], _CTX["seed"], range(lo, hi), kernel.steps),
-                      hi - lo, reducer)
-    if reducer is None:  # S(n) alone: exact in int64 for integer weights
-        return {"final": last if kernel.bytewise else last.astype(np.float64)}
-    return reducer.results()
+    last, top = kernel.run(_refills(_CTX["philox"], _CTX["seed"], range(lo, hi), kernel.steps),
+                           hi - lo, reducer)
+    res = {} if reducer is None else reducer.results()
+    res["final"] = last if kernel.bytewise else last.astype(np.float64)
+    return res if top is None else {**res, "max_abs": top}
 
 
 def _run_blocks(spec: SequenceSpec, horizon: int, paths: int, seed: int,
@@ -942,9 +927,11 @@ def _run_blocks(spec: SequenceSpec, horizon: int, paths: int, seed: int,
     per-path arrays of every path, paths on the last axis in path order.
 
     `reducer(paths)` builds the reducer of a pass over that many paths: a
-    `_PathTally`, a `_GrowthTest` (whose `results` name the arrays) or None
-    for S(n) alone, as "final", in int64 for integer weights and float64
-    for real ones.
+    `_PathTally` or `_GrowthTest`, whose `results` name its arrays, or
+    None.  Every job adds "final", S at the last step walked (S(n) unless
+    the reducer stopped the pass, as `_GrowthTest` does once every path
+    has failed), and with ``reducer.full`` "max_abs", the largest |S|: in
+    int64 for integer weights and float64 for real ones.
 
     The pool has min(AWALK_THREADS, work units, paths x steps //
     `_WORKER_PATH_STEPS`) workers; with one the parent walks every unit
@@ -982,7 +969,6 @@ def _run_blocks(spec: SequenceSpec, horizon: int, paths: int, seed: int,
 class ExperimentReport:
     """Aggregate over many paths, serializable byte-identically."""
 
-    schema: str
     kind: str
     spec: str
     horizon: int
@@ -992,7 +978,8 @@ class ExperimentReport:
     zero_tol: float
     checkpoints: list[int]
     aggregates: dict
-    notes: list[str] = field(default_factory=list)
+    schema: str = REPORT_SCHEMA
+    notes: list[str] = field(default_factory=lambda: [PROXY_NOTE])
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -1037,8 +1024,7 @@ def _quantiles(values: np.ndarray) -> dict:
 
 
 def default_checkpoints(n: int, first: int) -> list[int]:
-    cps = sorted({max(first, n // 100), max(first, n // 10), n})
-    return cps
+    return sorted({max(first, n // 100), max(first, n // 10), n})
 
 
 def _experiment_checkpoints(spec: SequenceSpec, n: int,
@@ -1078,10 +1064,7 @@ def recurrence_experiment(spec: SequenceSpec, n: int, bands: Sequence[float],
     # every mean, quantile and bootstrap reads float64: numpy's mean of an
     # int64 array can differ from it in the last bit
     res = {name: a.astype(np.float64) for name, a in res.items()}
-    # per target, zeros first and then each band: hits, last hit, hits at each checkpoint
-    hits = np.vstack([res["zero_hits"], res["band_hits"]])
-    lasts = np.vstack([res["last_zero"], res["last_band"]])
-    at_cps = np.concatenate([res["cp_zeros"][:, None], res["cp_band_hits"]], axis=1)
+    hits, lasts, at_cps = res["hits"], res["last"], res["cp_hits"]  # per target, zeros first
     decade_lo = max(first, n // 10)
     aggregates: dict = {"per_band": {}}
     labels = ["zero"] + [f"band<={c:g}" for c in bands]
@@ -1101,10 +1084,9 @@ def recurrence_experiment(spec: SequenceSpec, n: int, bands: Sequence[float],
         }
     aggregates["mean_max_abs"] = float(res["max_abs"].mean())
     aggregates["mean_sign_changes"] = float(res["sign_changes"].mean())
-    return ExperimentReport(schema=REPORT_SCHEMA, kind="recurrence", spec=spec.canonical(),
-                            horizon=n, paths=paths, seed=seed, bands=bands,
-                            zero_tol=zero_tol, checkpoints=cps, aggregates=aggregates,
-                            notes=[PROXY_NOTE])
+    return ExperimentReport(kind="recurrence", spec=spec.canonical(), horizon=n, paths=paths,
+                            seed=seed, bands=bands, zero_tol=zero_tol, checkpoints=cps,
+                            aggregates=aggregates)
 
 
 def sign_change_experiment(spec: SequenceSpec, n: int, paths: int, seed: int, *,
@@ -1126,10 +1108,9 @@ def sign_change_experiment(spec: SequenceSpec, n: int, paths: int, seed: int, *,
     for cp, counts in zip(cps, res["cp_changes"]):
         aggregates["fraction_at_least"][str(cp)] = {
             str(k): float(np.mean(counts >= k)) for k in range(1, 21)}
-    return ExperimentReport(schema=REPORT_SCHEMA, kind="signs", spec=spec.canonical(),
-                            horizon=n, paths=paths, seed=seed, bands=[],
-                            zero_tol=zero_tol, checkpoints=cps, aggregates=aggregates,
-                            notes=[PROXY_NOTE])
+    return ExperimentReport(kind="signs", spec=spec.canonical(), horizon=n, paths=paths,
+                            seed=seed, bands=[], zero_tol=zero_tol, checkpoints=cps,
+                            aggregates=aggregates)
 
 
 def growth_experiment(spec: SequenceSpec, n: int, delta: float, paths: int,
@@ -1151,10 +1132,9 @@ def growth_experiment(spec: SequenceSpec, n: int, delta: float, paths: int,
     frac = float(res["ok"].astype(np.float64).mean())
     aggregates = {"fraction_maintaining": frac, "window": [win_lo, n],
                   "exponent": exponent}
-    return ExperimentReport(schema=REPORT_SCHEMA, kind="growth", spec=spec.canonical(),
+    return ExperimentReport(kind="growth", spec=spec.canonical(),
                             horizon=n, paths=paths, seed=seed, bands=[],
-                            zero_tol=0.0, checkpoints=[], aggregates=aggregates,
-                            notes=[PROXY_NOTE])
+                            zero_tol=0.0, checkpoints=[], aggregates=aggregates)
 
 
 # --- one-shot checks -------------------------------------------------------------

@@ -119,8 +119,7 @@ def simulate_signs(spec, signs, bands=(), zero_tol=1e-9, checkpoints=()) -> mc.P
     cps = {int(c) for c in checkpoints if first <= c <= n}
     kernel = mc._PathKernel(spec, n, [c - first + 1 for c in cps])
     tally = mc._PathTally(first, bands, zero_tol)
-    kernel.run(*sign_refills(signs), tally)
-    return tally.stats(n, kernel.steps)
+    return tally.stats(n, kernel.steps, *kernel.run(*sign_refills(signs), tally))
 
 
 # --- references for the Monte Carlo statistics of criterion 8 ------------------

@@ -397,6 +397,11 @@ def test_config_supplies_defaults(tmp_path):
                 "--seed", "18", "--out", "s2.json"], tmp_path) == 0
     payload = json.loads((tmp_path / "s2.json").read_text())
     assert payload["seed"] == 18 and payload["path"]["steps"] == 32
+    # argparse takes --config abbreviated, with its value apart or after "="
+    for out, flag in (("s3.json", ["--conf", str(cfg)]), ("s4.json", [f"--conf={cfg}"])):
+        assert run(["simulate", "--spec", "linear", *flag, "--out", out], tmp_path) == 0
+        payload = json.loads((tmp_path / out).read_text())
+        assert payload["seed"] == 17 and payload["path"]["steps"] == 64
 
 
 @pytest.mark.parametrize("config, named", [

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from awalk import exact, fourier, verify
-from awalk.errors import PreconditionError, ToleranceError
+from awalk.errors import DomainError, PreconditionError, ToleranceError
 from awalk.sequences import Constant, Explicit, Linear, parse_spec, sum_squares_exact
 from conftest import BATTERY_TEXTS, panel_adaptive_integral
 
@@ -123,6 +124,18 @@ def test_abs_integral_real_weights():
     assert res.value > 0 and res.abs_error_estimate < 1e-3 * res.value
     # |cos| <= 1 so the full-range integral is at most 2*pi
     assert res.value < 2 * math.pi
+
+
+@pytest.mark.parametrize("spec, n", [(Constant(1e200), 3), (Explicit([1e160, 2.5]), 2),
+                                     (Constant(1e154), 3)])
+def test_weights_whose_squares_overflow_are_refused(spec, n):
+    # a square past float64 ended in an OverflowError from the exact sum of
+    # squares; an infinite sum would give the mesh a zero peak width, and
+    # its doubling ladder from 0 would never end
+    with pytest.raises(DomainError, match=f"{re.escape(spec.canonical())} overflow float64"):
+        fourier.CosineProfile(spec, n)
+    with pytest.raises(DomainError, match="overflow float64"):
+        fourier.abs_integral(spec, n)
 
 
 def test_sullivan_targets():

@@ -329,9 +329,9 @@ def _check_long_double_case(case):
     first = spec.first_index
     kernel = mc._PathKernel(spec, first + len(signs) - 1, [c - first + 1 for c in checkpoints])
     tally = mc._PathTally(first, bands, zero_tol, paths=mc._BLOCK)
-    kernel.run(*sign_refills(np.tile([signs, -signs], (mc._BLOCK // 2, 1))), tally)
-    one = _tally_results(want, bands, True)
-    _assert_results(tally.results(), [one, {**one, "final": -one["final"]}] * (mc._BLOCK // 2))
+    run = kernel.run(*sign_refills(np.tile([signs, -signs], (mc._BLOCK // 2, 1))), tally)
+    one = _job_results(want, bands, True)
+    _assert_results(_walked(tally, run), [one, {**one, "final": -one["final"]}] * (mc._BLOCK // 2))
 
 
 @pytest.mark.parametrize("case", _LONG_DOUBLE_CASES, ids=[c[0] for c in _LONG_DOUBLE_CASES])
@@ -378,26 +378,44 @@ def test_long_double_cases_catch_a_screen_of_half_the_reach(monkeypatch):
 
 def _tally_results(fields, bands, full):
     """The fields of one path, as `_step_loop_stats` gives them, under the
-    names of `_PathTally.results`: a number per name, a list per band or
-    checkpoint.  Without ``full``, the last hits, max |S| and S(n) keep the
-    values a tally starts from."""
-    zeros, changes, last_zero, max_abs, final, hits, last, snaps = fields
+    names of `_PathTally.results`: a number per name, a list per target
+    (the zeros, then each band) or checkpoint.  Without ``full``, the last
+    hits keep the -1 a tally starts from."""
+    zeros, changes, last_zero, _, _, hits, last, snaps = fields
 
     def at(k):
         return -1 if k is None or not full else k
-    return {"zero_hits": zeros, "sign_changes": changes, "last_zero": at(last_zero),
-            "max_abs": max_abs if full else 0.0, "final": final if full else 0.0,
-            "band_hits": [hits[c] for c in bands], "last_band": [at(last[c]) for c in bands],
-            "cp_zeros": [z for _, z, _, _ in snaps], "cp_changes": [ch for _, _, ch, _ in snaps],
-            "cp_band_hits": [[h[c] for c in bands] for *_, h in snaps]}
+    return {"hits": [zeros] + [hits[c] for c in bands],
+            "last": [at(last_zero)] + [at(last[c]) for c in bands],
+            "sign_changes": changes, "cp_changes": [ch for _, _, ch, _ in snaps],
+            "cp_hits": [[z] + [h[c] for c in bands] for _, z, _, h in snaps]}
+
+
+def _job_results(fields, bands, full):
+    """`_tally_results` with what `_path_block` adds: S(n) as "final" and,
+    with ``full``, max |S| as "max_abs"."""
+    res = {**_tally_results(fields, bands, full), "final": fields[4]}
+    if full:
+        res["max_abs"] = fields[3]
+    return res
+
+
+def _walked(tally, run):
+    """A tally's results with what its `_PathKernel.run` returned, (last,
+    top), under the names of `_job_results`."""
+    last, top = run
+    res = {**tally.results(), "final": last.astype(np.float64)}
+    if top is not None:
+        res["max_abs"] = top
+    return res
 
 
 def _path_stats_results(st, full):
-    """A `PathStats` under the names of `_PathTally.results`."""
+    """A `PathStats` under the names of `_job_results`."""
     snaps = [(c.at, c.zero_hits, c.sign_changes, c.band_hits) for c in st.checkpoints]
-    return _tally_results((st.zero_hits, st.sign_changes, st.last_zero_hit, st.max_abs,
-                           st.final_value, st.band_hits, st.last_band_hit, snaps),
-                          list(st.band_hits), full)
+    return _job_results((st.zero_hits, st.sign_changes, st.last_zero_hit, st.max_abs,
+                         st.final_value, st.band_hits, st.last_band_hit, snaps),
+                        list(st.band_hits), full)
 
 
 def _assert_results(got, per_path):
@@ -462,8 +480,8 @@ def test_real_walks_that_could_overflow_are_refused(threads, monkeypatch, tmp_pa
 
 
 def _step_loop_results(spec, signs, bands, checkpoints, full):
-    """`_step_loop_stats` under the names of `_PathTally.results`."""
-    return _tally_results(_step_loop_stats(spec, signs, bands, checkpoints), bands, full)
+    """`_step_loop_stats` under the names of `_job_results`."""
+    return _job_results(_step_loop_stats(spec, signs, bands, checkpoints), bands, full)
 
 
 @settings(max_examples=150, deadline=None)
@@ -487,11 +505,12 @@ def test_block_pass_matches_single_paths(text, length, seeds, bands, offsets, fu
     kernel = mc._PathKernel(spec, first + length - 1, [c - first + 1 for c in checkpoints])
     assert kernel.bytewise
     tally = mc._PathTally(first, bands, 1e-9, full=full, paths=len(paths))
-    last = kernel.run(*sign_refills(paths), tally)
-    _assert_results(tally.results(),
+    run = kernel.run(*sign_refills(paths), tally)
+    _assert_results(_walked(tally, run),
                     [_step_loop_results(spec, p, bands, set(checkpoints), full) for p in paths])
-    assert last.tolist() == [int(np.dot(weights, p)) for p in paths]
-    assert kernel.run(*sign_refills(paths)).tolist() == last.tolist()  # the S(n) sum alone
+    last = run[0]
+    assert last.dtype == np.int64 and last.tolist() == [int(np.dot(weights, p)) for p in paths]
+    assert kernel.run(*sign_refills(paths))[0].tolist() == last.tolist()  # the S(n) sum alone
     window = length // 3
     thresholds = np.arange(first, first + length, dtype=np.float64) ** exponent
     test = mc._GrowthTest(window, first, exponent, paths=len(paths))
@@ -521,7 +540,8 @@ def test_reach_tables_bound_every_suffix():
 def test_path_blocks_match_step_path_runs(kind, monkeypatch):
     # real Philox streams: 70 paths (a 64-path unit and a unit of 6, one
     # pass each) of 1003 steps, against each path's own bits through the
-    # Python step loop, the window test on np.cumsum and np.dot
+    # Python step loop, the window test on np.cumsum and np.dot; every job
+    # reports S(n), and only the full tally max |S|
     monkeypatch.setenv("AWALK_THREADS", "1")
     spec, n, paths, seed = parse_spec("powfloor:0.5"), 1003, 70, 17
     bands, cps = [0.0, 2.5], [8, 9, 500, 1003]
@@ -537,10 +557,12 @@ def test_path_blocks_match_step_path_runs(kind, monkeypatch):
         _assert_results(res, [_step_loop_results(spec, x, bands, set(cps), kind == "stats")
                               for x in signs])
     elif kind == "growth":
-        assert res["ok"].tolist() == [
-            bool(np.all(np.abs(np.cumsum(weights * x)[100:]) > thresholds[100:])) for x in signs]
-    else:
-        assert res["final"].tolist() == [int(np.dot(weights, x)) for x in signs]
+        ok = [bool(np.all(np.abs(np.cumsum(weights * x)[100:]) > thresholds[100:]))
+              for x in signs]
+        assert res["ok"].tolist() == ok
+        assert any(ok[:mc._BLOCK]) and any(ok[mc._BLOCK:])  # both passes walk to the end
+    assert res["final"].tolist() == [int(np.dot(weights, x)) for x in signs]
+    assert ("max_abs" in res) == (kind == "stats")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -732,9 +754,18 @@ def test_reducers_call_no_kernel_method():
                 for node in ast.walk(classes[name])
                 if isinstance(node, (ast.Attribute, ast.Name))}
         assert used & kernel == set(), name
-        updates = [node.name for node in classes[name].body
+        updates = [node for node in classes[name].body
                    if isinstance(node, ast.FunctionDef) and node.name.startswith("update")]
-        assert updates == ["update"], name
+        assert [node.name for node in updates] == ["update"], name
+        # it gets the read steps and checkpoints, and keeps no fact of the
+        # walk that `_PathKernel.run` reports
+        assert [a.arg for a in updates[0].args.args] == \
+            ["self", "base", "span", "keys", "s", "cps"], name
+        stored = {node.attr if isinstance(node, ast.Attribute) else node.id
+                  for node in ast.walk(classes[name])
+                  if isinstance(node, (ast.Attribute, ast.Name))
+                  and isinstance(node.ctx, ast.Store)}
+        assert stored & {"final", "max_abs", "peak"} == set(), name
 
 
 # walks whose sign bytes have affine weights with more than one step
@@ -764,8 +795,7 @@ def test_mixed_delta_walks_match_step_loop(text, checkpoints):
                                            checkpoints=checkpoints), w)
     kernel = mc._PathKernel(spec, spec.max_index, [c - first + 1 for c in checkpoints])
     tally = mc._PathTally(first, bands, 1e-9, paths=len(paths))
-    kernel.run(*sign_refills(paths), tally)
-    _assert_results(tally.results(),
+    _assert_results(_walked(tally, kernel.run(*sign_refills(paths), tally)),
                     [_step_loop_results(spec, p, bands, set(checkpoints), True) for p in paths])
     window, exponent = 5, 0.45
     thresholds = np.arange(first, first + n, dtype=np.float64) ** exponent
@@ -781,7 +811,7 @@ def test_mixed_delta_walks_match_step_loop(text, checkpoints):
 def test_byte_path_final_value_matches_dot_product(text, signs):
     spec = parse_spec(text)
     n = spec.first_index + len(signs) - 1
-    assert mc._PathKernel(spec, n).run(*sign_refills(signs)) == int(np.dot(spec.terms(n), signs))
+    assert mc._PathKernel(spec, n).run(*sign_refills(signs))[0] == int(np.dot(spec.terms(n), signs))
 
 
 @pytest.mark.parametrize("text", ["logceil:2", "linear", "powfloor:0.5"])
@@ -805,7 +835,7 @@ def test_byte_path_spans_chunks_of_a_philox_stream(text):
     philox = np.random.Philox(0)
     kernel.run(mc._refills(philox, 31, range(4, 5), kernel.steps), 1, test)
     assert test.ok.tolist() == [bool(np.all(np.abs(partial[window:]) > thresholds[window:]))]
-    assert kernel.run(mc._refills(philox, 31, range(4, 5), kernel.steps), 1).tolist() \
+    assert kernel.run(mc._refills(philox, 31, range(4, 5), kernel.steps), 1)[0].tolist() \
         == [int(partial[-1])]
 
 
